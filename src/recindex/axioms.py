@@ -1,17 +1,18 @@
 """Executable property checkers for citation indices over finite domains.
 
-Each axiom id names one checker.  A checker exhaustively scans a finite
-domain and returns either a clean verdict or the first counterexample in
-canonical enumeration order; every counterexample carries enough data to
-be replayed independently of the scan that found it.
+Each axiom id names one entry of ``AXIOMS``: a description, the
+candidates the axiom draws from a domain, and one predicate that turns a
+violating candidate into its witness.  A scan returns the first witness
+in canonical enumeration order; replaying a stored witness runs the same
+predicate on it, independently of the scan that found it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from itertools import combinations, product
+from typing import Callable, Iterable
 
 from . import sequences
 from .core import (
@@ -67,23 +68,6 @@ class AxiomId(str, Enum):
     RANK_SCALE_INVARIANCE = "RANK_SI"
 
 
-DESCRIPTIONS = {
-    AxiomId.MONOTONICITY: "f never decreases along domination",
-    AxiomId.STRICT_MONOTONICITY: "f strictly increases along strict domination",
-    AxiomId.SCALE_INVARIANCE: "scaling citations by C scales f by C",
-    AxiomId.SELF_CONJUGACY: "f is unchanged by conjugation",
-    AxiomId.RECTANGLE_COMPLETION: "f(x + citation at k) = max(f(x), k * (x_k + 1))",
-    AxiomId.UNIFORM_CITATION: "on uniform vectors f equals the citation count",
-    AxiomId.UNIFORM_EQUIVALENCE: "some dominated uniform vector has the same f",
-    AxiomId.CITATION_INCREASE: "one citation to every publication raises f",
-    AxiomId.UNIFORM_MONOTONICITY: "monotone when the dominated side is uniform",
-    AxiomId.UNIFORM_SINGLE_CITATION: "f of n singly-cited publications is n",
-    AxiomId.UNIFORM_INCREMENT: "an f-incremental constructive sequence exists",
-    AxiomId.RANK_INDEPENDENCE: "adding the same new publication preserves ranking",
-    AxiomId.RANK_SCALE_INVARIANCE: "scaling both records preserves ranking",
-}
-
-
 @dataclass(frozen=True)
 class IndexUnderTest:
     name: str
@@ -127,9 +111,7 @@ class AxiomVerdict:
 
 
 def _jsonable(obj):
-    if isinstance(obj, tuple):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, list):
+    if isinstance(obj, (tuple, list)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -195,8 +177,73 @@ def counterexample_registry() -> list[IndexUnderTest]:
 
 
 # ---------------------------------------------------------------------------
-# checker plumbing
+# the shared scan domain
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Domain:
+    """One scan domain, built once and shared by every check over it.
+
+    ``vectors`` is the whole box in canonical order when ``exhaustive``,
+    else a seeded sample; ``in_box`` holds the same vectors as a set and
+    ``uniforms`` every uniform vector of the box in canonical order.
+    """
+
+    spec: DomainSpec
+    vectors: list[Vector]
+    exhaustive: bool
+    in_box: frozenset[Vector]
+    uniforms: list[Vector]
+
+
+def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Domain:
+    """Enumerate the box, or sample it when it exceeds the exhaustive budget."""
+    size = count_vectors(spec.n_max, spec.c_max)
+    if size <= EXHAUSTIVE_BUDGET:
+        vectors, exhaustive = list(enumerate_vectors(spec)), True
+    elif spec.seed is None:
+        raise DomainBudgetError(
+            f"domain {spec.n_max}x{spec.c_max} holds {size} vectors, above the "
+            f"exhaustive budget of {EXHAUSTIVE_BUDGET}; supply a seed for a "
+            f"sampled (non-exhaustive) scan"
+        )
+    else:
+        vectors, exhaustive = sample_vectors(spec, sample_size), False
+    uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
+    uniforms.sort(key=lambda v: (citation_count(v), len(v), v))
+    return Domain(spec, vectors, exhaustive, frozenset(vectors), uniforms)
+
+
+def _as_domain(domain: Domain | DomainSpec | tuple[int, int], sample_size: int) -> Domain:
+    if isinstance(domain, Domain):
+        return domain
+    spec = domain if isinstance(domain, DomainSpec) else DomainSpec(*domain)
+    return build_domain(spec, sample_size)
+
+
+# ---------------------------------------------------------------------------
+# the axioms
+# ---------------------------------------------------------------------------
+
+#: An index under scan, or under replay.
+Index = Callable[[Vector], float]
+
+
+@dataclass(frozen=True)
+class Axiom:
+    """One checkable property, stated once for the scan and for replay.
+
+    ``candidates(domain, f)`` yields, in canonical order, tuples of the
+    witness values named by ``keys``; it may skip candidates that cannot
+    violate the property.  ``violates(f, *candidate)`` returns the
+    witness a violating candidate makes, else None.
+    """
+
+    description: str
+    keys: tuple[str, ...]
+    candidates: Callable[[Domain, Index], Iterable[tuple]]
+    violates: Callable[..., dict | None]
 
 
 def _sign(a: float, b: float) -> int:
@@ -205,177 +252,168 @@ def _sign(a: float, b: float) -> int:
     return 1 if a > b else -1
 
 
-class _Eval:
-    """Memoised evaluation of one index over many vectors."""
+class _Memo(dict):
+    """Memoised evaluation of one index; ``__getitem__`` is the index."""
 
-    def __init__(self, index: IndexUnderTest) -> None:
-        self._fn = index.evaluate
-        self._cache: dict[Vector, float] = {}
+    def __init__(self, evaluate: Index) -> None:
+        super().__init__()
+        self._evaluate = evaluate
 
-    def __call__(self, v: Vector) -> float:
-        try:
-            return self._cache[v]
-        except KeyError:
-            value = self._cache[v] = self._fn(v)
-            return value
+    def __missing__(self, v: Vector) -> float:
+        value = self[v] = self._evaluate(v)
+        return value
 
 
-def _domain_vectors(spec: DomainSpec, sample_size: int) -> tuple[list[Vector], bool]:
-    size = count_vectors(spec.n_max, spec.c_max)
-    if size <= EXHAUSTIVE_BUDGET:
-        return list(enumerate_vectors(spec)), True
-    if spec.seed is None:
-        raise DomainBudgetError(
-            f"domain {spec.n_max}x{spec.c_max} holds {size} vectors, above the "
-            f"exhaustive budget of {EXHAUSTIVE_BUDGET}; supply a seed for a "
-            f"sampled (non-exhaustive) scan"
-        )
-    return sample_vectors(spec, sample_size), False
-
-
-def _uniform_box_vectors(spec: DomainSpec) -> list[Vector]:
-    uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
-    return sorted(uniforms, key=lambda v: (citation_count(v), len(v), v))
-
-
-# --- individual checkers ----------------------------------------------------
-# Each returns the first counterexample in scan order, or None.
-
-
-def _check_m(ev, vectors, spec, exhaustive):
-    if exhaustive:
-        # Domination is generated by single-citation additions, so scanning
-        # those edges decides the verdict; the pair scan only runs when a
-        # witness must be reported.
-        in_box = set(vectors)
-        clean = True
-        for v in vectors:
-            fv = ev(v)
-            for k in valid_positions(v):
-                w = add_citation_at(v, k)
-                if w in in_box and ev(w) < fv - TOLERANCE:
-                    clean = False
-                    break
-            if not clean:
-                break
-        if clean:
-            return None
-    for x in vectors:
-        fx = ev(x)
-        for y in vectors:
-            if dominates(x, y) and fx > ev(y) + TOLERANCE:
-                return {"x": x, "y": y, "f_x": fx, "f_y": ev(y)}
+def _first_witness(axiom: Axiom, evaluate: Index, domain: Domain) -> dict | None:
+    f = _Memo(evaluate).__getitem__
+    violates = axiom.violates
+    for candidate in axiom.candidates(domain, f):
+        witness = violates(f, *candidate)
+        if witness is not None:
+            return witness
     return None
 
 
-def _check_sm(ev, vectors, spec, exhaustive):
-    if exhaustive:
-        in_box = set(vectors)
-        clean = True
-        for v in vectors:
-            fv = ev(v)
-            for k in valid_positions(v):
-                w = add_citation_at(v, k)
-                if w in in_box and ev(w) <= fv + TOLERANCE:
-                    clean = False
-                    break
-            if not clean:
-                break
-        if clean:
-            return None
-    for x in vectors:
-        fx = ev(x)
-        for y in vectors:
-            if x != y and dominates(x, y) and ev(y) <= fx + TOLERANCE:
-                return {"x": x, "y": y, "f_x": fx, "f_y": ev(y)}
+def _each_vector(domain: Domain, f: Index):
+    return ((x,) for x in domain.vectors)
+
+
+def _growth_steps(domain: Domain, f: Index):
+    return ((x, k) for x in domain.vectors for k in valid_positions(x))
+
+
+def _successor_edges(domain: Domain):
+    """Pairs (v, w) where w adds one citation to v and stays in the box."""
+    for v in domain.vectors:
+        for k in valid_positions(v):
+            w = add_citation_at(v, k)
+            if w in domain.in_box:
+                yield v, w
+
+
+def _monotonicity(strict: bool):
+    """The M predicate, or the SM one when ``strict``."""
+
+    def violates(f, x, y):
+        # Comparing memoised values is cheaper than ``dominates``, and
+        # pair scans mostly meet pairs whose values are in order.
+        fx, fy = f(x), f(y)
+        broken = (x != y and fy <= fx + TOLERANCE) if strict else fx > fy + TOLERANCE
+        if broken and dominates(x, y):
+            return {"x": x, "y": y, "f_x": fx, "f_y": fy}
+        return None
+
+    return violates
+
+
+_violates_m = _monotonicity(strict=False)
+_violates_sm = _monotonicity(strict=True)
+
+
+def _violates_um(f, x, y):
+    witness = _violates_m(f, x, y)
+    return witness if witness is not None and is_uniform(x) else None
+
+
+def _violates_si(f, x, factor):
+    fx, scaled = f(x), f(scale(x, factor))
+    if abs(scaled - factor * fx) > TOLERANCE:
+        return {"x": x, "factor": factor, "f_x": fx, "f_scaled": scaled}
     return None
 
 
-def _check_si(ev, vectors, spec, exhaustive):
-    for x in vectors:
-        fx = ev(x)
-        for factor in range(1, spec.c_max + 1):
-            scaled = ev(scale(x, factor))
-            if abs(scaled - factor * fx) > TOLERANCE:
-                return {"x": x, "factor": factor, "f_x": fx, "f_scaled": scaled}
+def _violates_sc(f, x):
+    p = conjugate(x)
+    fx, fp = f(x), f(p)
+    if abs(fx - fp) > TOLERANCE:
+        return {"x": x, "conjugate": p, "f_x": fx, "f_conjugate": fp}
     return None
 
 
-def _check_sc(ev, vectors, spec, exhaustive):
-    for x in vectors:
-        p = conjugate(x)
-        if abs(ev(x) - ev(p)) > TOLERANCE:
-            return {"x": x, "conjugate": p, "f_x": ev(x), "f_conjugate": ev(p)}
+def _violates_rc(f, x, position):
+    grown = add_citation_at(x, position)
+    old = x[position - 1] if position <= len(x) else 0
+    fg, expected = f(grown), max(f(x), position * (old + 1))
+    if abs(fg - expected) > TOLERANCE:
+        return {"x": x, "position": position, "extended": grown, "f_extended": fg, "expected": expected}
     return None
 
 
-def _check_rc(ev, vectors, spec, exhaustive):
-    for x in vectors:
-        fx = ev(x)
-        for k in valid_positions(x):
-            grown = add_citation_at(x, k)
-            old = x[k - 1] if k <= len(x) else 0
-            expected = max(fx, k * (old + 1))
-            if abs(ev(grown) - expected) > TOLERANCE:
-                return {
-                    "x": x,
-                    "position": k,
-                    "extended": grown,
-                    "f_extended": ev(grown),
-                    "expected": expected,
-                }
+def _violates_citation_count(f, x):
+    fx, count = f(x), citation_count(x)
+    if abs(fx - count) > TOLERANCE:
+        return {"x": x, "f_x": fx, "citation_count": count}
     return None
 
 
-def _check_uc(ev, vectors, spec, exhaustive):
-    for u in _uniform_box_vectors(spec):
-        if abs(ev(u) - citation_count(u)) > TOLERANCE:
-            return {"x": u, "f_x": ev(u), "citation_count": citation_count(u)}
+def _violates_ue(f, x):
+    fx = f(x)
+    candidates = list(enumerate_uniform_dominated(x))
+    if not any(abs(f(u) - fx) <= TOLERANCE for u in candidates):
+        return {"x": x, "f_x": fx, "candidates": [[u, f(u)] for u in candidates]}
     return None
 
 
-def _check_ue(ev, vectors, spec, exhaustive):
-    for x in vectors:
-        fx = ev(x)
-        candidates = list(enumerate_uniform_dominated(x))
-        if not any(abs(ev(u) - fx) <= TOLERANCE for u in candidates):
-            return {
-                "x": x,
-                "f_x": fx,
-                "candidates": [[u, ev(u)] for u in candidates],
-            }
+def _violates_ci(f, x):
+    grown = add_one_to_all(x)
+    fx, fg = f(x), f(grown)
+    if fg <= fx + TOLERANCE:
+        return {"x": x, "incremented": grown, "f_x": fx, "f_incremented": fg}
     return None
 
 
-def _check_ci(ev, vectors, spec, exhaustive):
-    for x in vectors:
-        if not x:
-            continue  # no publications means nothing receives a citation
-        grown = add_one_to_all(x)
-        if ev(grown) <= ev(x) + TOLERANCE:
-            return {"x": x, "incremented": grown, "f_x": ev(x), "f_incremented": ev(grown)}
+def _violates_ui(f, target):
+    outcome = sequences.search_incremental(target, f, budget=UI_SEARCH_BUDGET)
+    if outcome.status == sequences.ABSENT:
+        return {"target": target, "note": "no f-incremental constructive sequence"}
     return None
 
 
-def _check_um(ev, vectors, spec, exhaustive):
-    for u in _uniform_box_vectors(spec):
-        fu = ev(u)
-        for y in vectors:
-            if dominates(u, y) and fu > ev(y) + TOLERANCE:
-                return {"x": u, "y": y, "f_x": fu, "f_y": ev(y)}
+def _violates_chi_step(f, x, position):
+    before, after = f(x), f(add_citation_at(x, position))
+    if after > before + 1 + TOLERANCE:
+        return {"x": x, "position": position, "chi_before": before, "chi_after": after}
     return None
 
 
-def _check_usc(ev, vectors, spec, exhaustive):
-    for j in range(0, spec.n_max + 1):
-        ones = (1,) * j
-        if abs(ev(ones) - j) > TOLERANCE:
-            return {"x": ones, "f_x": ev(ones), "citation_count": j}
-    return None
+def _domination_axiom(description: str, violates) -> Axiom:
+    def candidates(domain: Domain, f: Index):
+        # Domination is generated by single-citation additions, so on a
+        # closed domain the successor edges decide the verdict; the pair
+        # scan only runs when a witness must be reported.
+        if domain.exhaustive and all(violates(f, v, w) is None for v, w in _successor_edges(domain)):
+            return ()
+        return product(domain.vectors, repeat=2)
+
+    return Axiom(description, ("x", "y"), candidates, violates)
 
 
-def _check_ui(ev, vectors, spec, exhaustive):
-    if not exhaustive:
+def _rank_axiom(key: str, first: int, transform, description: str) -> Axiom:
+    def violates(f, x, y, param):
+        before = [f(x), f(y)]
+        after = [f(transform(x, param)), f(transform(y, param))]
+        if _sign(*before) != _sign(*after):
+            return {"x": x, "y": y, key: param, "before": before, "after": after}
+        return None
+
+    def candidates(domain: Domain, f: Index):
+        # Sign preservation on every pair means the two weak orders
+        # coincide, so neighbours in f order show whether any pair flips;
+        # only a parameter that flips one needs the pair scan.
+        ranked = sorted(domain.vectors, key=lambda v: (f(v), len(v), v))
+        for param in range(first, domain.spec.c_max + 1):
+            if any(violates(f, a, b, param) is not None for a, b in zip(ranked, ranked[1:])):
+                yield from ((x, y, param) for x, y in combinations(domain.vectors, 2))
+
+    return Axiom(description, ("x", "y", key), candidates, violates)
+
+
+def _add_publication(x: Vector, citations: int) -> Vector:
+    return make_vector(x + (citations,))
+
+
+def _unreachable_targets(domain: Domain, f: Index):
+    if not domain.exhaustive:
         raise DomainBudgetError(
             "the uniform-increment check needs an exhaustive domain; "
             "sampled vectors are not closed under removing citations"
@@ -385,117 +423,109 @@ def _check_ui(ev, vectors, spec, exhaustive):
     # sequence is dominated by its endpoint), so one bottom-up pass over
     # the domain decides all targets at once.
     reachable: dict[Vector, bool] = {(): True}
-    for v in vectors:
+    for v in domain.vectors:
         if not v:
             continue
-        fv = ev(v)
+        fv = f(v)
         ok = False
         for i in range(len(v)):
             if i == len(v) - 1 or v[i] > v[i + 1]:
                 p = v[:i] + (v[i] - 1,) + v[i + 1 :] if v[i] > 1 else v[:i] + v[i + 1 :]
-                if reachable[p] and (fv <= ev(p) + TOLERANCE or is_uniform(v)):
+                if reachable[p] and (fv <= f(p) + TOLERANCE or is_uniform(v)):
                     ok = True
                     break
         reachable[v] = ok
-    for v in vectors:
+    for v in domain.vectors:
         if not reachable[v]:
-            outcome = sequences.search_incremental(v, ev, budget=UI_SEARCH_BUDGET)
-            if outcome.status != sequences.ABSENT:
-                raise RuntimeError(f"reachability scan disagrees with search at {v}")
-            return {"target": v, "note": "no f-incremental constructive sequence"}
-    return None
+            yield (v,)
+            # The scan only comes back here when the search found a sequence.
+            raise RuntimeError(f"reachability scan disagrees with search at {v}")
 
 
-def _order_preserved(ev, vectors, transformed) -> bool:
-    # Sign preservation on every pair means the two weak orders coincide:
-    # sorted by f, the transformed values must rise exactly where f does.
-    ranked = sorted(vectors, key=lambda v: (ev(v), len(v), v))
-    for a, b in zip(ranked, ranked[1:]):
-        before = _sign(ev(a), ev(b))
-        after = _sign(transformed[a], transformed[b])
-        if before != after:
-            return False
-    return True
-
-
-def _check_rank_ind(ev, vectors, spec, exhaustive):
-    for extra in range(1, spec.c_max + 1):
-        grown = {v: ev(make_vector(v + (extra,))) for v in vectors}
-        if _order_preserved(ev, vectors, grown):
-            continue
-        for i, x in enumerate(vectors):
-            for y in vectors[i + 1 :]:
-                if _sign(ev(x), ev(y)) != _sign(grown[x], grown[y]):
-                    return {
-                        "x": x,
-                        "y": y,
-                        "added_citations": extra,
-                        "before": [ev(x), ev(y)],
-                        "after": [grown[x], grown[y]],
-                    }
-    return None
-
-
-def _check_rank_si(ev, vectors, spec, exhaustive):
-    for factor in range(2, spec.c_max + 1):
-        scaled = {v: ev(scale(v, factor)) for v in vectors}
-        if _order_preserved(ev, vectors, scaled):
-            continue
-        for i, x in enumerate(vectors):
-            for y in vectors[i + 1 :]:
-                if _sign(ev(x), ev(y)) != _sign(scaled[x], scaled[y]):
-                    return {
-                        "x": x,
-                        "y": y,
-                        "factor": factor,
-                        "before": [ev(x), ev(y)],
-                        "after": [scaled[x], scaled[y]],
-                    }
-    return None
-
-
-_CHECKERS = {
-    AxiomId.MONOTONICITY: _check_m,
-    AxiomId.STRICT_MONOTONICITY: _check_sm,
-    AxiomId.SCALE_INVARIANCE: _check_si,
-    AxiomId.SELF_CONJUGACY: _check_sc,
-    AxiomId.RECTANGLE_COMPLETION: _check_rc,
-    AxiomId.UNIFORM_CITATION: _check_uc,
-    AxiomId.UNIFORM_EQUIVALENCE: _check_ue,
-    AxiomId.CITATION_INCREASE: _check_ci,
-    AxiomId.UNIFORM_MONOTONICITY: _check_um,
-    AxiomId.UNIFORM_SINGLE_CITATION: _check_usc,
-    AxiomId.UNIFORM_INCREMENT: _check_ui,
-    AxiomId.RANK_INDEPENDENCE: _check_rank_ind,
-    AxiomId.RANK_SCALE_INVARIANCE: _check_rank_si,
+AXIOMS: dict[AxiomId, Axiom] = {
+    AxiomId.MONOTONICITY: _domination_axiom("f never decreases along domination", _violates_m),
+    AxiomId.STRICT_MONOTONICITY: _domination_axiom(
+        "f strictly increases along strict domination", _violates_sm
+    ),
+    AxiomId.SCALE_INVARIANCE: Axiom(
+        "scaling citations by C scales f by C",
+        ("x", "factor"),
+        lambda domain, f: product(domain.vectors, range(1, domain.spec.c_max + 1)),
+        _violates_si,
+    ),
+    AxiomId.SELF_CONJUGACY: Axiom("f is unchanged by conjugation", ("x",), _each_vector, _violates_sc),
+    AxiomId.RECTANGLE_COMPLETION: Axiom(
+        "f(x + citation at k) = max(f(x), k * (x_k + 1))", ("x", "position"), _growth_steps, _violates_rc
+    ),
+    AxiomId.UNIFORM_CITATION: Axiom(
+        "on uniform vectors f equals the citation count",
+        ("x",),
+        lambda domain, f: ((u,) for u in domain.uniforms),
+        _violates_citation_count,
+    ),
+    AxiomId.UNIFORM_EQUIVALENCE: Axiom(
+        "some dominated uniform vector has the same f", ("x",), _each_vector, _violates_ue
+    ),
+    AxiomId.CITATION_INCREASE: Axiom(
+        "one citation to every publication raises f",
+        ("x",),
+        # no publications means nothing receives a citation
+        lambda domain, f: ((x,) for x in domain.vectors if x),
+        _violates_ci,
+    ),
+    AxiomId.UNIFORM_MONOTONICITY: Axiom(
+        "monotone when the dominated side is uniform",
+        ("x", "y"),
+        lambda domain, f: product(domain.uniforms, domain.vectors),
+        _violates_um,
+    ),
+    AxiomId.UNIFORM_SINGLE_CITATION: Axiom(
+        "f of n singly-cited publications is n",
+        ("x",),
+        lambda domain, f: (((1,) * j,) for j in range(domain.spec.n_max + 1)),
+        _violates_citation_count,
+    ),
+    AxiomId.UNIFORM_INCREMENT: Axiom(
+        "an f-incremental constructive sequence exists", ("target",), _unreachable_targets, _violates_ui
+    ),
+    AxiomId.RANK_INDEPENDENCE: _rank_axiom(
+        "added_citations", 1, _add_publication, "adding the same new publication preserves ranking"
+    ),
+    AxiomId.RANK_SCALE_INVARIANCE: _rank_axiom("factor", 2, scale, "scaling both records preserves ranking"),
 }
+
+_CHI_STEP = Axiom(
+    "chi grows by at most 1 per added citation", ("x", "position"), _growth_steps, _violates_chi_step
+)
+
+
+def _verdict(index: str, axiom: str, domain: Domain, counterexample: dict | None) -> AxiomVerdict:
+    return AxiomVerdict(
+        index=index,
+        axiom=axiom,
+        n_max=domain.spec.n_max,
+        c_max=domain.spec.c_max,
+        status=VIOLATED if counterexample is not None else SATISFIED,
+        counterexample=counterexample,
+        exhaustive=domain.exhaustive,
+    )
 
 
 def check_axiom(
     index: IndexUnderTest,
     axiom: AxiomId | str,
-    domain: DomainSpec | tuple[int, int],
+    domain: Domain | DomainSpec | tuple[int, int],
     sample_size: int = DEFAULT_SAMPLE_SIZE,
 ) -> AxiomVerdict:
     """Scan one axiom for one index over a finite domain.
 
     Returns a verdict whose counterexample, if any, is the first in
-    canonical enumeration order and replays independently.
+    canonical enumeration order and replays independently.  A ``Domain``
+    is used as built; ``sample_size`` only applies when one is built here.
     """
     axiom = AxiomId(axiom)
-    spec = domain if isinstance(domain, DomainSpec) else DomainSpec(*domain)
-    vectors, exhaustive = _domain_vectors(spec, sample_size)
-    ev = _Eval(index)
-    counterexample = _CHECKERS[axiom](ev, vectors, spec, exhaustive)
-    return AxiomVerdict(
-        index=index.name,
-        axiom=axiom.value,
-        n_max=spec.n_max,
-        c_max=spec.c_max,
-        status=VIOLATED if counterexample is not None else SATISFIED,
-        counterexample=counterexample,
-        exhaustive=exhaustive,
-    )
+    domain = _as_domain(domain, sample_size)
+    return _verdict(index.name, axiom.value, domain, _first_witness(AXIOMS[axiom], index.evaluate, domain))
 
 
 def replay_counterexample(verdict: AxiomVerdict, index: IndexUnderTest) -> bool:
@@ -503,55 +533,14 @@ def replay_counterexample(verdict: AxiomVerdict, index: IndexUnderTest) -> bool:
 
     True when the stored data still exhibits a genuine violation of the
     axiom for the given index, independent of the scan that found it.
+    Witnesses read back from JSON, with lists for vectors, replay too.
     """
     if verdict.counterexample is None:
         return False
-    ce = {k: tuple(v) if isinstance(v, list) and k in ("x", "y", "conjugate", "extended", "incremented", "target") else v
-          for k, v in verdict.counterexample.items()}
-    f = index.evaluate
-    axiom = AxiomId(verdict.axiom)
-    if axiom == AxiomId.MONOTONICITY:
-        return dominates(ce["x"], ce["y"]) and f(ce["x"]) > f(ce["y"]) + TOLERANCE
-    if axiom == AxiomId.STRICT_MONOTONICITY:
-        return (
-            ce["x"] != ce["y"]
-            and dominates(ce["x"], ce["y"])
-            and f(ce["y"]) <= f(ce["x"]) + TOLERANCE
-        )
-    if axiom == AxiomId.SCALE_INVARIANCE:
-        return abs(f(scale(ce["x"], ce["factor"])) - ce["factor"] * f(ce["x"])) > TOLERANCE
-    if axiom == AxiomId.SELF_CONJUGACY:
-        return abs(f(ce["x"]) - f(conjugate(ce["x"]))) > TOLERANCE
-    if axiom == AxiomId.RECTANGLE_COMPLETION:
-        x, k = ce["x"], ce["position"]
-        old = x[k - 1] if k <= len(x) else 0
-        return abs(f(add_citation_at(x, k)) - max(f(x), k * (old + 1))) > TOLERANCE
-    if axiom in (AxiomId.UNIFORM_CITATION, AxiomId.UNIFORM_SINGLE_CITATION):
-        return abs(f(ce["x"]) - citation_count(ce["x"])) > TOLERANCE
-    if axiom == AxiomId.UNIFORM_EQUIVALENCE:
-        fx = f(ce["x"])
-        return not any(abs(f(u) - fx) <= TOLERANCE for u in enumerate_uniform_dominated(ce["x"]))
-    if axiom == AxiomId.CITATION_INCREASE:
-        return f(add_one_to_all(ce["x"])) <= f(ce["x"]) + TOLERANCE
-    if axiom == AxiomId.UNIFORM_MONOTONICITY:
-        return (
-            is_uniform(ce["x"])
-            and dominates(ce["x"], ce["y"])
-            and f(ce["x"]) > f(ce["y"]) + TOLERANCE
-        )
-    if axiom == AxiomId.UNIFORM_INCREMENT:
-        outcome = sequences.search_incremental(ce["target"], f, budget=UI_SEARCH_BUDGET)
-        return outcome.status == sequences.ABSENT
-    if axiom == AxiomId.RANK_INDEPENDENCE:
-        x, y = ce["x"], ce["y"]
-        extra = ce["added_citations"]
-        gx, gy = f(make_vector(x + (extra,))), f(make_vector(y + (extra,)))
-        return _sign(f(x), f(y)) != _sign(gx, gy)
-    if axiom == AxiomId.RANK_SCALE_INVARIANCE:
-        x, y = ce["x"], ce["y"]
-        factor = ce["factor"]
-        return _sign(f(x), f(y)) != _sign(f(scale(x, factor)), f(scale(y, factor)))
-    raise ValueError(f"no replay rule for axiom {verdict.axiom!r}")
+    axiom = AXIOMS[AxiomId(verdict.axiom)]
+    ce = verdict.counterexample
+    candidate = [tuple(ce[k]) if isinstance(ce[k], list) else ce[k] for k in axiom.keys]
+    return axiom.violates(index.evaluate, *candidate) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +577,15 @@ def expected_independence_pattern() -> dict[str, dict[str, str]]:
 
 
 def independence_matrix(
-    domain: DomainSpec | tuple[int, int],
+    domain: Domain | DomainSpec | tuple[int, int],
     sample_size: int = DEFAULT_SAMPLE_SIZE,
 ) -> dict[str, dict[str, AxiomVerdict]]:
     """Check M, UC and UE for every registry index over one domain."""
+    domain = _as_domain(domain, sample_size)
     matrix: dict[str, dict[str, AxiomVerdict]] = {}
     for index in counterexample_registry():
         matrix[index.name] = {
-            axiom.value: check_axiom(index, axiom, domain, sample_size)
+            axiom.value: check_axiom(index, axiom, domain)
             for axiom in INDEPENDENCE_AXIOMS
         }
     return matrix
@@ -616,33 +606,9 @@ def pattern_mismatches(
 
 
 def chi_increment_bound(
-    domain: DomainSpec | tuple[int, int],
+    domain: Domain | DomainSpec | tuple[int, int],
     sample_size: int = DEFAULT_SAMPLE_SIZE,
 ) -> AxiomVerdict:
     """Verify chi grows by at most 1 under any single added citation."""
-    spec = domain if isinstance(domain, DomainSpec) else DomainSpec(*domain)
-    vectors, exhaustive = _domain_vectors(spec, sample_size)
-    counterexample = None
-    for x in vectors:
-        before = chi_index(x)
-        for k in valid_positions(x):
-            after = chi_index(add_citation_at(x, k))
-            if after > before + 1 + TOLERANCE:
-                counterexample = {
-                    "x": x,
-                    "position": k,
-                    "chi_before": before,
-                    "chi_after": after,
-                }
-                break
-        if counterexample:
-            break
-    return AxiomVerdict(
-        index="chi",
-        axiom="CHI_STEP_BOUND",
-        n_max=spec.n_max,
-        c_max=spec.c_max,
-        status=VIOLATED if counterexample else SATISFIED,
-        counterexample=counterexample,
-        exhaustive=exhaustive,
-    )
+    domain = _as_domain(domain, sample_size)
+    return _verdict("chi", "CHI_STEP_BOUND", domain, _first_witness(_CHI_STEP, chi_index, domain))

@@ -8,6 +8,7 @@ domain exceeds the exhaustive budget.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from typing import Sequence
@@ -59,6 +60,12 @@ def _parse_vector_literal(text: str) -> Vector:
     except ValueError:
         raise ValueError(f"invalid vector literal {text!r}; expected e.g. 6,4,3,1") from None
     return make_vector(values)
+
+
+def _write_csv(out, header: list[str], rows) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -119,9 +126,7 @@ def _emit_report(report: Report, args, out) -> None:
     if args.format == "table":
         print(_table(columns, [[_cell(r, c, args) for c in columns] for r in report.rows]), file=out)
     elif args.format == "csv":
-        print(",".join(columns), file=out)
-        for r in report.rows:
-            print(",".join(_cell(r, c, args) for c in columns), file=out)
+        _write_csv(out, columns, ([_cell(r, c, args) for c in columns] for r in report.rows))
     else:
         for r in report.rows:
             print(json.dumps(_row_json(r, args)), file=out)
@@ -159,9 +164,7 @@ def _cmd_rank(args, out) -> int:
         rows = [[str(rank), name, fmt(value)] for rank, name, value in ranked]
         print(_table(["rank", "id", args.by], rows), file=out)
     elif args.format == "csv":
-        print(f"rank,id,{args.by}", file=out)
-        for rank, name, value in ranked:
-            print(f"{rank},{name},{fmt(value)}", file=out)
+        _write_csv(out, ["rank", "id", args.by], ([rank, name, fmt(value)] for rank, name, value in ranked))
     else:
         for rank, name, value in ranked:
             value_out = round(value, 4) if float_valued else value
@@ -180,10 +183,8 @@ def _cmd_classify(args, out) -> int:
         print(_table(["id", "rec", "rect_width", "classification"], rows), file=out)
         print(_summary_text(report), file=out)
     elif args.format == "csv":
-        print("id,rec,rect_width,classification", file=out)
-        for r in report.rows:
-            width = "" if r.rect_width is None else r.rect_width
-            print(f"{r.id},{r.rec},{width},{r.classification}", file=out)
+        rows = ([r.id, r.rec, r.rect_width, r.classification] for r in report.rows)
+        _write_csv(out, ["id", "rec", "rect_width", "classification"], rows)
         counts = " ".join(f"{k}={v}" for k, v in report.summary.items())
         print(f"# summary {counts} total={total}", file=out)
     else:
@@ -244,12 +245,11 @@ def _verdict_cell(verdict: ax.AxiomVerdict) -> str:
 def _cmd_axioms(args, out) -> int:
     spec = DomainSpec(args.n_max, args.c_max, seed=args.seed)
     size = count_vectors(spec.n_max, spec.c_max)
+    domain = ax.build_domain(spec, args.sample_size)
     registry = ax.counterexample_registry()
-    by_name = {index.name: index for index in registry}
 
-    matrix = ax.independence_matrix(spec, args.sample_size)
+    matrix = ax.independence_matrix(domain)
     mismatches = ax.pattern_mismatches(matrix)
-    exhaustive = next(iter(matrix.values()))["M"].exhaustive
 
     full: dict[str, dict[str, ax.AxiomVerdict | None]] = {}
     for index in registry:
@@ -259,11 +259,11 @@ def _cmd_axioms(args, out) -> int:
                 row[axiom.value] = matrix[index.name][axiom.value]
                 continue
             try:
-                row[axiom.value] = ax.check_axiom(index, axiom, spec, args.sample_size)
+                row[axiom.value] = ax.check_axiom(index, axiom, domain)
             except DomainBudgetError:
                 row[axiom.value] = None  # needs an exhaustive domain
         full[index.name] = row
-    bound = ax.chi_increment_bound(spec, args.sample_size)
+    bound = ax.chi_increment_bound(domain)
 
     if args.format == "jsonl":
         for name, row in full.items():
@@ -301,7 +301,7 @@ def _cmd_axioms(args, out) -> int:
             file=out,
         )
     else:
-        mode = "exhaustive" if exhaustive else "sampled, non-exhaustive"
+        mode = "exhaustive" if domain.exhaustive else "sampled, non-exhaustive"
         print(f"domain: n_max={spec.n_max} c_max={spec.c_max} ({mode}, {size} vectors)", file=out)
         print("", file=out)
         print("independence matrix:", file=out)

@@ -93,10 +93,25 @@ def _record(name: str, raw: Iterable[int], line: int) -> ResearcherRecord:
     return ResearcherRecord(name, tuple(raw), vector)
 
 
+def _csv_rows(lines: Iterable[str]):
+    """(line number, row) pairs; every row must end on its own line, so a
+    quote left open cannot swallow the rows after it."""
+    reader = csv.reader(lines, strict=True)
+    line_no = 0
+    try:
+        for row in reader:
+            if reader.line_num != line_no + 1:
+                raise csv.Error("quote left open at the end of the line")
+            line_no += 1
+            yield line_no, row
+    except csv.Error as exc:
+        raise DatasetError(f"line {line_no + 1}: malformed CSV row: {exc}") from None
+
+
 def _parse_csv_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
     records: list[ResearcherRecord] = []
     seen: dict[str, int] = {}
-    for line_no, row in enumerate(csv.reader(lines), 1):
+    for line_no, row in _csv_rows(lines):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if line_no == 1 and row[0].strip() == "id" and len(row) > 1:
@@ -134,6 +149,8 @@ def _parse_jsonl_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"line {line_no}: invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise DatasetError(f"line {line_no}: invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict) or "id" not in obj or "citations" not in obj:
             raise DatasetError(f'line {line_no}: expected an object with "id" and "citations"')
         name = str(obj["id"]).strip()
@@ -162,6 +179,10 @@ def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(
+            f"cannot read dataset {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
     if fmt == "auto":
         suffix = path.suffix.lower()
         if suffix == ".csv":

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from recindex.axioms import (
@@ -164,6 +166,24 @@ def test_citation_count_uniform_increment_absence_witness():
     assert verdict.status == VIOLATED
     assert verdict.counterexample["target"] == (2, 1)
     assert replay_counterexample(verdict, CITATION_COUNT)
+
+
+def test_witnesses_read_back_from_json_replay_only_for_their_index():
+    # Lists stand in for tuples once a verdict has been through JSON.  A
+    # witness never replays against rec for an axiom rec satisfies.
+    rec_keeps = {a for a in AxiomId if check_axiom(REC, a, (3, 3)).ok}
+    replayed = 0
+    for index in counterexample_registry():
+        for axiom in AxiomId:
+            verdict = check_axiom(index, axiom, (3, 3))
+            if verdict.ok:
+                continue
+            parsed = AxiomVerdict(**json.loads(json.dumps(verdict.to_json())))
+            assert replay_counterexample(parsed, index), (index.name, axiom)
+            if axiom in rec_keeps:
+                assert not replay_counterexample(parsed, REC), (index.name, axiom)
+            replayed += 1
+    assert replayed > len(AxiomId)
 
 
 def test_replay_returns_false_for_clean_verdicts():

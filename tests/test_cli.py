@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from recindex.cli import main
 
@@ -358,3 +363,48 @@ def test_console_script_entry_point_runs_without_install():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "4,3,3,2,1,1"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(ROOT / "src")
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + pythonpath if pythonpath else "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "recindex", "conjugate", "6,4,3,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "4,3,3,2,1,1"
+    proc = subprocess.run([sys.executable, "-m", "recindex", "frobnicate"], capture_output=True, env=env)
+    assert proc.returncode == 1
+
+
+def test_csv_outputs_quote_ids_and_read_back(tmp_path):
+    ids = ["plain", "Smith, J", 'O"Brien']
+    path = tmp_path / "names.jsonl"
+    lines = [json.dumps({"id": i, "citations": [3, 2, 1]}) for i in ids]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for argv in (["compute"], ["rank", "--by", "rec"], ["classify"]):
+        code, text = run_cli(argv[0], str(path), *argv[1:], "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(text))
+        if argv[0] == "classify":
+            assert rows.pop()[0].startswith("# summary")
+        assert all(len(row) == len(header) for row in rows), argv
+        assert sorted(row[header.index("id")] for row in rows) == sorted(ids)
+        assert '"plain"' not in text
+        assert '"Smith, J"' in text and '"O""Brien"' in text
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=300), suffix=st.sampled_from([".csv", ".jsonl"]))
+def test_compute_on_random_bytes_exits_0_or_1(data, suffix):
+    # Counts of a million or more are left out: the report's time and
+    # memory grow with the largest count, which is not under test here.
+    assume(not re.search(r"\d{6}", data.decode("utf-8", "replace").replace("_", "")))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("random" + suffix)
+        path.write_bytes(data)
+        assert main(["compute", str(path)], out=io.StringIO()) in (0, 1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -254,3 +255,18 @@ def test_rank_rows_rejects_unknown_column(csv_file):
         rank_rows(report, "sociability")
     for column in RANKABLE_COLUMNS:
         rank_rows(report, column)  # all advertised columns really work
+
+
+def test_malformed_input_names_the_line_or_the_path(tmp_path):
+    cases = [
+        ("open.csv", b'id,c\na,1\n"open quote,3,4\nb,5\n', "line 3: malformed CSV row"),
+        ("stray.csv", b'a,1\n"x"y,2\n', "line 2: malformed CSV row"),
+        ("span.csv", b'a,1\n"two\nlines",2\n', "line 2: malformed CSV row: quote left open"),
+        ("deep.jsonl", b'{"id": "a", "citations": ' + b"[" * 100_000, "line 1: invalid JSON: nested"),
+        ("latin1.csv", "caf\xe9,1\n".encode("latin-1"), "latin1.csv: not UTF-8 text"),
+    ]
+    for name, body, fragment in cases:
+        path = tmp_path / name
+        path.write_bytes(body)
+        with pytest.raises(DatasetError, match=re.escape(fragment)):
+            parse_dataset(path)
