@@ -159,11 +159,16 @@ def aux_indices(x: Vector) -> AuxIndices:
             g = i
         else:
             break
+    # w is feasible iff min over i <= w of x_i + i - 1 is >= w.  The minimum
+    # never grows with w while w does, so the feasible w form a prefix.
     w = 0
-    for cand in range(n, 0, -1):
-        if all(x[i - 1] >= cand - i + 1 for i in range(1, cand + 1)):
-            w = cand
+    lowest = x[0] if x else 0
+    for i, c in enumerate(x, 1):
+        if c + i - 1 < lowest:
+            lowest = c + i - 1
+        if lowest < i:
             break
+        w = i
     return AuxIndices(
         publication_count=n,
         max_citation=x[0] if x else 0,
@@ -180,12 +185,12 @@ def aux_indices(x: Vector) -> AuxIndices:
 
 def conjugate(x: Vector) -> Vector:
     """Reflect the citation diagram: entry i counts publications with >= i citations."""
-    if not x:
-        return ()
-    counts = [0] * x[0]
-    for c in x:
-        for i in range(c):
-            counts[i] += 1
+    # Entries x_{k+1} < j <= x_k of the conjugate all equal k (x_{n+1} = 0).
+    counts: list[int] = []
+    below = 0
+    for k in range(len(x), 0, -1):
+        counts += [k] * (x[k - 1] - below)
+        below = x[k - 1]
     return tuple(counts)
 
 
@@ -203,14 +208,19 @@ class RecVariants:
 
 
 def rec_variants(x: Vector) -> RecVariants:
-    def one_sided(v: Vector) -> int:
-        best = 0
-        for i, c in enumerate(v, 1):
-            if i <= c and i * c > best:
-                best = i * c
-        return best
-
-    return RecVariants(one_sided(x), one_sided(conjugate(x)))
+    # Reflection maps rectangles at least as tall as wide to ones at least
+    # as wide as tall, so prolificity is the largest of those under x: k
+    # wide and min(x_k, k) tall.  The conjugate itself is never built.
+    influence = prolificity = 0
+    for k, c in enumerate(x, 1):
+        if k <= c:
+            if k * c > influence:
+                influence = k * c
+            if k * k > prolificity:
+                prolificity = k * k
+        elif k * c > prolificity:
+            prolificity = k * c
+    return RecVariants(influence, prolificity)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -52,6 +53,11 @@ class DatasetError(ValueError):
     """A dataset failed validation; the message pinpoints the cause."""
 
 
+#: The Euclidean index is the float square root of the sum of squared
+#: counts, so that sum must not exceed the largest float.
+_FLOAT_MAX = int(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class ResearcherRecord:
     id: str
@@ -90,6 +96,12 @@ def _record(name: str, raw: Iterable[int], line: int) -> ResearcherRecord:
         vector = make_vector(raw)
     except ValueError as exc:
         raise DatasetError(f"line {line}: researcher {name!r}: {exc}") from None
+    # n * x_1^2 bounds the sum in O(1); the exact sum runs only past it.
+    if vector and len(vector) * vector[0] ** 2 > _FLOAT_MAX and sum(c * c for c in vector) > _FLOAT_MAX:
+        raise DatasetError(
+            f"line {line}: researcher {name!r}: citation counts too large; "
+            "the sum of their squares exceeds the largest float"
+        )
     return ResearcherRecord(name, tuple(raw), vector)
 
 

@@ -3,8 +3,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recindex.cli import main
@@ -401,10 +401,42 @@ def test_csv_outputs_quote_ids_and_read_back(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(data=st.binary(max_size=300), suffix=st.sampled_from([".csv", ".jsonl"]))
 def test_compute_on_random_bytes_exits_0_or_1(data, suffix):
-    # Counts of a million or more are left out: the report's time and
-    # memory grow with the largest count, which is not under test here.
-    assume(not re.search(r"\d{6}", data.decode("utf-8", "replace").replace("_", "")))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / ("random" + suffix)
         path.write_bytes(data)
         assert main(["compute", str(path)], out=io.StringIO()) in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "big",
+    # The last count passes only on the exact sum of squares: twice its
+    # square exceeds the largest float, but its square plus 4 does not.
+    [3_000_000, 10**20, math.isqrt(int(sys.float_info.max)) - 1],
+)
+def test_compute_reports_huge_counts(tmp_path, big):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"a,{big},2\n", encoding="utf-8")
+    code, text = run_cli("compute", str(path), "--format", "jsonl")
+    assert code == 0
+    row = json.loads(text)
+    assert row["vector"] == [big, 2]
+    assert (row["max"], row["rec"], row["rec_i"], row["rec_p"], row["w"]) == (big, big, big, 4, 2)
+
+
+HUGE = "9" * 200  # its square overflows a float
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("huge.csv", f"ok,1\na,{HUGE}\n"),
+        ("huge.jsonl", f'{{"id": "ok", "citations": [1]}}\n{{"id": "a", "citations": [{HUGE}]}}\n'),
+    ],
+)
+def test_compute_rejects_counts_beyond_float_range(tmp_path, capsys, name, text):
+    # The valid first row makes the message name line 2, not just line 1.
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, text = run_cli("compute", str(path))
+    assert code == 1 and text == ""
+    assert "line 2: researcher 'a': citation counts too large" in capsys.readouterr().err

@@ -3,10 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import citation_vectors, nonempty_citation_vectors
+from conftest import citation_vectors, nonempty_citation_vectors, wide_citation_vectors
 from recindex.core import (
     BALANCED,
     EMPTY,
@@ -230,6 +230,48 @@ def test_rec_variants_examples():
 def test_rec_variants_recombine(x):
     variants = rec_variants(x)
     assert max(variants.influence, variants.prolificity) == rec(x)
+
+
+def naive_conjugate(x):
+    """The conjugate by one increment per citation: the O(sum x) oracle."""
+    if not x:
+        return ()
+    counts = [0] * x[0]
+    for c in x:
+        for i in range(c):
+            counts[i] += 1
+    return tuple(counts)
+
+
+def one_sided(v):
+    """max of i * v_i over ranks with i <= v_i, scanned directly."""
+    return max((i * c for i, c in enumerate(v, 1) if i <= c), default=0)
+
+
+def naive_w_index(x):
+    """The largest w with x_i >= w - i + 1 for all i <= w, trying each w."""
+    for w in range(len(x), 0, -1):
+        if all(x[i - 1] >= w - i + 1 for i in range(1, w + 1)):
+            return w
+    return 0
+
+
+@settings(max_examples=200)
+@given(wide_citation_vectors())
+def test_conjugate_matches_naive_oracle(x):
+    assert conjugate(x) == naive_conjugate(x)
+
+
+@settings(max_examples=200)
+@given(wide_citation_vectors())
+def test_rec_variants_match_naive_oracle(x):
+    assert rec_variants(x) == RecVariants(one_sided(x), one_sided(naive_conjugate(x)))
+
+
+@settings(max_examples=200)
+@given(wide_citation_vectors())
+def test_w_index_matches_naive_oracle(x):
+    assert aux_indices(x).w_index == naive_w_index(x)
 
 
 # ---------------------------------------------------------------------------
