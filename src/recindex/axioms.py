@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Callable, Iterable
 
 from . import sequences
@@ -348,9 +348,8 @@ def _violates_citation_count(f, x):
 
 def _violates_ue(f, x):
     fx = f(x)
-    candidates = list(enumerate_uniform_dominated(x))
-    if not any(abs(f(u) - fx) <= TOLERANCE for u in candidates):
-        return {"x": x, "f_x": fx, "candidates": [[u, f(u)] for u in candidates]}
+    if not any(abs(f(u) - fx) <= TOLERANCE for u in enumerate_uniform_dominated(x)):
+        return {"x": x, "f_x": fx, "candidates": [[u, f(u)] for u in enumerate_uniform_dominated(x)]}
     return None
 
 
@@ -388,6 +387,18 @@ def _domination_axiom(description: str, violates) -> Axiom:
     return Axiom(description, ("x", "y"), candidates, violates)
 
 
+def _blocks_stay_apart(blocks: list[list[Vector]], g: Index) -> bool:
+    """True when g spans at most TOLERANCE on each block and each block
+    lies more than TOLERANCE below the next; g runs once per vector."""
+    previous_hi = float("-inf")
+    for block in blocks:
+        values = [g(v) for v in block]
+        if max(values) - min(values) > TOLERANCE or min(values) - previous_hi <= TOLERANCE:
+            return False
+        previous_hi = max(values)
+    return True
+
+
 def _rank_axiom(key: str, first: int, transform, description: str) -> Axiom:
     def violates(f, x, y, param):
         before = [f(x), f(y)]
@@ -397,15 +408,34 @@ def _rank_axiom(key: str, first: int, transform, description: str) -> Axiom:
         return None
 
     def candidates(domain: Domain, f: Index):
-        # Sign preservation on every pair means the two weak orders
-        # coincide, so neighbours in f order show whether any pair flips;
-        # only a parameter that flips one needs the pair scan.
-        ranked = sorted(domain.vectors, key=lambda v: (f(v), len(v), v))
+        # Cut the f order into blocks within TOLERANCE of their first value.
+        # If f keeps the blocks apart, pairs tie exactly within a block, so
+        # no pair flips exactly when the transformed f keeps them apart too;
+        # if not, ties chain (a ~ b ~ c, a !~ c) and the pair scan decides.
+        blocks: list[list[Vector]] = []
+        for v in sorted(domain.vectors, key=lambda v: (f(v), len(v), v)):
+            if blocks and f(v) - f(blocks[-1][0]) <= TOLERANCE:
+                blocks[-1].append(v)
+            else:
+                blocks.append([v])
+        separated = _blocks_stay_apart(blocks, f)
         for param in range(first, domain.spec.c_max + 1):
-            if any(violates(f, a, b, param) is not None for a, b in zip(ranked, ranked[1:])):
+            if not (separated and _blocks_stay_apart(blocks, lambda v: f(transform(v, param)))):
                 yield from ((x, y, param) for x, y in combinations(domain.vectors, 2))
 
     return Axiom(description, ("x", "y", key), candidates, violates)
+
+
+def _uniform_monotonicity_candidates(domain: Domain, f: Index):
+    # (c,)*j lies under y exactly when j <= len(y) and c <= y_j, so the
+    # largest f over the uniforms under y is the largest running maximum
+    # top[j][y_j]; only a y that this maximum exceeds can be in a witness.
+    base, c_max = f(()), domain.spec.c_max
+    top = [list(accumulate((f((c,) * j) for c in range(1, c_max + 1)), max, initial=base))
+           for j in range(1, domain.spec.n_max + 1)]
+    suspects = [y for y in domain.vectors
+                if max((row[c] for row, c in zip(top, y)), default=base) > f(y) + TOLERANCE]
+    return product(domain.uniforms, suspects)
 
 
 def _add_publication(x: Vector, citations: int) -> Vector:
@@ -476,7 +506,7 @@ AXIOMS: dict[AxiomId, Axiom] = {
     AxiomId.UNIFORM_MONOTONICITY: Axiom(
         "monotone when the dominated side is uniform",
         ("x", "y"),
-        lambda domain, f: product(domain.uniforms, domain.vectors),
+        _uniform_monotonicity_candidates,
         _violates_um,
     ),
     AxiomId.UNIFORM_SINGLE_CITATION: Axiom(

@@ -32,6 +32,9 @@ EXIT_VALIDATION = 1
 EXIT_PATTERN_MISMATCH = 2
 EXIT_BUDGET = 3
 
+#: The conjugate has x_1 entries; ``conjugate`` refuses vectors with more.
+CONJUGATE_LIMIT = 10**7
+
 _FLOAT_COLUMNS = ("euclidean", "chi")
 
 
@@ -206,6 +209,8 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_conjugate(args, out) -> int:
     x = _parse_vector_literal(args.vector)
+    if x and x[0] > CONJUGATE_LIMIT:
+        raise ValueError(f"x_1 = {x[0]} exceeds the limit of {CONJUGATE_LIMIT} entries for a conjugate")
     p = conjugate(x)
     if args.format == "jsonl":
         print(json.dumps({"vector": list(x), "conjugate": list(p)}), file=out)

@@ -35,6 +35,9 @@ def make_vector(raw: Iterable[int]) -> Vector:
     the offending position named.
     """
     values = list(raw)
+    # Plain non-negative ints skip the loop, which names a bad count's position.
+    if set(map(type, values)) <= {int} and min(values, default=0) >= 0:
+        return tuple(sorted(filter(None, values), reverse=True))
     for pos, value in enumerate(values):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"citation count at position {pos} is not an integer: {value!r}")

@@ -139,8 +139,9 @@ def _parse_csv_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
             try:
                 counts.append(int(cell))
             except ValueError:
+                shown = repr(cell) if len(cell) <= 20 else f"{cell[:20]!r}... ({len(cell)} characters)"
                 raise DatasetError(
-                    f"line {line_no}: invalid citation count {cell!r} for researcher {name!r}"
+                    f"line {line_no}: invalid citation count {shown} for researcher {name!r}"
                 ) from None
         if name in seen:
             raise DatasetError(
@@ -159,8 +160,8 @@ def _parse_jsonl_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {line_no}: invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+            raise DatasetError(f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
         except RecursionError:
             raise DatasetError(f"line {line_no}: invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict) or "id" not in obj or "citations" not in obj:

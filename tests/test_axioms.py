@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import functools
 import json
+import random
+from itertools import combinations, product
 
 import pytest
 
 from recindex.axioms import (
+    AXIOMS,
     SATISFIED,
     VIOLATED,
     AxiomId,
     AxiomVerdict,
+    IndexUnderTest,
+    build_domain,
     CITATION_COUNT,
     CHI,
     H,
@@ -301,6 +307,73 @@ def test_rank_checks_agree_with_naive_pair_scans():
             for e in range(1, 4)
         )
         assert check_axiom(index, "RANK_IND", (3, 3)).ok == ind, index.name
+
+
+def _value_table(seed: int, key) -> IndexUnderTest:
+    """A seeded random index of ``key(v)`` with exact ties and ties that
+    chain within TOLERANCE (0 ~ 0.6T ~ 1.2T, but 0 and 1.2T differ).
+    Keyed by length or total, the RANK transforms move whole tie blocks
+    together; vectors outside the box draw from the same levels."""
+    levels = [0.0, 0.6 * TOLERANCE, 1.2 * TOLERANCE, 1.8 * TOLERANCE, 1.0, 1.0 + 0.6 * TOLERANCE, 2.0]
+    return make_index(
+        f"{key.__name__}_table_{seed}",
+        lambda v: random.Random(f"{seed}:{key(v)}").choice(levels) if v else 0.0,
+    )
+
+
+#: f by the largest count.  On the 4x4 box, scaling by 2 keeps each block
+#: of tied values within TOLERANCE, but (4,) and (3,) go from apart to
+#: tied, which only the gap to the block's largest scaled value shows.
+_PEAK_LEVELS = {2: 0.5 * TOLERANCE, 3: 5.0, 4: 0.5 * TOLERANCE, 6: 1.5 * TOLERANCE, 8: 0.9 * TOLERANCE}
+
+ADVERSARIAL = [
+    *(_value_table(seed, key) for seed in range(2) for key in (tuple, len, citation_count)),
+    # non-monotone: every citation lowers f by less than TOLERANCE
+    make_index("drift", lambda v: -0.6 * TOLERANCE * citation_count(v)),
+    # neighbours in f order tie before and after adding a publication,
+    # but () and (1, 1) go from unequal to tied
+    make_index("short_len", lambda v: 0.6 * TOLERANCE * min(len(v), 2)),
+    # f does not keep its blocks apart (0 ~ 0.6T ~ 1.2T), while adding a
+    # publication does; (1,) and (1, 1) go from tied to apart
+    make_index("step_len", lambda v: 0.6 * TOLERANCE * len(v) if len(v) <= 2 else 10.0 * (len(v) - 2)),
+    # () and (1,) tie, but adding a publication spreads them to 0 and 5
+    make_index("len_after_first", lambda v: 5 * max(len(v) - 1, 0)),
+    make_index("peak_table", lambda v: _PEAK_LEVELS.get(max(v, default=0), 0.0)),
+]
+
+ORACLE_DOMAINS = {
+    "4x4": build_domain(DomainSpec(4, 4)),
+    "5x5": build_domain(DomainSpec(5, 5)),
+    # 14x14 is the smallest square box past the exhaustive budget, so
+    # the smallest that build_domain samples
+    **{f"14x14_seed{seed}": build_domain(DomainSpec(14, 14, seed=seed), sample_size=40) for seed in (1, 2, 3)},
+}
+
+
+def _naive_candidates(axiom: str, domain):
+    if axiom == "UM":
+        return product(domain.uniforms, domain.vectors)
+    first = 1 if axiom == "RANK_IND" else 2
+    return (
+        (x, y, param)
+        for param in range(first, domain.spec.c_max + 1)
+        for x, y in combinations(domain.vectors, 2)
+    )
+
+
+@pytest.mark.parametrize("axiom", ["UM", "RANK_IND", "RANK_SI"])
+@pytest.mark.parametrize("domain_name", list(ORACLE_DOMAINS))
+def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
+    domain = ORACLE_DOMAINS[domain_name]
+    violates = AXIOMS[AxiomId(axiom)].violates
+    for index in counterexample_registry() + ADVERSARIAL:
+        f = functools.cache(index.evaluate)
+        naive = next((w for c in _naive_candidates(axiom, domain) if (w := violates(f, *c)) is not None), None)
+        verdict = check_axiom(index, axiom, domain)
+        assert (verdict.status, verdict.counterexample) == (
+            VIOLATED if naive is not None else SATISFIED,
+            naive,
+        ), index.name
 
 
 def test_uniform_increment_dp_agrees_with_search_for_rec():

@@ -241,6 +241,15 @@ def test_conjugate_jsonl_and_empty():
     assert json.loads(text) == {"vector": [], "conjugate": []}
 
 
+@pytest.mark.parametrize("x1", [10**20, 10**7 + 1])
+def test_conjugate_refuses_vectors_past_the_size_limit(capsys, x1):
+    # Both are refused before anything is built: 10^20 used to end in an
+    # OverflowError and 10^7 + 1 would build a list of that many entries.
+    code, text = run_cli("conjugate", f"{x1},2")
+    assert code == 1 and text == ""
+    assert f"x_1 = {x1}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # axioms
 # ---------------------------------------------------------------------------
@@ -440,3 +449,23 @@ def test_compute_rejects_counts_beyond_float_range(tmp_path, capsys, name, text)
     code, text = run_cli("compute", str(path))
     assert code == 1 and text == ""
     assert "line 2: researcher 'a': citation counts too large" in capsys.readouterr().err
+
+
+LONG = "9" * 5000  # more digits than Python converts to an int by default
+
+
+@pytest.mark.parametrize(
+    "name, text, shown",
+    [
+        ("long.csv", f"ok,1\na,{LONG}\n", "invalid citation count '99999999999999999999'... (5000 characters)"),
+        ("long.jsonl", f'{{"id": "ok", "citations": [1]}}\n{{"id": "a", "citations": [{LONG}]}}\n', "invalid JSON"),
+    ],
+)
+def test_compute_names_the_line_of_an_overlong_integer(tmp_path, capsys, name, text, shown):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli("compute", str(path))
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert f"line 2: {shown}" in err
+    assert len(err) < 300

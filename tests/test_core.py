@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,51 @@ def test_is_valid_vector():
 @given(st.lists(st.integers(0, 50), max_size=10))
 def test_make_vector_output_is_valid(raw):
     assert is_valid_vector(make_vector(raw))
+
+
+def loop_make_vector(raw):
+    """``make_vector`` as it was before its fast path: every count is
+    checked in a Python loop."""
+    values = list(raw)
+    for pos, value in enumerate(values):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"citation count at position {pos} is not an integer: {value!r}")
+        if value < 0:
+            raise ValueError(f"negative citation count {value} at position {pos}")
+    return tuple(sorted((v for v in values if v > 0), reverse=True))
+
+
+class Level(IntEnum):
+    NONE = 0
+    ONE = 1
+    MANY = 7
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-3, 40), max_size=10),
+        st.lists(
+            st.one_of(
+                st.integers(-3, 40),
+                st.booleans(),
+                st.floats(-2, 40, allow_nan=False),
+                st.sampled_from(Level),
+            ),
+            max_size=10,
+        ),
+    )
+)
+def test_make_vector_matches_the_checking_loop(raw):
+    try:
+        expected = loop_make_vector(raw)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            make_vector(raw)
+        assert str(caught.value) == str(exc)
+    else:
+        got = make_vector(raw)
+        assert got == expected
+        assert [type(v) for v in got] == [type(v) for v in expected]
 
 
 def test_is_uniform():
