@@ -375,12 +375,12 @@ def _violates_chi_step(f, x, position):
     return None
 
 
-def _domination_axiom(description: str, violates) -> Axiom:
+def _domination_axiom(description: str, violates, edge_holds) -> Axiom:
     def candidates(domain: Domain, f: Index):
         # Domination is generated by single-citation additions, so on a
-        # closed domain the successor edges decide the verdict; the pair
-        # scan only runs when a witness must be reported.
-        if domain.exhaustive and all(violates(f, v, w) is None for v, w in _successor_edges(domain)):
+        # closed domain edges that hold along every chain settle the
+        # verdict; the pair scan only runs when a witness must be reported.
+        if domain.exhaustive and all(edge_holds(f, v, w) for v, w in _successor_edges(domain)):
             return ()
         return product(domain.vectors, repeat=2)
 
@@ -473,9 +473,15 @@ def _unreachable_targets(domain: Domain, f: Index):
 
 
 AXIOMS: dict[AxiomId, Axiom] = {
-    AxiomId.MONOTONICITY: _domination_axiom("f never decreases along domination", _violates_m),
+    # M's tolerance does not add up along a chain (drops within it can
+    # chain past it), so its edges must hold exactly; SM's margin does.
+    AxiomId.MONOTONICITY: _domination_axiom(
+        "f never decreases along domination", _violates_m, lambda f, v, w: f(v) <= f(w)
+    ),
     AxiomId.STRICT_MONOTONICITY: _domination_axiom(
-        "f strictly increases along strict domination", _violates_sm
+        "f strictly increases along strict domination",
+        _violates_sm,
+        lambda f, v, w: _violates_sm(f, v, w) is None,
     ),
     AxiomId.SCALE_INVARIANCE: Axiom(
         "scaling citations by C scales f by C",

@@ -10,21 +10,22 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import axioms as ax
 from . import sequences as seq
-from .core import Vector, chi_index, conjugate, make_vector, rec
+from .core import Vector, conjugate, make_vector, rec
 from .enumeration import DomainBudgetError, DomainSpec, count_vectors
 from .ingest import (
     RANKABLE_COLUMNS,
     DatasetError,
-    Report,
     build_report,
     ceil_chi,
     parse_dataset,
     rank_rows,
+    short_repr,
 )
 
 EXIT_OK = 0
@@ -34,9 +35,6 @@ EXIT_BUDGET = 3
 
 #: The conjugate has x_1 entries; ``conjugate`` refuses vectors with more.
 CONJUGATE_LIMIT = 10**7
-
-_FLOAT_COLUMNS = ("euclidean", "chi")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved here, so remap.
@@ -61,14 +59,8 @@ def _parse_vector_literal(text: str) -> Vector:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"invalid vector literal {text!r}; expected e.g. 6,4,3,1") from None
+        raise ValueError(f"invalid vector literal {short_repr(text)}; expected e.g. 6,4,3,1") from None
     return make_vector(values)
-
-
-def _write_csv(out, header: list[str], rows) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -83,65 +75,38 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# report serialization
+# row output
 # ---------------------------------------------------------------------------
 
 
-def _report_columns(args) -> list[str]:
-    columns = ["id", "n", "citations", "max", "h", "g", "w", "euclidean", "rec", "chi"]
-    columns += ["rec_i", "rec_p", "rect_width"]
-    if args.show_maximizers:
-        columns.append("maximizers")
-    columns.append("classification")
-    return columns
-
-
-def _cell(row, column: str, args) -> str:
-    if column == "chi" and args.ceil_chi:
-        return str(ceil_chi(row.rec))
-    value = getattr(row, column)
-    if column in _FLOAT_COLUMNS:
+def _text(value) -> str:
+    """A table or CSV cell: 4 decimals, ``-`` for missing, ``|`` between list items."""
+    kind = type(value)
+    if kind is float:
         return f"{value:.4f}"
-    if column == "rect_width":
-        return "-" if value is None else str(value)
-    if column == "maximizers":
-        return "|".join(str(m) for m in value)
+    if value is None:
+        return "-"
+    if kind is list or kind is tuple:
+        return "|".join(map(str, value))
     return str(value)
 
 
-def _row_json(row, args) -> dict:
-    out: dict = {"id": row.id, "vector": list(row.vector)}
-    for column in ("n", "citations", "max", "h", "g", "w", "rec"):
-        out[column] = getattr(row, column)
-    out["euclidean"] = round(row.euclidean, 4)
-    out["chi"] = ceil_chi(row.rec) if args.ceil_chi else round(row.chi, 4)
-    out["rec_i"] = row.rec_i
-    out["rec_p"] = row.rec_p
-    out["rect_width"] = row.rect_width
-    if args.show_maximizers:
-        out["maximizers"] = list(row.maximizers)
-    out["classification"] = row.classification
-    return out
+def _emit(out, fmt: str, columns: list[str], rows: Iterable[dict]) -> None:
+    """Write rows of JSON-ready values (floats rounded to 4 decimals).
 
-
-def _emit_report(report: Report, args, out) -> None:
-    columns = _report_columns(args)
-    if args.format == "table":
-        print(_table(columns, [[_cell(r, c, args) for c in columns] for r in report.rows]), file=out)
-    elif args.format == "csv":
-        _write_csv(out, columns, ([_cell(r, c, args) for c in columns] for r in report.rows))
+    jsonl dumps each row whole; table and csv show ``columns`` only.
+    """
+    if fmt == "jsonl":
+        for row in rows:
+            print(json.dumps(row), file=out)
+        return
+    cells = ([_text(row[c]) for c in columns] for row in rows)
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(cells)
     else:
-        for r in report.rows:
-            print(json.dumps(_row_json(r, args)), file=out)
-
-
-def _summary_text(report: Report) -> str:
-    total = len(report.rows)
-    parts = []
-    for name, count in report.summary.items():
-        share = 100.0 * count / total if total else 0.0
-        parts.append(f"{name} {count} ({share:.1f}%)")
-    return "classification summary: " + ", ".join(parts)
+        print(_table(columns, list(cells)), file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -151,58 +116,44 @@ def _summary_text(report: Report) -> str:
 
 def _cmd_compute(args, out) -> int:
     report = build_report(parse_dataset(args.dataset, args.input_format))
-    _emit_report(report, args, out)
+    counts = ["n", "citations", "max", "h", "g", "w"]
+    tail = ["rec_i", "rec_p", "rect_width"] + ["maximizers"] * args.show_maximizers + ["classification"]
+    # JSONL keeps its recorded key order: the vector, then rec before euclidean.
+    keys = ["id", "vector", *counts, "rec", "euclidean", "chi", *tail]
+
+    def json_row(r) -> dict:
+        row = {key: getattr(r, key) for key in keys}
+        row["euclidean"] = round(r.euclidean, 4)
+        row["chi"] = ceil_chi(r.rec) if args.ceil_chi else round(r.chi, 4)
+        return row
+
+    _emit(out, args.format, ["id", *counts, "euclidean", "rec", "chi", *tail], map(json_row, report.rows))
     return EXIT_OK
 
 
 def _cmd_rank(args, out) -> int:
     report = build_report(parse_dataset(args.dataset, args.input_format))
     ranked = rank_rows(report, args.by, ascending=args.ascending)
-    float_valued = args.by in _FLOAT_COLUMNS
-
-    def fmt(value) -> str:
-        return f"{value:.4f}" if float_valued else str(value)
-
-    if args.format == "table":
-        rows = [[str(rank), name, fmt(value)] for rank, name, value in ranked]
-        print(_table(["rank", "id", args.by], rows), file=out)
-    elif args.format == "csv":
-        _write_csv(out, ["rank", "id", args.by], ([rank, name, fmt(value)] for rank, name, value in ranked))
-    else:
-        for rank, name, value in ranked:
-            value_out = round(value, 4) if float_valued else value
-            print(json.dumps({"rank": rank, "id": name, args.by: value_out}), file=out)
+    rows = ({"rank": rank, "id": name, args.by: round(value, 4)} for rank, name, value in ranked)
+    _emit(out, args.format, ["rank", "id", args.by], rows)
     return EXIT_OK
 
 
 def _cmd_classify(args, out) -> int:
     report = build_report(parse_dataset(args.dataset, args.input_format))
+    columns = ["id", "rec", "rect_width", "classification"]
+    _emit(out, args.format, columns, ({c: getattr(r, c) for c in columns} for r in report.rows))
     total = len(report.rows)
     if args.format == "table":
-        rows = [
-            [r.id, str(r.rec), "-" if r.rect_width is None else str(r.rect_width), r.classification]
-            for r in report.rows
-        ]
-        print(_table(["id", "rec", "rect_width", "classification"], rows), file=out)
-        print(_summary_text(report), file=out)
+        shares = ", ".join(
+            f"{name} {count} ({100.0 * count / total if total else 0.0:.1f}%)"
+            for name, count in report.summary.items()
+        )
+        print(f"classification summary: {shares}", file=out)
     elif args.format == "csv":
-        rows = ([r.id, r.rec, r.rect_width, r.classification] for r in report.rows)
-        _write_csv(out, ["id", "rec", "rect_width", "classification"], rows)
         counts = " ".join(f"{k}={v}" for k, v in report.summary.items())
         print(f"# summary {counts} total={total}", file=out)
     else:
-        for r in report.rows:
-            print(
-                json.dumps(
-                    {
-                        "id": r.id,
-                        "rec": r.rec,
-                        "rect_width": r.rect_width,
-                        "classification": r.classification,
-                    }
-                ),
-                file=out,
-            )
         print(json.dumps({"summary": report.summary, "total": total}), file=out)
     return EXIT_OK
 
@@ -221,29 +172,22 @@ def _cmd_conjugate(args, out) -> int:
 
 def _cmd_sequence(args, out) -> int:
     target = _parse_vector_literal(args.vector)
-    built = seq.build_rec_incremental(target)
-    rec_values = [rec(step) for step in built.steps]
+    steps = seq.build_rec_incremental(target).steps
+    rec_values = [rec(step) for step in steps]
     if args.format == "jsonl":
-        print(
-            json.dumps(
-                {
-                    "target": list(target),
-                    "steps": [list(step) for step in built.steps],
-                    "rec": rec_values,
-                }
-            ),
-            file=out,
-        )
+        rows = [{"target": list(target), "steps": [list(step) for step in steps], "rec": rec_values}]
     else:
         rows = [
-            [str(i), _render_vector(step), str(r)]
-            for i, (step, r) in enumerate(zip(built.steps, rec_values))
+            {"step": i, "vector": _render_vector(step), "rec": r}
+            for i, (step, r) in enumerate(zip(steps, rec_values))
         ]
-        print(_table(["step", "vector", "rec"], rows), file=out)
+    _emit(out, args.format, ["step", "vector", "rec"], rows)
     return EXIT_OK
 
 
-def _verdict_cell(verdict: ax.AxiomVerdict) -> str:
+def _verdict_cell(verdict: ax.AxiomVerdict | None) -> str:
+    if verdict is None:
+        return "n/a"
     return "pass" if verdict.ok else "FAIL"
 
 
@@ -269,87 +213,68 @@ def _cmd_axioms(args, out) -> int:
                 row[axiom.value] = None  # needs an exhaustive domain
         full[index.name] = row
     bound = ax.chi_increment_bound(domain)
+    code = EXIT_PATTERN_MISMATCH if mismatches else EXIT_OK
 
     if args.format == "jsonl":
-        for name, row in full.items():
-            for axiom_id, verdict in row.items():
-                if verdict is None:
-                    print(
-                        json.dumps(
-                            {
-                                "index": name,
-                                "axiom": axiom_id,
-                                "status": "refused",
-                                "reason": "needs an exhaustive domain",
-                            }
-                        ),
-                        file=out,
-                    )
-                else:
-                    print(json.dumps(verdict.to_json()), file=out)
-        print(json.dumps(bound.to_json()), file=out)
-        print(
-            json.dumps(
-                {
-                    "mismatches": [
-                        {
-                            "index": name,
-                            "axiom": axiom,
-                            "claimed": want,
-                            "computed": verdict.status,
-                            "counterexample": ax._jsonable(verdict.counterexample),
-                        }
-                        for name, axiom, want, verdict in mismatches
-                    ]
-                }
-            ),
-            file=out,
-        )
-    else:
-        mode = "exhaustive" if domain.exhaustive else "sampled, non-exhaustive"
-        print(f"domain: n_max={spec.n_max} c_max={spec.c_max} ({mode}, {size} vectors)", file=out)
-        print("", file=out)
-        print("independence matrix:", file=out)
-        headers = ["index"] + [a.value for a in ax.INDEPENDENCE_AXIOMS]
         rows = [
-            [name] + [_verdict_cell(matrix[name][a.value]) for a in ax.INDEPENDENCE_AXIOMS]
-            for name in matrix
+            {"index": name, "axiom": axiom_id, "status": "refused", "reason": "needs an exhaustive domain"}
+            if verdict is None
+            else verdict.to_json()
+            for name, row in full.items()
+            for axiom_id, verdict in row.items()
         ]
-        print(_table(headers, rows), file=out)
-        print("", file=out)
-        print("full axiom matrix:", file=out)
-        headers = ["index"] + [a.value for a in ax.AxiomId]
-        rows = []
-        for name, row in full.items():
-            rows.append(
-                [name]
-                + [("n/a" if row[a.value] is None else _verdict_cell(row[a.value])) for a in ax.AxiomId]
-            )
-        print(_table(headers, rows), file=out)
-        print("", file=out)
-        status = "pass" if bound.ok else "FAIL"
-        print(f"single-citation chi bound (chi never grows by more than 1): {status}", file=out)
-        print("", file=out)
-        if not mismatches:
-            print("independence matrix matches the documented pattern.", file=out)
-        else:
-            print(f"documented-pattern mismatches: {len(mismatches)}", file=out)
-            for name, axiom, want, verdict in mismatches:
-                if verdict.status == ax.VIOLATED:
-                    witness = verdict.counterexample or {}
-                    where = witness.get("x", witness.get("target"))
-                    detail = f"counterexample x={_render_vector(tuple(where))}" if where is not None else "counterexample found"
-                    print(
-                        f"  {name} / {axiom}: claimed pass, computed FAIL ({detail})",
-                        file=out,
-                    )
-                else:
-                    print(
-                        f"  {name} / {axiom}: claimed FAIL, not exposed on this domain "
-                        f"(domain too small?)",
-                        file=out,
-                    )
-    return EXIT_PATTERN_MISMATCH if mismatches else EXIT_OK
+        rows.append(bound.to_json())
+        rows.append(
+            {
+                "mismatches": [
+                    {
+                        "index": name,
+                        "axiom": axiom,
+                        "claimed": want,
+                        "computed": verdict.status,
+                        "counterexample": verdict.to_json()["counterexample"],
+                    }
+                    for name, axiom, want, verdict in mismatches
+                ]
+            }
+        )
+        _emit(out, "jsonl", [], rows)
+        return code
+
+    mode = "exhaustive" if domain.exhaustive else "sampled, non-exhaustive"
+    print(f"domain: n_max={spec.n_max} c_max={spec.c_max} ({mode}, {size} vectors)", file=out)
+    for title, axioms, verdicts in (
+        ("independence matrix", ax.INDEPENDENCE_AXIOMS, matrix),
+        ("full axiom matrix", ax.AxiomId, full),
+    ):
+        print(f"\n{title}:", file=out)
+        rows = [
+            {"index": name, **{a.value: _verdict_cell(row[a.value]) for a in axioms}}
+            for name, row in verdicts.items()
+        ]
+        _emit(out, "table", ["index"] + [a.value for a in axioms], rows)
+    print(f"\nsingle-citation chi bound (chi never grows by more than 1): {_verdict_cell(bound)}", file=out)
+    print("", file=out)
+    if not mismatches:
+        print("independence matrix matches the documented pattern.", file=out)
+    else:
+        print(f"documented-pattern mismatches: {len(mismatches)}", file=out)
+        for name, axiom, want, verdict in mismatches:
+            if verdict.status == ax.VIOLATED:
+                witness = verdict.counterexample or {}
+                where = witness.get("x", witness.get("target"))
+                detail = f"counterexample x={_render_vector(tuple(where))}" if where is not None else "counterexample found"
+                print(
+                    f"  {name} / {axiom}: claimed pass, computed FAIL ({detail})",
+                    file=out,
+                )
+            else:
+                print(
+                    f"  {name} / {axiom}: claimed FAIL, not exposed on this domain "
+                    f"(domain too small?)",
+                    file=out,
+                )
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -437,4 +362,13 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # flush at interpreter exit cannot fail again (the idiom of the
+        # ``signal`` module docs), and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_VALIDATION
+    sys.exit(code)

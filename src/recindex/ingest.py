@@ -91,6 +91,11 @@ class Report:
     summary: dict[str, int]
 
 
+def short_repr(text: str) -> str:
+    """repr of an echoed input, cut to its first 20 characters and its length."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _record(name: str, raw: Iterable[int], line: int) -> ResearcherRecord:
     try:
         vector = make_vector(raw)
@@ -139,9 +144,8 @@ def _parse_csv_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
             try:
                 counts.append(int(cell))
             except ValueError:
-                shown = repr(cell) if len(cell) <= 20 else f"{cell[:20]!r}... ({len(cell)} characters)"
                 raise DatasetError(
-                    f"line {line_no}: invalid citation count {shown} for researcher {name!r}"
+                    f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"
                 ) from None
         if name in seen:
             raise DatasetError(

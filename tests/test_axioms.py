@@ -351,6 +351,8 @@ ORACLE_DOMAINS = {
 
 
 def _naive_candidates(axiom: str, domain):
+    if axiom in ("M", "SM"):
+        return product(domain.vectors, repeat=2)
     if axiom == "UM":
         return product(domain.uniforms, domain.vectors)
     first = 1 if axiom == "RANK_IND" else 2
@@ -361,7 +363,7 @@ def _naive_candidates(axiom: str, domain):
     )
 
 
-@pytest.mark.parametrize("axiom", ["UM", "RANK_IND", "RANK_SI"])
+@pytest.mark.parametrize("axiom", ["M", "SM", "UM", "RANK_IND", "RANK_SI"])
 @pytest.mark.parametrize("domain_name", list(ORACLE_DOMAINS))
 def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
     domain = ORACLE_DOMAINS[domain_name]

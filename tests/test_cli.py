@@ -227,6 +227,14 @@ def test_sequence_rejects_garbage(capsys):
     assert code == 1
 
 
+def test_invalid_vector_literal_is_echoed_short(capsys):
+    code, text = run_cli("conjugate", "9" * 5000)
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert "invalid vector literal '99999999999999999999'... (5000 characters)" in err
+    assert len(err) < 300
+
+
 def test_conjugate_round_trip():
     code, text = run_cli("conjugate", "6,4,3,1")
     assert code == 0
@@ -388,6 +396,32 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.strip() == "4,3,3,2,1,1"
     proc = subprocess.run([sys.executable, "-m", "recindex", "frobnicate"], capture_output=True, env=env)
     assert proc.returncode == 1
+
+
+def test_closed_stdout_ends_quietly_with_exit_1():
+    src = str(ROOT / "src")
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + pythonpath if pythonpath else "")}
+    # 200 kB of output cannot fit in the pipe, so the writer meets the
+    # closed end whatever the timing.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "recindex", "conjugate", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b"1,1,1,1,1,"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_rounded_floats_print_the_same_4_decimals(x):
+    # JSONL rows hold floats rounded to 4 decimals, and tables and CSV
+    # print those same rounded values.
+    assert f"{round(x, 4):.4f}" == f"{x:.4f}"
 
 
 def test_csv_outputs_quote_ids_and_read_back(tmp_path):
