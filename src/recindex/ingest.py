@@ -8,6 +8,7 @@ their report rows are all zeros with classification ``empty``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+# Unused here; perfbench/tracing.py wraps rec_index, h_index, aux_indices and rec_variants by name.
 from .core import (
     BALANCED,
     EMPTY,
@@ -23,8 +25,6 @@ from .core import (
     PROLIFIC,
     Vector,
     aux_indices,
-    chi_index,
-    citation_count,
     h_index,
     make_vector,
     rec_index,
@@ -136,17 +136,21 @@ def _parse_csv_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
         name = row[0].strip()
         if not name:
             raise DatasetError(f"line {line_no}: empty researcher id")
-        counts = []
-        for cell in row[1:]:
-            cell = cell.strip()
-            if not cell:
-                continue  # spreadsheet exports pad short rows with empty cells
-            try:
-                counts.append(int(cell))
-            except ValueError:
-                raise DatasetError(
-                    f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"
-                ) from None
+        try:
+            # int() ignores surrounding blanks itself; the loop below names a bad cell.
+            counts = list(map(int, row[1:]))
+        except ValueError:
+            counts = []
+            for cell in row[1:]:
+                cell = cell.strip()
+                if not cell:
+                    continue  # spreadsheet exports pad short rows with empty cells
+                try:
+                    counts.append(int(cell))
+                except ValueError:
+                    raise DatasetError(
+                        f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"
+                    ) from None
         if name in seen:
             raise DatasetError(
                 f"duplicate researcher id {name!r} on lines {seen[name]} and {line_no}"
@@ -193,13 +197,16 @@ def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc.strerror or exc}") from None
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    body = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DatasetError(
-            f"cannot read dataset {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
-        ) from None
+        byte = len(data) - len(body) + exc.start
+        raise DatasetError(f"cannot read dataset {path}: not UTF-8 text (byte {byte}: {exc.reason})") from None
     if fmt == "auto":
         suffix = path.suffix.lower()
         if suffix == ".csv":
@@ -223,27 +230,59 @@ def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]
 
 
 def report_row(record: ResearcherRecord) -> ReportRow:
+    """Every index of one researcher from a single pass over the vector.
+
+    Each field equals its ``core`` function's value: h, g and w hold on a
+    prefix of a descending vector, so their tests need no ``break``.
+    """
     x = record.vector
-    analysis = rec_index(x)
-    aux = aux_indices(x)
-    variants = rec_variants(x)
+    total = squares = best = h = g = w = influence = wide = 0
+    maximizers: list[int] = []
+    lowest = x[0] if x else 0
+    for k, c in enumerate(x, 1):
+        total += c
+        squares += c * c
+        area = k * c
+        if area > best:
+            best = area
+            maximizers = [k]
+        elif area == best:
+            maximizers.append(k)
+        if c >= k:  # a rectangle at least as tall as wide
+            h = k
+            influence = best
+        elif area > wide:
+            wide = area
+        if total >= k * k:
+            g = k
+        if c + k - 1 < lowest:
+            lowest = c + k - 1
+        if lowest >= k:
+            w = k
+    if x:
+        width = maximizers[0]
+        height = x[width - 1]
+        classification = INFLUENTIAL if height > width else PROLIFIC if height < width else BALANCED
+    else:
+        width, classification = None, EMPTY
     return ReportRow(
         id=record.id,
         vector=x,
-        n=aux.publication_count,
-        citations=citation_count(x),
-        max=aux.max_citation,
-        h=h_index(x),
-        g=aux.g_index,
-        w=aux.w_index,
-        euclidean=aux.euclidean,
-        rec=analysis.value,
-        chi=chi_index(x),
-        rec_i=variants.influence,
-        rec_p=variants.prolificity,
-        rect_width=analysis.width,
-        maximizers=analysis.maximizers,
-        classification=analysis.classification,
+        n=len(x),
+        citations=total,
+        max=x[0] if x else 0,
+        h=h,
+        g=g,
+        w=w,
+        euclidean=math.sqrt(squares),
+        rec=best,
+        chi=math.sqrt(best),
+        rec_i=influence,
+        # The tall prefix contributes its widest square h * h; see core.rec_variants.
+        rec_p=max(h * h, wide),
+        rect_width=width,
+        maximizers=tuple(maximizers),
+        classification=classification,
     )
 
 

@@ -5,16 +5,23 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from recindex.core import chi_index, rec
+from conftest import citation_vectors, wide_citation_vectors
+from recindex.core import aux_indices, chi_index, citation_count, h_index, rec, rec_index, rec_variants
 from recindex.ingest import (
     DatasetError,
     RANKABLE_COLUMNS,
+    ResearcherRecord,
+    _parse_csv_lines,
+    _record,
     build_report,
     ceil_chi,
     parse_dataset,
     rank_rows,
     report_row,
+    short_repr,
 )
 
 CSV_BODY = """\
@@ -111,6 +118,44 @@ def test_csv_rejects_blank_id(tmp_path):
         parse_dataset(path)
 
 
+def loop_counts(cells, line_no, name):
+    """The per-cell loop that converted CSV counts before the ``map(int)``
+    fast path: strip each cell, skip blanks, name the first bad cell."""
+    counts = []
+    for cell in cells:
+        cell = cell.strip()
+        if not cell:
+            continue
+        try:
+            counts.append(int(cell))
+        except ValueError:
+            raise DatasetError(
+                f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"
+            ) from None
+    return counts
+
+
+def outcome(parse):
+    try:
+        return parse()
+    except DatasetError as exc:
+        return f"DatasetError: {exc}"
+
+
+CELL = st.lists(st.sampled_from([*"0123456789", "", " ", "\x1c", "\xa0", "_", "+", "-", "x"]), max_size=6).map("".join)
+
+
+@given(st.lists(CELL, max_size=8))
+@example(["3", " 2", "\x1c1\x1c", ""])
+@example(["1", "9" * 5000])
+@example(["1_0", "+4", "\xa05\xa0", " "])
+def test_csv_counts_match_the_per_cell_loop(cells):
+    line = ",".join(["r", *cells])
+    got = outcome(lambda: _parse_csv_lines([line]))
+    expected = outcome(lambda: [_record("r", loop_counts(cells, 1, "r"), 1)])
+    assert got == expected
+
+
 def test_jsonl_parsing(jsonl_file):
     records = parse_dataset(jsonl_file)
     assert [r.id for r in records] == ["ada", "zero"]
@@ -189,6 +234,35 @@ def test_report_row_for_zero_cited_researcher(csv_file):
     assert zero.classification == "empty"
 
 
+@given(st.one_of(wide_citation_vectors(), citation_vectors()))
+@example(())
+@example((5,) * 12)  # every width ties for g, w and the shape
+@example((60, 30, 20, 15, 12, 10))  # six maximizers
+@example((12, 6, 4, 3, 2, 2, 1))
+@example((10,) + (1,) * 30)  # g and w stop early, then the tail runs on
+@example((40, 3, 3, 3, 3, 3, 3, 3, 3))
+def test_report_row_matches_the_per_function_indices(x):
+    row = report_row(ResearcherRecord("r", x, x))
+    analysis = rec_index(x)
+    aux = aux_indices(x)
+    variants = rec_variants(x)
+    assert (row.rec, row.maximizers, row.rect_width, row.classification) == (
+        analysis.value,
+        analysis.maximizers,
+        analysis.width,
+        analysis.classification,
+    )
+    assert (row.n, row.max, row.euclidean, row.g, row.w) == (
+        aux.publication_count,
+        aux.max_citation,
+        aux.euclidean,
+        aux.g_index,
+        aux.w_index,
+    )
+    assert (row.h, row.rec_i, row.rec_p) == (h_index(x), variants.influence, variants.prolificity)
+    assert (row.citations, row.chi) == (citation_count(x), chi_index(x))
+
+
 def test_report_summary_counts(csv_file):
     report = build_report(parse_dataset(csv_file))
     assert report.summary == {"influential": 1, "prolific": 0, "balanced": 2, "empty": 1}
@@ -255,6 +329,32 @@ def test_rank_rows_rejects_unknown_column(csv_file):
         rank_rows(report, "sociability")
     for column in RANKABLE_COLUMNS:
         rank_rows(report, column)  # all advertised columns really work
+
+
+@pytest.mark.parametrize(
+    "name, body",
+    [
+        ("bom.csv", "id,c1,c2\na,3,2\nb,1,1,1\n"),
+        ("bom.jsonl", '{"id": "a", "citations": [3, 2]}\n{"id": "b", "citations": [1, 1, 1]}\n'),
+    ],
+)
+def test_a_utf8_byte_order_mark_is_ignored(tmp_path, name, body):
+    plain = tmp_path / name
+    plain.write_text(body, encoding="utf-8")
+    marked = tmp_path / f"marked-{name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    assert build_report(parse_dataset(marked)) == build_report(parse_dataset(plain))
+
+
+def test_a_byte_order_mark_does_not_shift_the_bad_byte(tmp_path):
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbfcaf\xe9,1\n")
+    with pytest.raises(DatasetError, match=re.escape("not UTF-8 text (byte 6: invalid continuation byte)")):
+        parse_dataset(marked)
+    cut = tmp_path / "cut.csv"
+    cut.write_bytes(b"\xef\xbb")  # the first two bytes of a mark
+    with pytest.raises(DatasetError, match=re.escape("not UTF-8 text (byte 0: unexpected end of data)")):
+        parse_dataset(cut)
 
 
 def test_malformed_input_names_the_line_or_the_path(tmp_path):
