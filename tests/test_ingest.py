@@ -236,7 +236,7 @@ def test_report_row_for_zero_cited_researcher(csv_file):
 
 @given(st.one_of(wide_citation_vectors(), citation_vectors()))
 @example(())
-@example((5,) * 12)  # every width ties for g, w and the shape
+@example((5,) * 12)  # h, g and w stop inside one long run
 @example((60, 30, 20, 15, 12, 10))  # six maximizers
 @example((12, 6, 4, 3, 2, 2, 1))
 @example((10,) + (1,) * 30)  # g and w stop early, then the tail runs on
