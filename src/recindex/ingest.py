@@ -8,7 +8,6 @@ their report rows are all zeros with classification ``empty``.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import math
@@ -137,8 +136,9 @@ def _parse_csv_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
         if not name:
             raise DatasetError(f"line {line_no}: empty researcher id")
         try:
-            # int() ignores surrounding blanks itself; the loop below names a bad cell.
-            counts = list(map(int, row[1:]))
+            # int() ignores surrounding blanks itself, and filter() drops the
+            # empty cells of padded rows; the loop below names a bad cell.
+            counts = list(map(int, filter(None, row[1:])))
         except ValueError:
             counts = []
             for cell in row[1:]:
@@ -197,16 +197,14 @@ def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc.strerror or exc}") from None
-    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
-    body = data.removeprefix(codecs.BOM_UTF8)
-    try:
-        text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
-        byte = len(data) - len(body) + exc.start
-        raise DatasetError(f"cannot read dataset {path}: not UTF-8 text (byte {byte}: {exc.reason})") from None
+        raise DatasetError(
+            f"cannot read dataset {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
     if fmt == "auto":
         suffix = path.suffix.lower()
         if suffix == ".csv":
