@@ -186,14 +186,13 @@ class Domain:
     """One scan domain, built once and shared by every check over it.
 
     ``vectors`` is the whole box in canonical order when ``exhaustive``,
-    else a seeded sample; ``in_box`` holds the same vectors as a set and
-    ``uniforms`` every uniform vector of the box in canonical order.
+    else a seeded sample; ``uniforms`` holds every uniform vector of the
+    box in canonical order.
     """
 
     spec: DomainSpec
     vectors: list[Vector]
     exhaustive: bool
-    in_box: frozenset[Vector]
     uniforms: list[Vector]
 
 
@@ -212,7 +211,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
         vectors, exhaustive = sample_vectors(spec, sample_size), False
     uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
     uniforms.sort(key=lambda v: (citation_count(v), len(v), v))
-    return Domain(spec, vectors, exhaustive, frozenset(vectors), uniforms)
+    return Domain(spec, vectors, exhaustive, uniforms)
 
 
 def _as_domain(domain: Domain | DomainSpec | tuple[int, int], sample_size: int) -> Domain:
@@ -283,11 +282,13 @@ def _growth_steps(domain: Domain, f: Index):
 
 
 def _successor_edges(domain: Domain):
-    """Pairs (v, w) where w adds one citation to v and stays in the box."""
+    """Pairs (v, w) where w adds one citation to v and stays in the box;
+    only exhaustive domains are walked, so the bounds decide membership."""
+    n_max, c_max = domain.spec.n_max, domain.spec.c_max
     for v in domain.vectors:
         for k in valid_positions(v):
             w = add_citation_at(v, k)
-            if w in domain.in_box:
+            if len(w) <= n_max and w[0] <= c_max:
                 yield v, w
 
 

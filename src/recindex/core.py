@@ -81,9 +81,7 @@ class RecAnalysis:
     ``value`` is the maximal area i * x_i over publication ranks i.  A
     maximizing rectangle is ``width`` publications wide (the smallest
     maximizer; ``maximizers`` holds all of them) and ``height = x_width``
-    citations tall.  The classification compares the two dimensions:
-    taller than wide is ``influential``, wider than tall is ``prolific``,
-    square is ``balanced``.
+    citations tall; ``classification`` is ``classify(width, height)``.
     """
 
     value: int
@@ -112,13 +110,13 @@ def rec_index(x: Vector) -> RecAnalysis:
     maximizers = tuple(i for i, a in enumerate(areas, 1) if a == value)
     width = maximizers[0]
     height = x[width - 1]
-    if height > width:
-        classification = INFLUENTIAL
-    elif height < width:
-        classification = PROLIFIC
-    else:
-        classification = BALANCED
-    return RecAnalysis(value, maximizers, width, height, classification)
+    return RecAnalysis(value, maximizers, width, height, classify(width, height))
+
+
+def classify(width: int, height: int) -> str:
+    """The shape of a maximizing rectangle: taller than wide is influential,
+    wider than tall is prolific, square is balanced."""
+    return INFLUENTIAL if height > width else PROLIFIC if height < width else BALANCED
 
 
 def chi_index(x: Vector) -> float:

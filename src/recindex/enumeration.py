@@ -89,6 +89,8 @@ def sample_vectors(spec: DomainSpec, size: int = DEFAULT_SAMPLE_SIZE) -> list[Ve
     """
     if spec.seed is None:
         raise ValueError("sampling a domain requires a seed")
+    if size < 1:
+        raise ValueError(f"sample size must be at least 1, got {size}")
     rng = random.Random(spec.seed)
     seen: dict[Vector, None] = {(): None}
     for _ in range(size):

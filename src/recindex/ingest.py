@@ -2,8 +2,10 @@
 
 Two input shapes are accepted: CSV rows ``id,c1,c2,...`` (an optional
 header line starting ``id,`` is skipped) and JSON lines holding
-``{"id": ..., "citations": [...]}``.  Zero-cited researchers are kept;
-their report rows are all zeros with classification ``empty``.
+``{"id": ..., "citations": [...]}`` with a string or integer id.  Both
+readers yield ``(line, id, counts)`` to one record loop in
+``parse_dataset``.  Zero-cited researchers are kept; their report rows
+are all zeros with classification ``empty``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 # Unused here; perfbench/tracing.py wraps rec_index, h_index, aux_indices and rec_variants by name.
 from .core import (
@@ -24,6 +25,7 @@ from .core import (
     PROLIFIC,
     Vector,
     aux_indices,
+    classify,
     h_index,
     make_vector,
     rec_index,
@@ -57,15 +59,12 @@ class DatasetError(ValueError):
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ResearcherRecord:
+class ResearcherRecord(NamedTuple):
     id: str
-    raw_citations: tuple[int, ...]
     vector: Vector
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     id: str
     vector: Vector
     n: int
@@ -84,8 +83,7 @@ class ReportRow:
     classification: str
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     rows: tuple[ReportRow, ...]
     summary: dict[str, int]
 
@@ -93,20 +91,6 @@ class Report:
 def short_repr(text: str) -> str:
     """repr of an echoed input, cut to its first 20 characters and its length."""
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
-
-
-def _record(name: str, raw: Iterable[int], line: int) -> ResearcherRecord:
-    try:
-        vector = make_vector(raw)
-    except ValueError as exc:
-        raise DatasetError(f"line {line}: researcher {name!r}: {exc}") from None
-    # n * x_1^2 bounds the sum in O(1); the exact sum runs only past it.
-    if vector and len(vector) * vector[0] ** 2 > _FLOAT_MAX and sum(c * c for c in vector) > _FLOAT_MAX:
-        raise DatasetError(
-            f"line {line}: researcher {name!r}: citation counts too large; "
-            "the sum of their squares exceeds the largest float"
-        )
-    return ResearcherRecord(name, tuple(raw), vector)
 
 
 def _csv_rows(lines: Iterable[str]):
@@ -124,9 +108,7 @@ def _csv_rows(lines: Iterable[str]):
         raise DatasetError(f"line {line_no + 1}: malformed CSV row: {exc}") from None
 
 
-def _parse_csv_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
-    records: list[ResearcherRecord] = []
-    seen: dict[str, int] = {}
+def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
     for line_no, row in _csv_rows(lines):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -151,18 +133,10 @@ def _parse_csv_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
                     raise DatasetError(
                         f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"
                     ) from None
-        if name in seen:
-            raise DatasetError(
-                f"duplicate researcher id {name!r} on lines {seen[name]} and {line_no}"
-            )
-        seen[name] = line_no
-        records.append(_record(name, counts, line_no))
-    return records
+        yield line_no, name, counts
 
 
-def _parse_jsonl_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
-    records: list[ResearcherRecord] = []
-    seen: dict[str, int] = {}
+def _parse_jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -174,19 +148,16 @@ def _parse_jsonl_lines(lines: Iterable[str]) -> list[ResearcherRecord]:
             raise DatasetError(f"line {line_no}: invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict) or "id" not in obj or "citations" not in obj:
             raise DatasetError(f'line {line_no}: expected an object with "id" and "citations"')
-        name = str(obj["id"]).strip()
+        name = obj["id"]
+        if isinstance(name, bool) or not isinstance(name, (str, int)):
+            raise DatasetError(f"line {line_no}: researcher id must be a string or an integer")
+        name = str(name).strip()
         if not name:
             raise DatasetError(f"line {line_no}: empty researcher id")
         counts = obj["citations"]
         if not isinstance(counts, list):
             raise DatasetError(f"line {line_no}: citations of researcher {name!r} must be a list")
-        if name in seen:
-            raise DatasetError(
-                f"duplicate researcher id {name!r} on lines {seen[name]} and {line_no}"
-            )
-        seen[name] = line_no
-        records.append(_record(name, counts, line_no))
-    return records
+        yield line_no, name, counts
 
 
 def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]:
@@ -214,12 +185,27 @@ def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]
         else:
             stripped = text.lstrip()
             fmt = "jsonl" if stripped.startswith("{") else "csv"
-    lines = text.splitlines()
-    if fmt == "csv":
-        return _parse_csv_lines(lines)
-    if fmt == "jsonl":
-        return _parse_jsonl_lines(lines)
-    raise DatasetError(f"unknown dataset format {fmt!r}")
+    readers = {"csv": _parse_csv_lines, "jsonl": _parse_jsonl_lines}
+    if fmt not in readers:
+        raise DatasetError(f"unknown dataset format {fmt!r}")
+    records: list[ResearcherRecord] = []
+    seen: dict[str, int] = {}
+    for line_no, name, raw in readers[fmt](text.splitlines()):
+        if name in seen:
+            raise DatasetError(f"duplicate researcher id {name!r} on lines {seen[name]} and {line_no}")
+        seen[name] = line_no
+        try:
+            vector = make_vector(raw)
+        except ValueError as exc:
+            raise DatasetError(f"line {line_no}: researcher {name!r}: {exc}") from None
+        # n * x_1^2 bounds the sum in O(1); the exact sum runs only past it.
+        if vector and len(vector) * vector[0] ** 2 > _FLOAT_MAX and sum(c * c for c in vector) > _FLOAT_MAX:
+            raise DatasetError(
+                f"line {line_no}: researcher {name!r}: citation counts too large; "
+                "the sum of their squares exceeds the largest float"
+            )
+        records.append(ResearcherRecord(name, vector))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +245,11 @@ def report_row(record: ResearcherRecord) -> ReportRow:
             w = k
     if x:
         width = maximizers[0]
-        height = x[width - 1]
-        classification = INFLUENTIAL if height > width else PROLIFIC if height < width else BALANCED
+        classification = classify(width, x[width - 1])
     else:
         width, classification = None, EMPTY
     # rec_p is the larger of the tall prefix's widest square, h * h, and the
-    # largest rectangle past it.  Positional arguments, because keywords make
-    # the frozen row about 40% slower to build.
+    # largest rectangle past it.
     return ReportRow(
         record.id, x, len(x), total, x[0] if x else 0,  # id, vector, n, citations, max
         h, g, w, math.sqrt(squares),  # h, g, w, euclidean

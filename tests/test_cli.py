@@ -325,6 +325,16 @@ def test_axioms_sampled_mode_is_labelled():
     assert any("n/a" in line for line in text.splitlines())  # refused UI cells
 
 
+def test_axioms_sample_size_below_1_exits_1(capsys):
+    code, text = run_cli("axioms", "--n-max", "14", "--c-max", "14", "--seed", "1", "--sample-size", "-5")
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == "error: sample size must be at least 1, got -5\n"
+    # an exhaustive domain draws no sample, so the option is not read
+    assert run_cli("axioms", "--n-max", "3", "--c-max", "3", "--sample-size", "0") == run_cli(
+        "axioms", "--n-max", "3", "--c-max", "3"
+    )
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------

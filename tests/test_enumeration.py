@@ -71,6 +71,9 @@ def test_sampling_is_seeded_and_deterministic():
     assert all(len(v) <= 40 and (not v or v[0] <= 40) for v in a)
     with pytest.raises(ValueError):
         sample_vectors(DomainSpec(40, 40), 50)
+    for size in (0, -5):
+        with pytest.raises(ValueError, match=f"sample size must be at least 1, got {size}"):
+            sample_vectors(spec, size)
 
 
 def test_uniform_dominated_staircase():

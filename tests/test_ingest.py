@@ -15,7 +15,6 @@ from recindex.ingest import (
     RANKABLE_COLUMNS,
     ResearcherRecord,
     _parse_csv_lines,
-    _record,
     build_report,
     ceil_chi,
     parse_dataset,
@@ -59,7 +58,6 @@ def test_csv_parsing_shapes(csv_file):
     assert by_id["ada"].vector == (6, 4, 3, 1)
     assert by_id["grace"].vector == (10,) * 10
     assert by_id["zero"].vector == ()
-    assert by_id["zero"].raw_citations == (0, 0)
     assert by_id["solo"].vector == (100,)
 
 
@@ -67,7 +65,6 @@ def test_csv_sorts_and_drops_zeros(tmp_path):
     path = tmp_path / "unsorted.csv"
     path.write_text("mix,1,0,3,0,6,4\n", encoding="utf-8")
     (record,) = parse_dataset(path)
-    assert record.raw_citations == (1, 0, 3, 0, 6, 4)
     assert record.vector == (6, 4, 3, 1)
 
 
@@ -151,8 +148,8 @@ CELL = st.lists(st.sampled_from([*"0123456789", "", " ", "\x1c", "\xa0", "_", "+
 @example(["1_0", "+4", "\xa05\xa0", " "])
 def test_csv_counts_match_the_per_cell_loop(cells):
     line = ",".join(["r", *cells])
-    got = outcome(lambda: _parse_csv_lines([line]))
-    expected = outcome(lambda: [_record("r", loop_counts(cells, 1, "r"), 1)])
+    got = outcome(lambda: list(_parse_csv_lines([line])))
+    expected = outcome(lambda: [(1, "r", loop_counts(cells, 1, "r"))])
     assert got == expected
 
 
@@ -160,7 +157,6 @@ def test_jsonl_parsing(jsonl_file):
     records = parse_dataset(jsonl_file)
     assert [r.id for r in records] == ["ada", "zero"]
     assert records[0].vector == (6, 4, 3, 1)
-    assert records[0].raw_citations == (1, 3, 6, 4)
     assert records[1].vector == ()
 
 
@@ -170,6 +166,11 @@ def test_jsonl_error_messages(tmp_path):
         ("[1, 2]\n", 'expected an object with "id" and "citations"'),
         ('{"id": "a"}\n', 'expected an object with "id" and "citations"'),
         ('{"id": "  ", "citations": []}\n', "empty researcher id"),
+        *(
+            (f'{{"id": {ident}, "citations": [1]}}\n', "line 1: researcher id must be a string or an integer")
+            for ident in ("null", "true", "false", "1.5", "[1]", '{"a": 1}')
+        ),
+        ('{"id": "a", "citations": [1]}\n{"id": null, "citations": [2]}\n', "line 2: researcher id must be"),
         ('{"id": "a", "citations": 3}\n', "must be a list"),
         ('{"id": "a", "citations": [1.5]}\n', "researcher 'a'"),
         (
@@ -182,6 +183,38 @@ def test_jsonl_error_messages(tmp_path):
         path.write_text(body, encoding="utf-8")
         with pytest.raises(DatasetError, match=fragment):
             parse_dataset(path)
+
+
+def test_jsonl_integer_ids_read_as_their_digits(tmp_path):
+    path = tmp_path / "ids.jsonl"
+    path.write_text('{"id": 7, "citations": [2]}\n{"id": "None", "citations": [1]}\n', encoding="utf-8")
+    assert [r.id for r in parse_dataset(path)] == ["7", "None"]
+    path.write_text('{"id": 7, "citations": [2]}\n{"id": "7", "citations": [1]}\n', encoding="utf-8")
+    with pytest.raises(DatasetError, match="duplicate researcher id '7' on lines 1 and 2"):
+        parse_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "name, body, message",
+    [
+        # the id is checked before the counts
+        ("a.csv", ",x\n", "line 1: empty researcher id"),
+        # a bad count is reported before the duplicate id on its line
+        ("b.csv", "a,1\na,x\n", "line 2: invalid citation count 'x' for researcher 'a'"),
+        # so is a citations value that is not a list
+        (
+            "c.jsonl",
+            '{"id": "a", "citations": [1]}\n{"id": "a", "citations": 3}\n',
+            "line 2: citations of researcher 'a' must be a list",
+        ),
+    ],
+)
+def test_errors_within_one_line_keep_their_order(tmp_path, name, body, message):
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(path)
+    assert str(info.value) == message
 
 
 def test_format_autodetection(tmp_path):
@@ -242,7 +275,7 @@ def test_report_row_for_zero_cited_researcher(csv_file):
 @example((10,) + (1,) * 30)  # g and w stop early, then the tail runs on
 @example((40, 3, 3, 3, 3, 3, 3, 3, 3))
 def test_report_row_matches_the_per_function_indices(x):
-    row = report_row(ResearcherRecord("r", x, x))
+    row = report_row(ResearcherRecord("r", x))
     analysis = rec_index(x)
     aux = aux_indices(x)
     variants = rec_variants(x)
@@ -261,6 +294,15 @@ def test_report_row_matches_the_per_function_indices(x):
     )
     assert (row.h, row.rec_i, row.rec_p) == (h_index(x), variants.influence, variants.prolificity)
     assert (row.citations, row.chi) == (citation_count(x), chi_index(x))
+
+
+def test_records_and_rows_are_immutable(csv_file):
+    record = parse_dataset(csv_file)[0]
+    report = build_report([record])
+    for value in (record, report.rows[0], report):
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
 
 
 def test_report_summary_counts(csv_file):
