@@ -9,6 +9,7 @@ predicate on it, independently of the scan that found it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, product
@@ -186,14 +187,20 @@ class Domain:
     """One scan domain, built once and shared by every check over it.
 
     ``vectors`` is the whole box in canonical order when ``exhaustive``,
-    else a seeded sample; ``uniforms`` holds every uniform vector of the
-    box in canonical order.
+    else a seeded sample; a vector's id is its position there.
+    ``uniforms`` holds every uniform vector of the box in canonical order.
+    The one-citation steps of an exhaustive box are the id pairs
+    ``(step_lower[s], step_upper[s])``: the upper vector adds one citation
+    to the lower one and stays in the box.  They are listed by ascending
+    lower id; a sampled domain has none.
     """
 
     spec: DomainSpec
     vectors: list[Vector]
     exhaustive: bool
     uniforms: list[Vector]
+    step_lower: array
+    step_upper: array
 
 
 def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Domain:
@@ -211,7 +218,16 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
         vectors, exhaustive = sample_vectors(spec, sample_size), False
     uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
     uniforms.sort(key=lambda v: (citation_count(v), len(v), v))
-    return Domain(spec, vectors, exhaustive, uniforms)
+    step_lower, step_upper = array("i"), array("i")
+    if exhaustive:
+        ids = {v: i for i, v in enumerate(vectors)}
+        for i, v in enumerate(vectors):
+            for k in valid_positions(v):
+                j = ids.get(add_citation_at(v, k))
+                if j is not None:
+                    step_lower.append(i)
+                    step_upper.append(j)
+    return Domain(spec, vectors, exhaustive, uniforms, step_lower, step_upper)
 
 
 def _as_domain(domain: Domain | DomainSpec | tuple[int, int], sample_size: int) -> Domain:
@@ -279,17 +295,6 @@ def _each_vector(domain: Domain, f: Index):
 
 def _growth_steps(domain: Domain, f: Index):
     return ((x, k) for x in domain.vectors for k in valid_positions(x))
-
-
-def _successor_edges(domain: Domain):
-    """Pairs (v, w) where w adds one citation to v and stays in the box;
-    only exhaustive domains are walked, so the bounds decide membership."""
-    n_max, c_max = domain.spec.n_max, domain.spec.c_max
-    for v in domain.vectors:
-        for k in valid_positions(v):
-            w = add_citation_at(v, k)
-            if len(w) <= n_max and w[0] <= c_max:
-                yield v, w
 
 
 def _monotonicity(strict: bool):
@@ -381,7 +386,8 @@ def _domination_axiom(description: str, violates, edge_holds) -> Axiom:
         # Domination is generated by single-citation additions, so on a
         # closed domain edges that hold along every chain settle the
         # verdict; the pair scan only runs when a witness must be reported.
-        if domain.exhaustive and all(edge_holds(f, v, w) for v, w in _successor_edges(domain)):
+        vectors, steps = domain.vectors, zip(domain.step_lower, domain.step_upper)
+        if domain.exhaustive and all(edge_holds(f, vectors[i], vectors[j]) for i, j in steps):
             return ()
         return product(domain.vectors, repeat=2)
 
@@ -452,22 +458,20 @@ def _unreachable_targets(domain: Domain, f: Index):
     # Reachability under "strict increases must land uniform" does not
     # depend on the eventual target (every prefix of a constructive
     # sequence is dominated by its endpoint), so one bottom-up pass over
-    # the domain decides all targets at once.
-    reachable: dict[Vector, bool] = {(): True}
-    for v in domain.vectors:
-        if not v:
-            continue
-        fv = f(v)
-        ok = False
-        for i in range(len(v)):
-            if i == len(v) - 1 or v[i] > v[i + 1]:
-                p = v[:i] + (v[i] - 1,) + v[i + 1 :] if v[i] > 1 else v[:i] + v[i + 1 :]
-                if reachable[p] and (fv <= f(p) + TOLERANCE or is_uniform(v)):
-                    ok = True
-                    break
-        reachable[v] = ok
-    for v in domain.vectors:
-        if not reachable[v]:
+    # the steps decides all targets at once.  Every step into v starts at
+    # a vector of smaller total, so of smaller id, and steps come by
+    # ascending lower id: all of them precede any step out of v, and v's
+    # flag is final before it is read.
+    vectors = domain.vectors
+    reachable = bytearray(len(vectors))
+    reachable[0] = 1  # the empty vector
+    for i, j in zip(domain.step_lower, domain.step_upper):
+        if reachable[i] and not reachable[j]:
+            w = vectors[j]
+            if f(w) <= f(vectors[i]) + TOLERANCE or is_uniform(w):
+                reachable[j] = 1
+    for v, ok in zip(vectors, reachable):
+        if not ok:
             yield (v,)
             # The scan only comes back here when the search found a sequence.
             raise RuntimeError(f"reachability scan disagrees with search at {v}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .core import Vector, citation_count, dominates, make_vector
+from .core import Vector, citation_count, make_vector
 
 #: Exhaustive scans refuse domains with more vectors than this.
 EXHAUSTIVE_BUDGET = 10_000_000
@@ -105,15 +105,6 @@ def enumerate_uniform_dominated(x: Vector) -> Iterator[Vector]:
     for j in range(1, len(x) + 1):
         for c in range(1, x[j - 1] + 1):
             yield (c,) * j
-
-
-def domination_pairs(spec: DomainSpec) -> Iterator[tuple[Vector, Vector]]:
-    """All ordered pairs (x, y) of domain vectors with x dominated by y."""
-    vectors = list(enumerate_vectors(spec))
-    for x in vectors:
-        for y in vectors:
-            if dominates(x, y):
-                yield x, y
 
 
 def brute_force_rec(x: Vector) -> int:

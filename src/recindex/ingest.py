@@ -1,7 +1,7 @@
 """Dataset ingestion and per-researcher index reports.
 
 Two input shapes are accepted: CSV rows ``id,c1,c2,...`` (an optional
-header line starting ``id,`` is skipped) and JSON lines holding
+header line starting ``id,`` in any case is skipped) and JSON lines holding
 ``{"id": ..., "citations": [...]}`` with a string or integer id.  Both
 readers yield ``(line, id, counts)`` to one record loop in
 ``parse_dataset``.  Zero-cited researchers are kept; their report rows
@@ -112,7 +112,7 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
     for line_no, row in _csv_rows(lines):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if line_no == 1 and row[0].strip() == "id" and len(row) > 1:
+        if line_no == 1 and row[0].strip().lower() == "id" and len(row) > 1:
             continue
         name = row[0].strip()
         if not name:

@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
+from recindex import sequences
 from recindex.axioms import (
     AXIOMS,
     SATISFIED,
@@ -380,6 +381,24 @@ def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
 
 def test_uniform_increment_dp_agrees_with_search_for_rec():
     assert check_axiom(REC, "UI", (3, 3)).ok
+
+
+@pytest.mark.parametrize("bounds", [(3, 3), (4, 4), (3, 5)])
+def test_uniform_increment_target_is_the_first_the_search_refutes(bounds):
+    # The scan confirms its own target through the search, but only the
+    # search over every earlier vector shows none was wrongly called reachable.
+    domain = build_domain(DomainSpec(*bounds))
+    for index in counterexample_registry() + ADVERSARIAL:
+        f = functools.cache(index.evaluate)
+        first = next(
+            (v for v in domain.vectors if sequences.search_incremental(v, f).status == sequences.ABSENT),
+            None,
+        )
+        verdict = check_axiom(index, "UI", domain)
+        if first is None:
+            assert verdict.ok, index.name
+        else:
+            assert verdict.counterexample["target"] == first, index.name
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 
 from conftest import citation_vectors
+from recindex.axioms import build_domain
 from recindex.core import citation_count, dominates, is_uniform, rec
 from recindex.enumeration import (
     DomainBudgetError,
     DomainSpec,
     brute_force_rec,
     count_vectors,
-    domination_pairs,
     enumerate_uniform_dominated,
     enumerate_vectors,
     sample_vectors,
@@ -88,6 +88,16 @@ def test_uniform_dominated_square():
     assert list(enumerate_uniform_dominated((2, 2))) == [(), (1,), (2,), (1, 1), (2, 2)]
 
 
+def domination_pairs(spec: DomainSpec):
+    """The pair oracle: all ordered pairs (x, y) of domain vectors with x
+    dominated by y."""
+    vectors = list(enumerate_vectors(spec))
+    for x in vectors:
+        for y in vectors:
+            if dominates(x, y):
+                yield x, y
+
+
 def test_domination_pairs_smallest_domains():
     assert list(domination_pairs(DomainSpec(1, 1))) == [
         ((), ()),
@@ -95,6 +105,27 @@ def test_domination_pairs_smallest_domains():
         ((1,), (1,)),
     ]
     assert sum(1 for _ in domination_pairs(DomainSpec(2, 2))) == 20
+
+
+@pytest.mark.parametrize("bounds", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 5)])
+def test_domain_steps_are_the_domination_pairs_one_citation_apart(bounds):
+    domain = build_domain(DomainSpec(*bounds))
+    ids = {v: i for i, v in enumerate(domain.vectors)}
+    oracle = {
+        (ids[x], ids[y])
+        for x, y in domination_pairs(domain.spec)
+        if citation_count(y) == citation_count(x) + 1
+    }
+    steps = list(zip(domain.step_lower, domain.step_upper))
+    assert len(steps) == len(oracle)
+    assert set(steps) == oracle
+    assert all(a <= b for a, b in zip(domain.step_lower, domain.step_lower[1:]))
+
+
+def test_sampled_domain_has_no_steps():
+    domain = build_domain(DomainSpec(14, 14, seed=1), sample_size=40)
+    assert not domain.exhaustive
+    assert len(domain.step_lower) == len(domain.step_upper) == 0
 
 
 def test_brute_force_rec_known_values():

@@ -85,6 +85,12 @@ def test_csv_header_requires_more_than_the_id_cell(tmp_path):
     assert (record.id, record.vector) == ("id", ())
     path.write_text("ada,1\nid,2\n", encoding="utf-8")
     assert [r.id for r in parse_dataset(path)] == ["ada", "id"]
+    # a header's id cell may come in any case, as spreadsheets write it
+    for header in ("id", "ID", "Id"):
+        path.write_text(f"{header},c1,c2\nada,3,2\n", encoding="utf-8")
+        assert [(r.id, r.vector) for r in parse_dataset(path)] == [("ada", (3, 2))], header
+    path.write_text("ID\n", encoding="utf-8")
+    assert [r.id for r in parse_dataset(path)] == ["ID"]
 
 
 def test_csv_rejects_bad_count_with_line_and_id(tmp_path):
