@@ -12,7 +12,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, combinations, product
+from functools import cached_property
+from itertools import accumulate, repeat
+from operator import le
 from typing import Callable, Iterable
 
 from . import sequences
@@ -187,8 +189,9 @@ class Domain:
     """One scan domain, built once and shared by every check over it.
 
     ``vectors`` is the whole box in canonical order when ``exhaustive``,
-    else a seeded sample; a vector's id is its position there.
-    ``uniforms`` holds every uniform vector of the box in canonical order.
+    else a seeded sample; a vector's id is its position there, and ``ids``
+    maps each vector to its id.  The empty vector has id 0.  ``uniforms``
+    holds every uniform vector of the box in canonical order.
     The one-citation steps of an exhaustive box are the id pairs
     ``(step_lower[s], step_upper[s])``: the upper vector adds one citation
     to the lower one and stays in the box.  They are listed by ascending
@@ -199,6 +202,7 @@ class Domain:
     vectors: list[Vector]
     exhaustive: bool
     uniforms: list[Vector]
+    ids: dict[Vector, int]
     step_lower: array
     step_upper: array
 
@@ -218,16 +222,16 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
         vectors, exhaustive = sample_vectors(spec, sample_size), False
     uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
     uniforms.sort(key=lambda v: (citation_count(v), len(v), v))
+    ids = {v: i for i, v in enumerate(vectors)}
     step_lower, step_upper = array("i"), array("i")
     if exhaustive:
-        ids = {v: i for i, v in enumerate(vectors)}
         for i, v in enumerate(vectors):
             for k in valid_positions(v):
                 j = ids.get(add_citation_at(v, k))
                 if j is not None:
                     step_lower.append(i)
                     step_upper.append(j)
-    return Domain(spec, vectors, exhaustive, uniforms, step_lower, step_upper)
+    return Domain(spec, vectors, exhaustive, uniforms, ids, step_lower, step_upper)
 
 
 def _as_domain(domain: Domain | DomainSpec | tuple[int, int], sample_size: int) -> Domain:
@@ -241,23 +245,65 @@ def _as_domain(domain: Domain | DomainSpec | tuple[int, int], sample_size: int) 
 # the axioms
 # ---------------------------------------------------------------------------
 
-#: An index under scan, or under replay.
-Index = Callable[[Vector], float]
+
+class _Session:
+    """The checks of one index over one domain, reading shared value tables.
+
+    ``values[i]`` is f of the vector with id i, ``uniform_rows[j - 1][c - 1]``
+    is f of ``(c,) * j``, and ``images(transform, param)`` lists f of every
+    vector's image by id.  Each table is built on first use: a vector of
+    the domain reads ``values`` by id, any other is evaluated into the
+    table that needs it and never kept as a key.  A session is opened for
+    one index and dropped with it, so nothing is shared between indices.
+    """
+
+    def __init__(self, index: IndexUnderTest, domain: Domain) -> None:
+        self.index, self.domain = index, domain
+        self._images: dict = {}
+
+    @cached_property
+    def values(self) -> list:
+        return list(map(self.index.evaluate, self.domain.vectors))
+
+    def f(self, v: Vector):
+        """f of any vector; the predicates read it."""
+        i = self.domain.ids.get(v)
+        return self.index.evaluate(v) if i is None else self.values[i]
+
+    @cached_property
+    def uniform_rows(self) -> list[list]:
+        spec, f = self.domain.spec, self.f
+        return [[f((c,) * j) for c in range(1, spec.c_max + 1)] for j in range(1, spec.n_max + 1)]
+
+    def uniform(self, u: Vector):
+        """f of a uniform vector of the box."""
+        return self.uniform_rows[len(u) - 1][u[0] - 1] if u else self.values[0]
+
+    def images(self, transform: Callable[[Vector, int], Vector], param: int) -> list:
+        key = (transform, param)
+        if key not in self._images:
+            get, values, evaluate = self.domain.ids.get, self.values, self.index.evaluate
+            self._images[key] = [
+                evaluate(w) if (i := get(w)) is None else values[i]
+                for w in map(transform, self.domain.vectors, repeat(param))
+            ]
+        return self._images[key]
 
 
 @dataclass(frozen=True)
 class Axiom:
     """One checkable property, stated once for the scan and for replay.
 
-    ``candidates(domain, f)`` yields, in canonical order, tuples of the
+    ``candidates(session)`` yields, in canonical order, tuples of the
     witness values named by ``keys``; it may skip candidates that cannot
-    violate the property.  ``violates(f, *candidate)`` returns the
-    witness a violating candidate makes, else None.
+    violate the property, which it decides from the session's tables.
+    ``violates(f, *candidate)`` returns the witness a violating
+    candidate makes, else None.
     """
 
     description: str
     keys: tuple[str, ...]
-    candidates: Callable[[Domain, Index], Iterable[tuple]]
+    candidates: Callable[[_Session], Iterable[tuple]]
     violates: Callable[..., dict | None]
 
 
@@ -267,41 +313,28 @@ def _sign(a: float, b: float) -> int:
     return 1 if a > b else -1
 
 
-class _Memo(dict):
-    """Memoised evaluation of one index; ``__getitem__`` is the index."""
-
-    def __init__(self, evaluate: Index) -> None:
-        super().__init__()
-        self._evaluate = evaluate
-
-    def __missing__(self, v: Vector) -> float:
-        value = self[v] = self._evaluate(v)
-        return value
-
-
-def _first_witness(axiom: Axiom, evaluate: Index, domain: Domain) -> dict | None:
-    f = _Memo(evaluate).__getitem__
-    violates = axiom.violates
-    for candidate in axiom.candidates(domain, f):
+def _first_witness(axiom: Axiom, session: _Session) -> dict | None:
+    f, violates = session.f, axiom.violates
+    for candidate in axiom.candidates(session):
         witness = violates(f, *candidate)
         if witness is not None:
             return witness
     return None
 
 
-def _each_vector(domain: Domain, f: Index):
-    return ((x,) for x in domain.vectors)
+def _each_vector(s: _Session):
+    return ((x,) for x in s.domain.vectors)
 
 
-def _growth_steps(domain: Domain, f: Index):
-    return ((x, k) for x in domain.vectors for k in valid_positions(x))
+def _growth_steps(s: _Session):
+    return ((x, k) for x in s.domain.vectors for k in valid_positions(x))
 
 
 def _monotonicity(strict: bool):
     """The M predicate, or the SM one when ``strict``."""
 
     def violates(f, x, y):
-        # Comparing memoised values is cheaper than ``dominates``, and
+        # Comparing table values is cheaper than ``dominates``, and
         # pair scans mostly meet pairs whose values are in order.
         fx, fy = f(x), f(y)
         broken = (x != y and fy <= fx + TOLERANCE) if strict else fx > fy + TOLERANCE
@@ -381,29 +414,55 @@ def _violates_chi_step(f, x, position):
     return None
 
 
-def _domination_axiom(description: str, violates, edge_holds) -> Axiom:
-    def candidates(domain: Domain, f: Index):
+def _domination_axiom(description: str, violates, edge_holds, pair_breaks) -> Axiom:
+    """``edge_holds(f(v), f(w))`` tests a one-citation step v -> w;
+    ``pair_breaks(f(x), f(y))`` says whether x under y may be a witness."""
+
+    def candidates(s: _Session):
         # Domination is generated by single-citation additions, so on a
         # closed domain edges that hold along every chain settle the
         # verdict; the pair scan only runs when a witness must be reported.
-        vectors, steps = domain.vectors, zip(domain.step_lower, domain.step_upper)
-        if domain.exhaustive and all(edge_holds(f, vectors[i], vectors[j]) for i, j in steps):
+        domain, values = s.domain, s.values
+        if domain.exhaustive and all(
+            map(edge_holds, map(values.__getitem__, domain.step_lower), map(values.__getitem__, domain.step_upper))
+        ):
             return ()
-        return product(domain.vectors, repeat=2)
+        scored = list(zip(domain.vectors, values))
+        return ((x, y) for x, fx in scored for y, fy in scored if pair_breaks(fx, fy))
 
     return Axiom(description, ("x", "y"), candidates, violates)
 
 
-def _blocks_stay_apart(blocks: list[list[Vector]], g: Index) -> bool:
-    """True when g spans at most TOLERANCE on each block and each block
-    lies more than TOLERANCE below the next; g runs once per vector."""
+def _scale_candidates(s: _Session):
+    factors = range(1, s.domain.spec.c_max + 1)
+    # scale(x, 1) is x
+    tables = [s.values] + [s.images(scale, factor) for factor in factors[1:]]
+    return (
+        (x, factor)
+        for x, fx, *scaled in zip(s.domain.vectors, s.values, *tables)
+        for factor, fs in zip(factors, scaled)
+        if abs(fs - factor * fx) > TOLERANCE
+    )
+
+
+def _blocks_stay_apart(blocks: list[list[int]], table: list) -> bool:
+    """True when the table spans at most TOLERANCE on each block of ids
+    and each block lies more than TOLERANCE below the next."""
     previous_hi = float("-inf")
     for block in blocks:
-        values = [g(v) for v in block]
+        values = [table[i] for i in block]
         if max(values) - min(values) > TOLERANCE or min(values) - previous_hi <= TOLERANCE:
             return False
         previous_hi = max(values)
     return True
+
+
+def _flipped_pairs(before: list, after: list):
+    """Id pairs i < j, in order, whose comparison has another sign after."""
+    for i, (b, a) in enumerate(zip(before, after)):
+        for j in range(i + 1, len(before)):
+            if _sign(b, before[j]) != _sign(a, after[j]):
+                yield i, j
 
 
 def _rank_axiom(key: str, first: int, transform, description: str) -> Axiom:
@@ -414,42 +473,72 @@ def _rank_axiom(key: str, first: int, transform, description: str) -> Axiom:
             return {"x": x, "y": y, key: param, "before": before, "after": after}
         return None
 
-    def candidates(domain: Domain, f: Index):
+    def candidates(s: _Session):
         # Cut the f order into blocks within TOLERANCE of their first value.
         # If f keeps the blocks apart, pairs tie exactly within a block, so
         # no pair flips exactly when the transformed f keeps them apart too;
-        # if not, ties chain (a ~ b ~ c, a !~ c) and the pair scan decides.
-        blocks: list[list[Vector]] = []
-        for v in sorted(domain.vectors, key=lambda v: (f(v), len(v), v)):
-            if blocks and f(v) - f(blocks[-1][0]) <= TOLERANCE:
-                blocks[-1].append(v)
+        # if not, ties chain (a ~ b ~ c, a !~ c) and the pairs whose signs
+        # differ in the tables go to the predicate.
+        vectors, values = s.domain.vectors, s.values
+        blocks: list[list[int]] = []
+        for i in sorted(range(len(values)), key=values.__getitem__):
+            if blocks and values[i] - values[blocks[-1][0]] <= TOLERANCE:
+                blocks[-1].append(i)
             else:
-                blocks.append([v])
-        separated = _blocks_stay_apart(blocks, f)
-        for param in range(first, domain.spec.c_max + 1):
-            if not (separated and _blocks_stay_apart(blocks, lambda v: f(transform(v, param)))):
-                yield from ((x, y, param) for x, y in combinations(domain.vectors, 2))
+                blocks.append([i])
+        separated = _blocks_stay_apart(blocks, values)
+        for param in range(first, s.domain.spec.c_max + 1):
+            after = s.images(transform, param)
+            if not (separated and _blocks_stay_apart(blocks, after)):
+                yield from ((vectors[i], vectors[j], param) for i, j in _flipped_pairs(values, after))
 
     return Axiom(description, ("x", "y", key), candidates, violates)
 
 
-def _uniform_monotonicity_candidates(domain: Domain, f: Index):
+def _citation_count_candidates(uniforms: Callable[[_Session], Iterable[Vector]]):
+    def candidates(s: _Session):
+        return ((u,) for u in uniforms(s) if abs(s.uniform(u) - citation_count(u)) > TOLERANCE)
+
+    return candidates
+
+
+def _uniform_equivalence_candidates(s: _Session):
+    # The uniforms under x are () and (c,)*j for j <= len(x) and c <= x_j.
+    base, rows = s.values[0], s.uniform_rows
+
+    def matched(x, fx) -> bool:
+        return abs(base - fx) <= TOLERANCE or any(
+            abs(fu - fx) <= TOLERANCE for row, c in zip(rows, x) for fu in row[:c]
+        )
+
+    return ((x,) for x, fx in zip(s.domain.vectors, s.values) if not matched(x, fx))
+
+
+def _uniform_monotonicity_candidates(s: _Session):
     # (c,)*j lies under y exactly when j <= len(y) and c <= y_j, so the
     # largest f over the uniforms under y is the largest running maximum
-    # top[j][y_j]; only a y that this maximum exceeds can be in a witness.
-    base, c_max = f(()), domain.spec.c_max
-    top = [list(accumulate((f((c,) * j) for c in range(1, c_max + 1)), max, initial=base))
-           for j in range(1, domain.spec.n_max + 1)]
-    suspects = [y for y in domain.vectors
-                if max((row[c] for row, c in zip(top, y)), default=base) > f(y) + TOLERANCE]
-    return product(domain.uniforms, suspects)
+    # top[j][y_j]; only a y that this maximum exceeds can be in a witness,
+    # and only with a uniform under it that scores more than y.
+    base = s.values[0]
+    top = [list(accumulate(row, max, initial=base)) for row in s.uniform_rows]
+    suspects = [
+        (y, fy)
+        for y, fy in zip(s.domain.vectors, s.values)
+        if max((row[c] for row, c in zip(top, y)), default=base) > fy + TOLERANCE
+    ]
+    for u in s.domain.uniforms:
+        fu, j = s.uniform(u), len(u)
+        for y, fy in suspects:
+            if fu > fy + TOLERANCE and j <= len(y) and (not u or u[0] <= y[j - 1]):
+                yield u, y
 
 
 def _add_publication(x: Vector, citations: int) -> Vector:
     return make_vector(x + (citations,))
 
 
-def _unreachable_targets(domain: Domain, f: Index):
+def _unreachable_targets(s: _Session):
+    domain = s.domain
     if not domain.exhaustive:
         raise DomainBudgetError(
             "the uniform-increment check needs an exhaustive domain; "
@@ -462,13 +551,12 @@ def _unreachable_targets(domain: Domain, f: Index):
     # a vector of smaller total, so of smaller id, and steps come by
     # ascending lower id: all of them precede any step out of v, and v's
     # flag is final before it is read.
-    vectors = domain.vectors
+    vectors, values = domain.vectors, s.values
     reachable = bytearray(len(vectors))
     reachable[0] = 1  # the empty vector
     for i, j in zip(domain.step_lower, domain.step_upper):
         if reachable[i] and not reachable[j]:
-            w = vectors[j]
-            if f(w) <= f(vectors[i]) + TOLERANCE or is_uniform(w):
+            if values[j] <= values[i] + TOLERANCE or is_uniform(vectors[j]):
                 reachable[j] = 1
     for v, ok in zip(vectors, reachable):
         if not ok:
@@ -481,18 +569,16 @@ AXIOMS: dict[AxiomId, Axiom] = {
     # M's tolerance does not add up along a chain (drops within it can
     # chain past it), so its edges must hold exactly; SM's margin does.
     AxiomId.MONOTONICITY: _domination_axiom(
-        "f never decreases along domination", _violates_m, lambda f, v, w: f(v) <= f(w)
+        "f never decreases along domination", _violates_m, le, lambda fx, fy: fx > fy + TOLERANCE
     ),
     AxiomId.STRICT_MONOTONICITY: _domination_axiom(
         "f strictly increases along strict domination",
         _violates_sm,
-        lambda f, v, w: _violates_sm(f, v, w) is None,
+        lambda fv, fw: fw > fv + TOLERANCE,
+        lambda fx, fy: fy <= fx + TOLERANCE,
     ),
     AxiomId.SCALE_INVARIANCE: Axiom(
-        "scaling citations by C scales f by C",
-        ("x", "factor"),
-        lambda domain, f: product(domain.vectors, range(1, domain.spec.c_max + 1)),
-        _violates_si,
+        "scaling citations by C scales f by C", ("x", "factor"), _scale_candidates, _violates_si
     ),
     AxiomId.SELF_CONJUGACY: Axiom("f is unchanged by conjugation", ("x",), _each_vector, _violates_sc),
     AxiomId.RECTANGLE_COMPLETION: Axiom(
@@ -501,17 +587,17 @@ AXIOMS: dict[AxiomId, Axiom] = {
     AxiomId.UNIFORM_CITATION: Axiom(
         "on uniform vectors f equals the citation count",
         ("x",),
-        lambda domain, f: ((u,) for u in domain.uniforms),
+        _citation_count_candidates(lambda s: s.domain.uniforms),
         _violates_citation_count,
     ),
     AxiomId.UNIFORM_EQUIVALENCE: Axiom(
-        "some dominated uniform vector has the same f", ("x",), _each_vector, _violates_ue
+        "some dominated uniform vector has the same f", ("x",), _uniform_equivalence_candidates, _violates_ue
     ),
     AxiomId.CITATION_INCREASE: Axiom(
         "one citation to every publication raises f",
         ("x",),
         # no publications means nothing receives a citation
-        lambda domain, f: ((x,) for x in domain.vectors if x),
+        lambda s: ((x,) for x in s.domain.vectors if x),
         _violates_ci,
     ),
     AxiomId.UNIFORM_MONOTONICITY: Axiom(
@@ -523,7 +609,7 @@ AXIOMS: dict[AxiomId, Axiom] = {
     AxiomId.UNIFORM_SINGLE_CITATION: Axiom(
         "f of n singly-cited publications is n",
         ("x",),
-        lambda domain, f: (((1,) * j,) for j in range(domain.spec.n_max + 1)),
+        _citation_count_candidates(lambda s: ((1,) * j for j in range(s.domain.spec.n_max + 1))),
         _violates_citation_count,
     ),
     AxiomId.UNIFORM_INCREMENT: Axiom(
@@ -552,21 +638,54 @@ def _verdict(index: str, axiom: str, domain: Domain, counterexample: dict | None
     )
 
 
+def _open_session(
+    index: IndexUnderTest, domain: Domain | DomainSpec | tuple[int, int], sample_size: int, session: _Session | None
+) -> _Session:
+    if session is None:
+        return _Session(index, _as_domain(domain, sample_size))
+    if session.index is not index or session.domain is not domain:
+        raise ValueError(f"the session was opened for {session.index.name!r} on another domain")
+    return session
+
+
 def check_axiom(
     index: IndexUnderTest,
     axiom: AxiomId | str,
     domain: Domain | DomainSpec | tuple[int, int],
     sample_size: int = DEFAULT_SAMPLE_SIZE,
+    *,
+    session: _Session | None = None,
 ) -> AxiomVerdict:
     """Scan one axiom for one index over a finite domain.
 
     Returns a verdict whose counterexample, if any, is the first in
     canonical enumeration order and replays independently.  A ``Domain``
     is used as built; ``sample_size`` only applies when one is built here.
+    ``session``, opened by ``check_index`` for this index and ``Domain``,
+    shares the value tables of the index's other checks.
     """
     axiom = AxiomId(axiom)
-    domain = _as_domain(domain, sample_size)
-    return _verdict(index.name, axiom.value, domain, _first_witness(AXIOMS[axiom], index.evaluate, domain))
+    session = _open_session(index, domain, sample_size, session)
+    return _verdict(index.name, axiom.value, session.domain, _first_witness(AXIOMS[axiom], session))
+
+
+def check_index(
+    index: IndexUnderTest, domain: Domain, axioms: Iterable[AxiomId] = tuple(AxiomId)
+) -> dict[str, AxiomVerdict | None]:
+    """Check each axiom for one index, evaluating the index once per vector.
+
+    Every check reads one session's value tables, which are dropped on
+    return.  An axiom that needs an exhaustive domain maps to None on a
+    sampled one.
+    """
+    session = _Session(index, domain)
+    row: dict[str, AxiomVerdict | None] = {}
+    for axiom in axioms:
+        try:
+            row[axiom.value] = check_axiom(index, axiom, domain, session=session)
+        except DomainBudgetError:
+            row[axiom.value] = None
+    return row
 
 
 def replay_counterexample(verdict: AxiomVerdict, index: IndexUnderTest) -> bool:
@@ -623,13 +742,7 @@ def independence_matrix(
 ) -> dict[str, dict[str, AxiomVerdict]]:
     """Check M, UC and UE for every registry index over one domain."""
     domain = _as_domain(domain, sample_size)
-    matrix: dict[str, dict[str, AxiomVerdict]] = {}
-    for index in counterexample_registry():
-        matrix[index.name] = {
-            axiom.value: check_axiom(index, axiom, domain)
-            for axiom in INDEPENDENCE_AXIOMS
-        }
-    return matrix
+    return {index.name: check_index(index, domain, INDEPENDENCE_AXIOMS) for index in counterexample_registry()}
 
 
 def pattern_mismatches(
@@ -649,7 +762,12 @@ def pattern_mismatches(
 def chi_increment_bound(
     domain: Domain | DomainSpec | tuple[int, int],
     sample_size: int = DEFAULT_SAMPLE_SIZE,
+    *,
+    session: _Session | None = None,
 ) -> AxiomVerdict:
-    """Verify chi grows by at most 1 under any single added citation."""
-    domain = _as_domain(domain, sample_size)
-    return _verdict("chi", "CHI_STEP_BOUND", domain, _first_witness(_CHI_STEP, chi_index, domain))
+    """Verify chi grows by at most 1 under any single added citation.
+
+    ``session`` may be one opened for ``CHI`` on this ``Domain``.
+    """
+    session = _open_session(CHI, domain, sample_size, session)
+    return _verdict("chi", "CHI_STEP_BOUND", session.domain, _first_witness(_CHI_STEP, session))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -20,7 +21,9 @@ from recindex.axioms import (
     CHI,
     H,
     REC,
+    _Session,
     check_axiom,
+    check_index,
     chi_increment_bound,
     counterexample_registry,
     expected_independence_pattern,
@@ -356,6 +359,14 @@ def _naive_candidates(axiom: str, domain):
         return product(domain.vectors, repeat=2)
     if axiom == "UM":
         return product(domain.uniforms, domain.vectors)
+    if axiom == "SI":
+        return product(domain.vectors, range(1, domain.spec.c_max + 1))
+    if axiom == "UE":
+        return ((x,) for x in domain.vectors)
+    if axiom == "UC":
+        return ((u,) for u in domain.uniforms)
+    if axiom == "USC":
+        return (((1,) * j,) for j in range(domain.spec.n_max + 1))
     first = 1 if axiom == "RANK_IND" else 2
     return (
         (x, y, param)
@@ -364,7 +375,7 @@ def _naive_candidates(axiom: str, domain):
     )
 
 
-@pytest.mark.parametrize("axiom", ["M", "SM", "UM", "RANK_IND", "RANK_SI"])
+@pytest.mark.parametrize("axiom", ["M", "SM", "UM", "RANK_IND", "RANK_SI", "SI", "UE", "UC", "USC"])
 @pytest.mark.parametrize("domain_name", list(ORACLE_DOMAINS))
 def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
     domain = ORACLE_DOMAINS[domain_name]
@@ -377,6 +388,51 @@ def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
             VIOLATED if naive is not None else SATISFIED,
             naive,
         ), index.name
+
+
+@pytest.mark.parametrize("domain_name", list(ORACLE_DOMAINS))
+def test_one_session_gives_the_single_cell_verdicts(domain_name):
+    # Tables built for one check and read by the next must not change a verdict.
+    domain = ORACLE_DOMAINS[domain_name]
+    for index in counterexample_registry() + ADVERSARIAL + [CHI]:
+        session = _Session(index, domain)
+        for axiom in AxiomId:
+            if axiom is AxiomId.UNIFORM_INCREMENT and not domain.exhaustive:
+                for shared in (session, None):
+                    with pytest.raises(DomainBudgetError):
+                        check_axiom(index, axiom, domain, session=shared)
+                continue
+            shared = check_axiom(index, axiom, domain, session=session)
+            assert shared == check_axiom(index, axiom, domain), (index.name, axiom)
+        if index is CHI:
+            assert chi_increment_bound(domain, session=session) == chi_increment_bound(domain)
+    row = check_index(REC, domain)
+    assert row == {a.value: None if row[a.value] is None else check_axiom(REC, a, domain) for a in AxiomId}
+
+
+def test_a_session_serves_only_its_index_and_domain():
+    domain = ORACLE_DOMAINS["4x4"]
+    with pytest.raises(ValueError, match="session"):
+        check_axiom(REC, "M", domain, session=_Session(H, domain))
+    with pytest.raises(ValueError, match="session"):
+        check_axiom(REC, "M", build_domain(DomainSpec(4, 4)), session=_Session(REC, domain))
+    with pytest.raises(ValueError, match="session"):
+        chi_increment_bound(domain, session=_Session(REC, domain))
+
+
+@pytest.mark.parametrize("bounds", [(4, 4), (5, 5)])
+def test_one_session_evaluates_each_domain_vector_once(bounds):
+    domain = build_domain(DomainSpec(*bounds))
+    for index in counterexample_registry():
+        calls: Counter = Counter()
+
+        def counted(v, evaluate=index.evaluate):
+            calls[v] += 1
+            return evaluate(v)
+
+        row = check_index(IndexUnderTest(index.name, counted), domain)
+        assert set(row) == {a.value for a in AxiomId} and None not in row.values()
+        assert all(calls[v] == 1 for v in domain.vectors), index.name
 
 
 def test_uniform_increment_dp_agrees_with_search_for_rec():

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recindex.axioms import build_domain
 from recindex.cli import main
+from recindex.enumeration import DomainSpec, count_vectors
 
 TRIO = (
     "grace," + ",".join(["10"] * 10) + "\n"
@@ -323,6 +325,15 @@ def test_axioms_sampled_mode_is_labelled():
     assert code in (0, 2)
     assert "sampled, non-exhaustive" in text.splitlines()[0]
     assert any("n/a" in line for line in text.splitlines())  # refused UI cells
+
+
+def test_axioms_sampled_domain_line_counts_the_scanned_vectors():
+    code, text = run_cli("axioms", "--n-max", "40", "--c-max", "40", "--seed", "7", "--sample-size", "60")
+    scanned = len(build_domain(DomainSpec(40, 40, seed=7), 60).vectors)
+    assert code in (0, 2)
+    assert text.splitlines()[0] == (
+        f"domain: n_max=40 c_max=40 (sampled, non-exhaustive, {scanned} of {count_vectors(40, 40)} vectors)"
+    )
 
 
 def test_axioms_sample_size_below_1_exits_1(capsys):
