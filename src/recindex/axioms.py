@@ -250,11 +250,12 @@ class _Session:
     """The checks of one index over one domain, reading shared value tables.
 
     ``values[i]`` is f of the vector with id i, ``uniform_rows[j - 1][c - 1]``
-    is f of ``(c,) * j``, and ``images(transform, param)`` lists f of every
-    vector's image by id.  Each table is built on first use: a vector of
-    the domain reads ``values`` by id, any other is evaluated into the
-    table that needs it and never kept as a key.  A session is opened for
-    one index and dropped with it, so nothing is shared between indices.
+    is f of ``(c,) * j``, and an image table, kept per (transform, param),
+    lists f of every vector's image by id.  Each table is built on first
+    use: a vector of the domain reads ``values`` by id, any other is
+    evaluated into the table that needs it and never kept as a key.  A
+    session is opened for one index and dropped with it, so nothing is
+    shared between indices.
     """
 
     def __init__(self, index: IndexUnderTest, domain: Domain) -> None:
@@ -270,24 +271,41 @@ class _Session:
         i = self.domain.ids.get(v)
         return self.index.evaluate(v) if i is None else self.values[i]
 
+    def _f_all(self, vectors: Iterable[Vector]) -> list:
+        get, values, evaluate = self.domain.ids.get, self.values, self.index.evaluate
+        return [evaluate(w) if (i := get(w)) is None else values[i] for w in vectors]
+
     @cached_property
     def uniform_rows(self) -> list[list]:
-        spec, f = self.domain.spec, self.f
-        return [[f((c,) * j) for c in range(1, spec.c_max + 1)] for j in range(1, spec.n_max + 1)]
+        spec = self.domain.spec
+        return [self._f_all((c,) * j for c in range(1, spec.c_max + 1)) for j in range(1, spec.n_max + 1)]
 
     def uniform(self, u: Vector):
         """f of a uniform vector of the box."""
         return self.uniform_rows[len(u) - 1][u[0] - 1] if u else self.values[0]
 
     def images(self, transform: Callable[[Vector, int], Vector], param: int) -> list:
+        """The image table of one param, built whole."""
         key = (transform, param)
         if key not in self._images:
-            get, values, evaluate = self.domain.ids.get, self.values, self.index.evaluate
-            self._images[key] = [
-                evaluate(w) if (i := get(w)) is None else values[i]
-                for w in map(transform, self.domain.vectors, repeat(param))
-            ]
+            self._images[key] = self._f_all(map(transform, self.domain.vectors, repeat(param)))
         return self._images[key]
+
+    def image_rows(self, transform: Callable[[Vector, int], Vector], params: range):
+        """Yield ``(x, f(x), images)`` by id, ``images[k]`` being f of
+        ``transform(x, params[k])``.
+
+        The image tables are filled as the walk goes and kept for
+        ``images`` only when it ends, so a scan that stops at an early
+        witness evaluates no image past it.
+        """
+        tables: list[list] = [[] for _ in params]
+        for x, fx in zip(self.domain.vectors, self.values):
+            row = self._f_all(map(transform, repeat(x), params))
+            for table, value in zip(tables, row):
+                table.append(value)
+            yield x, fx, row
+        self._images.update(((transform, param), table) for param, table in zip(params, tables))
 
 
 @dataclass(frozen=True)
@@ -434,12 +452,10 @@ def _domination_axiom(description: str, violates, edge_holds, pair_breaks) -> Ax
 
 
 def _scale_candidates(s: _Session):
-    factors = range(1, s.domain.spec.c_max + 1)
-    # scale(x, 1) is x
-    tables = [s.values] + [s.images(scale, factor) for factor in factors[1:]]
+    factors = range(2, s.domain.spec.c_max + 1)  # scale(x, 1) is x
     return (
         (x, factor)
-        for x, fx, *scaled in zip(s.domain.vectors, s.values, *tables)
+        for x, fx, scaled in s.image_rows(scale, factors)
         for factor, fs in zip(factors, scaled)
         if abs(fs - factor * fx) > TOLERANCE
     )
@@ -638,16 +654,6 @@ def _verdict(index: str, axiom: str, domain: Domain, counterexample: dict | None
     )
 
 
-def _open_session(
-    index: IndexUnderTest, domain: Domain | DomainSpec | tuple[int, int], sample_size: int, session: _Session | None
-) -> _Session:
-    if session is None:
-        return _Session(index, _as_domain(domain, sample_size))
-    if session.index is not index or session.domain is not domain:
-        raise ValueError(f"the session was opened for {session.index.name!r} on another domain")
-    return session
-
-
 def check_axiom(
     index: IndexUnderTest,
     axiom: AxiomId | str,
@@ -665,14 +671,12 @@ def check_axiom(
     shares the value tables of the index's other checks.
     """
     axiom = AxiomId(axiom)
-    session = _open_session(index, domain, sample_size, session)
+    session = session or _Session(index, _as_domain(domain, sample_size))
     return _verdict(index.name, axiom.value, session.domain, _first_witness(AXIOMS[axiom], session))
 
 
-def check_index(
-    index: IndexUnderTest, domain: Domain, axioms: Iterable[AxiomId] = tuple(AxiomId)
-) -> dict[str, AxiomVerdict | None]:
-    """Check each axiom for one index, evaluating the index once per vector.
+def check_index(index: IndexUnderTest, domain: Domain) -> dict[str, AxiomVerdict | None]:
+    """Check every axiom for one index, evaluating the index once per vector.
 
     Every check reads one session's value tables, which are dropped on
     return.  An axiom that needs an exhaustive domain maps to None on a
@@ -680,7 +684,7 @@ def check_index(
     """
     session = _Session(index, domain)
     row: dict[str, AxiomVerdict | None] = {}
-    for axiom in axioms:
+    for axiom in AxiomId:
         try:
             row[axiom.value] = check_axiom(index, axiom, domain, session=session)
         except DomainBudgetError:
@@ -742,7 +746,13 @@ def independence_matrix(
 ) -> dict[str, dict[str, AxiomVerdict]]:
     """Check M, UC and UE for every registry index over one domain."""
     domain = _as_domain(domain, sample_size)
-    return {index.name: check_index(index, domain, INDEPENDENCE_AXIOMS) for index in counterexample_registry()}
+    matrix: dict[str, dict[str, AxiomVerdict]] = {}
+    for index in counterexample_registry():
+        matrix[index.name] = {
+            axiom.value: check_axiom(index, axiom, domain)
+            for axiom in INDEPENDENCE_AXIOMS
+        }
+    return matrix
 
 
 def pattern_mismatches(
@@ -762,12 +772,7 @@ def pattern_mismatches(
 def chi_increment_bound(
     domain: Domain | DomainSpec | tuple[int, int],
     sample_size: int = DEFAULT_SAMPLE_SIZE,
-    *,
-    session: _Session | None = None,
 ) -> AxiomVerdict:
-    """Verify chi grows by at most 1 under any single added citation.
-
-    ``session`` may be one opened for ``CHI`` on this ``Domain``.
-    """
-    session = _open_session(CHI, domain, sample_size, session)
-    return _verdict("chi", "CHI_STEP_BOUND", session.domain, _first_witness(_CHI_STEP, session))
+    """Verify chi grows by at most 1 under any single added citation."""
+    domain = _as_domain(domain, sample_size)
+    return _verdict("chi", "CHI_STEP_BOUND", domain, _first_witness(_CHI_STEP, _Session(CHI, domain)))

@@ -404,20 +404,23 @@ def test_one_session_gives_the_single_cell_verdicts(domain_name):
                 continue
             shared = check_axiom(index, axiom, domain, session=session)
             assert shared == check_axiom(index, axiom, domain), (index.name, axiom)
-        if index is CHI:
-            assert chi_increment_bound(domain, session=session) == chi_increment_bound(domain)
     row = check_index(REC, domain)
     assert row == {a.value: None if row[a.value] is None else check_axiom(REC, a, domain) for a in AxiomId}
 
 
-def test_a_session_serves_only_its_index_and_domain():
-    domain = ORACLE_DOMAINS["4x4"]
-    with pytest.raises(ValueError, match="session"):
-        check_axiom(REC, "M", domain, session=_Session(H, domain))
-    with pytest.raises(ValueError, match="session"):
-        check_axiom(REC, "M", build_domain(DomainSpec(4, 4)), session=_Session(REC, domain))
-    with pytest.raises(ValueError, match="session"):
-        chi_increment_bound(domain, session=_Session(REC, domain))
+def test_a_failing_scale_scan_stops_at_its_witness():
+    # Only the images of vectors up to the witness's are evaluated.
+    domain = ORACLE_DOMAINS["5x5"]
+    calls: Counter = Counter()
+
+    def counted(v):
+        calls[v] += 1
+        return H.evaluate(v)
+
+    verdict = check_axiom(IndexUnderTest("h", counted), "SI", domain)
+    assert not verdict.ok
+    images = (domain.spec.c_max - 1) * (domain.ids[verdict.counterexample["x"]] + 1)
+    assert sum(calls.values()) <= len(domain.vectors) + images + 1
 
 
 @pytest.mark.parametrize("bounds", [(4, 4), (5, 5)])
