@@ -3,8 +3,9 @@
 Each axiom id names one entry of ``AXIOMS``: a description, the
 candidates the axiom draws from a domain, and one predicate that turns a
 violating candidate into its witness.  A scan returns the first witness
-in canonical enumeration order; replaying a stored witness runs the same
-predicate on it, independently of the scan that found it.
+in the domain's order: canonical order for an enumerated box, draw order
+for a sample.  Replaying a stored witness runs the same predicate on it,
+independently of the scan that found it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .core import (
     dominates,
     h_index,
     is_uniform,
-    make_vector,
     rec,
     scale,
     valid_positions,
@@ -39,6 +39,7 @@ from .enumeration import (
     EXHAUSTIVE_BUDGET,
     DomainBudgetError,
     DomainSpec,
+    canonical_key,
     count_vectors,
     enumerate_uniform_dominated,
     enumerate_vectors,
@@ -189,9 +190,10 @@ class Domain:
     """One scan domain, built once and shared by every check over it.
 
     ``vectors`` is the whole box in canonical order when ``exhaustive``,
-    else a seeded sample; a vector's id is its position there, and ``ids``
-    maps each vector to its id.  The empty vector has id 0.  ``uniforms``
-    holds every uniform vector of the box in canonical order.
+    else a seeded sample in draw order; a vector's id is its position
+    there, and ``ids`` maps each vector to its id.  The empty vector has
+    id 0.  ``uniforms`` holds every uniform vector of the box in canonical
+    order.
     The one-citation steps of an exhaustive box are the id pairs
     ``(step_lower[s], step_upper[s])``: the upper vector adds one citation
     to the lower one and stays in the box.  They are listed by ascending
@@ -221,7 +223,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     else:
         vectors, exhaustive = sample_vectors(spec, sample_size), False
     uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
-    uniforms.sort(key=lambda v: (citation_count(v), len(v), v))
+    uniforms.sort(key=canonical_key)
     ids = {v: i for i, v in enumerate(vectors)}
     step_lower, step_upper = array("i"), array("i")
     if exhaustive:
@@ -312,7 +314,7 @@ class _Session:
 class Axiom:
     """One checkable property, stated once for the scan and for replay.
 
-    ``candidates(session)`` yields, in canonical order, tuples of the
+    ``candidates(session)`` yields, in the domain's order, tuples of the
     witness values named by ``keys``; it may skip candidates that cannot
     violate the property, which it decides from the session's tables.
     ``violates(f, *candidate)`` returns the witness a violating
@@ -550,7 +552,7 @@ def _uniform_monotonicity_candidates(s: _Session):
 
 
 def _add_publication(x: Vector, citations: int) -> Vector:
-    return make_vector(x + (citations,))
+    return tuple(sorted(x + (citations,), reverse=True))
 
 
 def _unreachable_targets(s: _Session):
@@ -664,9 +666,9 @@ def check_axiom(
 ) -> AxiomVerdict:
     """Scan one axiom for one index over a finite domain.
 
-    Returns a verdict whose counterexample, if any, is the first in
-    canonical enumeration order and replays independently.  A ``Domain``
-    is used as built; ``sample_size`` only applies when one is built here.
+    Returns a verdict whose counterexample, if any, is the first in the
+    domain's order and replays independently.  A ``Domain`` is used as
+    built; ``sample_size`` only applies when one is built here.
     ``session``, opened by ``check_index`` for this index and ``Domain``,
     shares the value tables of the index's other checks.
     """

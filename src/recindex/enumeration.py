@@ -2,16 +2,17 @@
 
 A domain is the set of all citation vectors with at most ``n_max``
 publications and at most ``c_max`` citations each, plus the empty vector.
-Enumeration follows a fixed canonical order (total citations, then
-length, then entries) so that every scan in the package is deterministic
-and "first counterexample" is well defined.
+Enumeration follows the fixed order of ``canonical_key`` so that every
+scan of an enumerated box is deterministic and "first counterexample" is
+well defined.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 from typing import Iterator
 
 from .core import Vector, citation_count, make_vector
@@ -40,35 +41,22 @@ class DomainSpec:
             raise ValueError(f"domain bounds must be >= 1, got {self.n_max}x{self.c_max}")
 
 
-@lru_cache(maxsize=None)
+def canonical_key(v: Vector) -> tuple:
+    """The canonical order of vectors: total citations, then length, then entries."""
+    return citation_count(v), len(v), v
+
+
 def count_vectors(n_max: int, c_max: int) -> int:
-    """Number of domain vectors, counted by an independent recursion.
-
-    Vectors are grouped by their first entry f; the remainder is a vector
-    with at most n_max - 1 entries each at most f.  This never touches the
-    enumeration generator, so the two can cross-check each other.
-    """
-    if n_max == 0:
-        return 1
-    return sum(count_vectors(n_max - 1, first) for first in range(c_max + 1))
-
-
-def _partitions(total: int, max_part: int, max_len: int) -> Iterator[Vector]:
-    if total == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first, max_len - 1):
-            yield (first, *rest)
+    """Number of domain vectors: the multisets of at most n_max counts from 1..c_max."""
+    return math.comb(n_max + c_max, n_max)
 
 
 def enumerate_vectors(spec: DomainSpec) -> Iterator[Vector]:
-    """All domain vectors in canonical order (total, length, entries).
+    """All domain vectors in canonical order.
 
-    Refuses domains above EXHAUSTIVE_BUDGET outright rather than
-    truncating.
+    The vectors of length n are the n-multisets of 1..c_max, each drawn
+    in descending order.  Refuses domains above EXHAUSTIVE_BUDGET
+    outright rather than truncating.
     """
     size = count_vectors(spec.n_max, spec.c_max)
     if size > EXHAUSTIVE_BUDGET:
@@ -76,8 +64,9 @@ def enumerate_vectors(spec: DomainSpec) -> Iterator[Vector]:
             f"domain {spec.n_max}x{spec.c_max} holds {size} vectors, "
             f"above the exhaustive budget of {EXHAUSTIVE_BUDGET}"
         )
-    for total in range(spec.n_max * spec.c_max + 1):
-        yield from sorted(_partitions(total, spec.c_max, spec.n_max), key=lambda v: (len(v), v))
+    counts = range(spec.c_max, 0, -1)
+    vectors = chain.from_iterable(combinations_with_replacement(counts, n) for n in range(spec.n_max + 1))
+    yield from sorted(vectors, key=canonical_key)
 
 
 def sample_vectors(spec: DomainSpec, size: int = DEFAULT_SAMPLE_SIZE) -> list[Vector]:

@@ -24,6 +24,7 @@ from .core import (
     rec_index,
     valid_positions,
 )
+from .enumeration import canonical_key
 
 FOUND = "found"
 ABSENT = "absent"
@@ -193,7 +194,7 @@ def search_incremental(target: Vector, f, budget: int | None = None) -> SearchOu
 
     def extensions(v: Vector) -> list[Vector]:
         out = [add_citation_at(v, k) for k in valid_positions(v)]
-        return sorted((w for w in out if dominates(w, target)), key=lambda w: (len(w), w))
+        return sorted((w for w in out if dominates(w, target)), key=canonical_key)
 
     def dfs(v: Vector, fv: float) -> bool:
         nonlocal expansions

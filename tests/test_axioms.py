@@ -6,7 +6,9 @@ import random
 from collections import Counter
 from itertools import combinations, product
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from recindex import sequences
 from recindex.axioms import (
@@ -20,6 +22,7 @@ from recindex.axioms import (
     CITATION_COUNT,
     CHI,
     H,
+    INDEPENDENCE_AXIOMS,
     REC,
     _Session,
     check_axiom,
@@ -32,7 +35,7 @@ from recindex.axioms import (
     pattern_mismatches,
     replay_counterexample,
 )
-from recindex.core import TOLERANCE, citation_count, dominates, scale
+from recindex.core import TOLERANCE, citation_count, dominates, is_uniform, rec, scale
 from recindex.enumeration import DomainBudgetError, DomainSpec, enumerate_vectors
 
 DOMAIN = (4, 4)
@@ -458,6 +461,93 @@ def test_uniform_increment_target_is_the_first_the_search_refutes(bounds):
             assert verdict.ok, index.name
         else:
             assert verdict.counterexample["target"] == first, index.name
+
+
+# ---------------------------------------------------------------------------
+# the paper's characterisation of rec as an oracle
+# ---------------------------------------------------------------------------
+
+#: Every box up to 4x4.  A box is closed under domination, so the proof
+#: that M, UC and UE characterise rec runs on the box alone.
+SMALL_BOXES = {(n, c): build_domain(DomainSpec(n, c)) for n in range(1, 5) for c in range(1, 5)}
+
+#: Shifts within, just past and well past TOLERANCE; 0 first, as the simplest.
+_FINE = [0.0, 0.6 * TOLERANCE, -0.6 * TOLERANCE, 1.5 * TOLERANCE, -1.5 * TOLERANCE]
+_COARSE = [0.0, 1.0, -1.0, 0.5, -0.5]
+
+
+def _box_table_index(domain, table) -> IndexUnderTest:
+    """f read from a table by vector id; any vector outside the box raises."""
+    return make_index("box_table", dict(zip(domain.vectors, table)).__getitem__)
+
+
+def _same_rec_above(domain, v) -> list[int]:
+    """Ids of v and of the box vectors above it that share its rec."""
+    return [i for i, w in enumerate(domain.vectors) if rec(w) == rec(v) and dominates(v, w)]
+
+
+@st.composite
+def proof_chains(draw):
+    """Where to move rec on a box: at a vector x, at a heaviest uniform u
+    under x and at one more vector w by a shift of its own, each with the
+    vectors above it that share its rec; then whether to pin and whether
+    to make the table monotone."""
+    domain = SMALL_BOXES[draw(st.sampled_from([(n, c) for n in range(2, 5) for c in range(2, 5)]))]
+    vectors = domain.vectors
+    x = vectors[draw(st.integers(1, len(vectors) - 1))]
+    u = draw(st.sampled_from([w for w in domain.uniforms if dominates(w, x) and citation_count(w) == rec(x)]))
+    w = vectors[draw(st.integers(1, len(vectors) - 1))]
+    other = (_same_rec_above(domain, w), draw(st.sampled_from(_COARSE)))
+    pin, monotone = draw(st.booleans()), draw(st.booleans())
+    return domain, _same_rec_above(domain, u), _same_rec_above(domain, x), other, pin, monotone
+
+
+def _moved_rec(domain, moves, pin: bool, monotone: bool) -> list[float]:
+    """rec on the box moved by ``(ids, shift)`` pairs, then perhaps pinned
+    to the citation count on the uniforms, then perhaps made monotone."""
+    table = [float(rec(v)) for v in domain.vectors]
+    for ids, shift in moves:
+        for i in ids:
+            table[i] += shift
+    if pin:
+        for i, v in enumerate(domain.vectors):
+            if is_uniform(v):
+                table[i] = float(citation_count(v))
+    if monotone:
+        # Steps come by ascending lower id, so each value is final before
+        # it is passed up; the table then never drops along a step.
+        for i, j in zip(domain.step_lower, domain.step_upper):
+            table[j] = max(table[j], table[i])
+    return table
+
+
+def _core_verdicts(index, domain) -> list[bool]:
+    """M, UC and UE, each checked alone and all three in one session."""
+    session = _Session(index, domain)
+    single = [check_axiom(index, axiom, domain).ok for axiom in INDEPENDENCE_AXIOMS]
+    shared = [check_axiom(index, axiom, domain, session=session).ok for axiom in INDEPENDENCE_AXIOMS]
+    assert single == shared
+    return single
+
+
+@settings(max_examples=200, deadline=None)
+@given(proof_chains())
+def test_m_uc_and_ue_pin_an_index_to_rec_on_the_box(chain):
+    # UE gives a uniform u under x with f(x) ~ f(u), and UC gives
+    # f(u) ~ |u| <= rec(x); M and UC at the heaviest uniform under x give
+    # f(x) >= rec(x) up to the tolerance.  Each ~ costs one TOLERANCE, so
+    # every pair of fine shifts at u and x is tried.
+    domain, u_ids, x_ids, other, pin, monotone = chain
+    for u_shift, x_shift in product(_FINE, repeat=2):
+        table = _moved_rec(domain, [(u_ids, u_shift), (x_ids, x_shift), other], pin, monotone)
+        if all(_core_verdicts(_box_table_index(domain, table), domain)):
+            assert all(abs(f - rec(v)) <= 2 * TOLERANCE for v, f in zip(domain.vectors, table)), (u_shift, x_shift)
+
+
+@pytest.mark.parametrize("bounds", sorted(SMALL_BOXES))
+def test_rec_read_from_its_box_passes_m_uc_and_ue(bounds):
+    domain = SMALL_BOXES[bounds]
+    assert all(_core_verdicts(_box_table_index(domain, list(map(rec, domain.vectors))), domain))
 
 
 # ---------------------------------------------------------------------------

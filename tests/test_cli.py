@@ -425,16 +425,16 @@ def test_closed_stdout_ends_quietly_with_exit_1():
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + pythonpath if pythonpath else "")}
     # 200 kB of output cannot fit in the pipe, so the writer meets the
     # closed end whatever the timing.
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "recindex", "conjugate", "100000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    assert proc.stdout.read(10) == b"1,1,1,1,1,"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        assert proc.stdout.read(10) == b"1,1,1,1,1,"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert err == b""
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given
 
@@ -42,10 +44,39 @@ def test_domain_sizes():
     assert count_vectors(3, 3) == 20
 
 
+@lru_cache(maxsize=None)
+def recursive_count(n_max: int, c_max: int) -> int:
+    """The counting oracle: vectors grouped by their first entry f, the
+    remainder being a vector of at most n_max - 1 entries each at most f."""
+    if n_max == 0:
+        return 1
+    return sum(recursive_count(n_max - 1, first) for first in range(c_max + 1))
+
+
+def _partitions(total: int, max_part: int, max_len: int):
+    if total == 0:
+        yield ()
+        return
+    if max_len == 0:
+        return
+    for first in range(min(total, max_part), 0, -1):
+        for rest in _partitions(total - first, first, max_len - 1):
+            yield (first, *rest)
+
+
+def partition_order(spec: DomainSpec):
+    """The enumeration oracle: the partitions of each total, each total
+    sorted by length and entries."""
+    for total in range(spec.n_max * spec.c_max + 1):
+        yield from sorted(_partitions(total, spec.c_max, spec.n_max), key=lambda v: (len(v), v))
+
+
 def test_enumeration_matches_recursive_counter_up_to_8x8():
     for n in range(1, 9):
         for c in range(1, 9):
-            assert len(list(enumerate_vectors(DomainSpec(n, c)))) == count_vectors(n, c)
+            spec = DomainSpec(n, c)
+            assert list(enumerate_vectors(spec)) == list(partition_order(spec)), spec
+            assert count_vectors(n, c) == recursive_count(n, c), spec
 
 
 def test_enumeration_is_canonical_and_deterministic():
@@ -116,6 +147,7 @@ def test_domain_steps_are_the_domination_pairs_one_citation_apart(bounds):
         for x, y in domination_pairs(domain.spec)
         if citation_count(y) == citation_count(x) + 1
     }
+    assert domain.uniforms == [v for v in domain.vectors if is_uniform(v)]
     steps = list(zip(domain.step_lower, domain.step_upper))
     assert len(steps) == len(oracle)
     assert set(steps) == oracle
