@@ -491,7 +491,8 @@ def proof_chains(draw):
     """Where to move rec on a box: at a vector x, at a heaviest uniform u
     under x and at one more vector w by a shift of its own, each with the
     vectors above it that share its rec; then whether to pin and whether
-    to make the table monotone."""
+    to make the table monotone.  A box of one row or one column holds
+    only uniforms, so x would be u."""
     domain = SMALL_BOXES[draw(st.sampled_from([(n, c) for n in range(2, 5) for c in range(2, 5)]))]
     vectors = domain.vectors
     x = vectors[draw(st.integers(1, len(vectors) - 1))]
