@@ -40,7 +40,6 @@ from .enumeration import (
     DomainBudgetError,
     DomainSpec,
     canonical_key,
-    count_vectors,
     enumerate_uniform_dominated,
     enumerate_vectors,
     sample_vectors,
@@ -210,17 +209,23 @@ class Domain:
 
 
 def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Domain:
-    """Enumerate the box, or sample it when it exceeds the exhaustive budget."""
-    size = count_vectors(spec.n_max, spec.c_max)
-    if size <= EXHAUSTIVE_BUDGET:
+    """Enumerate the box, or draw ``sample_size`` vectors from it when it
+    exceeds the exhaustive budget and ``spec`` has a seed.
+
+    This is the only scan function that reads a sample size.  A sampled
+    box still keeps every uniform vector, c_max * n_max * (n_max + 1) / 2
+    counts in all, so it is refused when those exceed the budget.
+    """
+    try:
         vectors, exhaustive = list(enumerate_vectors(spec)), True
-    elif spec.seed is None:
-        raise DomainBudgetError(
-            f"domain {spec.n_max}x{spec.c_max} holds {size} vectors, above the "
-            f"exhaustive budget of {EXHAUSTIVE_BUDGET}; supply a seed for a "
-            f"sampled (non-exhaustive) scan"
-        )
-    else:
+    except DomainBudgetError as exc:
+        if spec.seed is None:
+            raise DomainBudgetError(f"{exc}; supply a seed for a sampled (non-exhaustive) scan") from None
+        if spec.c_max * spec.n_max * (spec.n_max + 1) // 2 > EXHAUSTIVE_BUDGET:
+            raise DomainBudgetError(
+                f"the uniform vectors of domain {spec.n_max}x{spec.c_max} hold more counts "
+                f"than the budget of {EXHAUSTIVE_BUDGET}, even for a sampled scan"
+            ) from None
         vectors, exhaustive = sample_vectors(spec, sample_size), False
     uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
     uniforms.sort(key=canonical_key)
@@ -236,11 +241,11 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     return Domain(spec, vectors, exhaustive, uniforms, ids, step_lower, step_upper)
 
 
-def _as_domain(domain: Domain | DomainSpec | tuple[int, int], sample_size: int) -> Domain:
+def _as_domain(domain: Domain | DomainSpec | tuple[int, int]) -> Domain:
     if isinstance(domain, Domain):
         return domain
     spec = domain if isinstance(domain, DomainSpec) else DomainSpec(*domain)
-    return build_domain(spec, sample_size)
+    return build_domain(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +665,6 @@ def check_axiom(
     index: IndexUnderTest,
     axiom: AxiomId | str,
     domain: Domain | DomainSpec | tuple[int, int],
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
     *,
     session: _Session | None = None,
 ) -> AxiomVerdict:
@@ -668,12 +672,12 @@ def check_axiom(
 
     Returns a verdict whose counterexample, if any, is the first in the
     domain's order and replays independently.  A ``Domain`` is used as
-    built; ``sample_size`` only applies when one is built here.
-    ``session``, opened by ``check_index`` for this index and ``Domain``,
-    shares the value tables of the index's other checks.
+    built; a spec is built with the default sample size.  ``session``,
+    opened by ``check_index`` for this index and ``Domain``, shares the
+    value tables of the index's other checks.
     """
     axiom = AxiomId(axiom)
-    session = session or _Session(index, _as_domain(domain, sample_size))
+    session = session or _Session(index, _as_domain(domain))
     return _verdict(index.name, axiom.value, session.domain, _first_witness(AXIOMS[axiom], session))
 
 
@@ -742,12 +746,9 @@ def expected_independence_pattern() -> dict[str, dict[str, str]]:
     return rows
 
 
-def independence_matrix(
-    domain: Domain | DomainSpec | tuple[int, int],
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-) -> dict[str, dict[str, AxiomVerdict]]:
+def independence_matrix(domain: Domain | DomainSpec | tuple[int, int]) -> dict[str, dict[str, AxiomVerdict]]:
     """Check M, UC and UE for every registry index over one domain."""
-    domain = _as_domain(domain, sample_size)
+    domain = _as_domain(domain)
     matrix: dict[str, dict[str, AxiomVerdict]] = {}
     for index in counterexample_registry():
         matrix[index.name] = {
@@ -771,10 +772,7 @@ def pattern_mismatches(
     return out
 
 
-def chi_increment_bound(
-    domain: Domain | DomainSpec | tuple[int, int],
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-) -> AxiomVerdict:
+def chi_increment_bound(domain: Domain | DomainSpec | tuple[int, int]) -> AxiomVerdict:
     """Verify chi grows by at most 1 under any single added citation."""
-    domain = _as_domain(domain, sample_size)
+    domain = _as_domain(domain)
     return _verdict("chi", "CHI_STEP_BOUND", domain, _first_witness(_CHI_STEP, _Session(CHI, domain)))

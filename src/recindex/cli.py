@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 
 from . import axioms as ax
 from . import sequences as seq
-from .core import Vector, conjugate, make_vector, rec
-from .enumeration import DomainBudgetError, DomainSpec, count_vectors
+from .core import Vector, citation_count, conjugate, make_vector, rec
+from .enumeration import DEFAULT_SAMPLE_SIZE, DomainBudgetError, DomainSpec, count_vectors
 from .ingest import (
     RANKABLE_COLUMNS,
     DatasetError,
@@ -33,8 +33,9 @@ EXIT_VALIDATION = 1
 EXIT_PATTERN_MISMATCH = 2
 EXIT_BUDGET = 3
 
-#: The conjugate has x_1 entries; ``conjugate`` refuses vectors with more.
-CONJUGATE_LIMIT = 10**7
+#: Most vector entries one command builds: the conjugate has x_1 of them,
+#: a sequence up to (citation_count(x) + 1) * len(x).
+ENTRY_LIMIT = 10**7
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved here, so remap.
@@ -160,8 +161,8 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_conjugate(args, out) -> int:
     x = _parse_vector_literal(args.vector)
-    if x and x[0] > CONJUGATE_LIMIT:
-        raise ValueError(f"x_1 = {x[0]} exceeds the limit of {CONJUGATE_LIMIT} entries for a conjugate")
+    if x and x[0] > ENTRY_LIMIT:
+        raise ValueError(f"x_1 = {x[0]} exceeds the limit of {ENTRY_LIMIT} entries for a conjugate")
     p = conjugate(x)
     if args.format == "jsonl":
         print(json.dumps({"vector": list(x), "conjugate": list(p)}), file=out)
@@ -172,6 +173,8 @@ def _cmd_conjugate(args, out) -> int:
 
 def _cmd_sequence(args, out) -> int:
     target = _parse_vector_literal(args.vector)
+    if (citation_count(target) + 1) * len(target) > ENTRY_LIMIT:
+        raise ValueError(f"a sequence to this target exceeds the limit of {ENTRY_LIMIT} entries")
     steps = seq.build_rec_incremental(target).steps
     rec_values = [rec(step) for step in steps]
     if args.format == "jsonl":
@@ -316,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=6, help="max publications (default 6)")
     p.add_argument("--c-max", type=int, default=6, help="max citations per publication (default 6)")
     p.add_argument("--seed", type=int, default=None, help="sample over-budget domains with this seed")
-    p.add_argument("--sample-size", type=int, default=500, help="vectors drawn in sampled mode")
+    p.add_argument("--sample-size", type=int, default=DEFAULT_SAMPLE_SIZE, help="vectors drawn in sampled mode")
     p.set_defaults(func=_cmd_axioms)
 
     p = sub.add_parser("sequence", help="rec-incremental constructive sequence for a vector")

@@ -56,13 +56,13 @@ def enumerate_vectors(spec: DomainSpec) -> Iterator[Vector]:
 
     The vectors of length n are the n-multisets of 1..c_max, each drawn
     in descending order.  Refuses domains above EXHAUSTIVE_BUDGET
-    outright rather than truncating.
+    outright rather than truncating; this is the one place that compares
+    the size of a box with the budget.
     """
-    size = count_vectors(spec.n_max, spec.c_max)
-    if size > EXHAUSTIVE_BUDGET:
+    if count_vectors(spec.n_max, spec.c_max) > EXHAUSTIVE_BUDGET:
+        # The count itself can run past the 4300 digits that str() allows.
         raise DomainBudgetError(
-            f"domain {spec.n_max}x{spec.c_max} holds {size} vectors, "
-            f"above the exhaustive budget of {EXHAUSTIVE_BUDGET}"
+            f"domain {spec.n_max}x{spec.c_max} holds more vectors than the exhaustive budget of {EXHAUSTIVE_BUDGET}"
         )
     counts = range(spec.c_max, 0, -1)
     vectors = chain.from_iterable(combinations_with_replacement(counts, n) for n in range(spec.n_max + 1))

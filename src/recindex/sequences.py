@@ -61,11 +61,6 @@ class SearchOutcome:
     expansions: int = 0
 
 
-def _evaluator(f) -> Callable[[Vector], float]:
-    # accepts either a bare callable or an index object with .evaluate
-    return getattr(f, "evaluate", f)
-
-
 def is_constructive(steps: Sequence[Iterable[int]], target: Iterable[int]) -> bool:
     """Verify every structural requirement of a constructive sequence."""
     seq = [tuple(s) for s in steps]
@@ -82,7 +77,7 @@ def is_constructive(steps: Sequence[Iterable[int]], target: Iterable[int]) -> bo
     return True
 
 
-def is_f_incremental(seq: ConstructiveSequence, f) -> IncrementalCheck:
+def is_f_incremental(seq: ConstructiveSequence, f: Callable[[Vector], float]) -> IncrementalCheck:
     """Check that every strict f increase along seq lands on a uniform vector.
 
     Rejects sequences that are not constructive.  On failure the 0-based
@@ -90,10 +85,9 @@ def is_f_incremental(seq: ConstructiveSequence, f) -> IncrementalCheck:
     """
     if not is_constructive(seq.steps, seq.target):
         raise ValueError("sequence is not constructive")
-    evaluate = _evaluator(f)
-    previous = evaluate(seq.steps[0])
+    previous = f(seq.steps[0])
     for i, step in enumerate(seq.steps[1:], 1):
-        current = evaluate(step)
+        current = f(step)
         if current > previous + TOLERANCE and not is_uniform(step):
             return IncrementalCheck(False, i)
         previous = current
@@ -170,7 +164,7 @@ def build_rec_incremental(target: Vector) -> ConstructiveSequence:
 # ---------------------------------------------------------------------------
 
 
-def search_incremental(target: Vector, f, budget: int | None = None) -> SearchOutcome:
+def search_incremental(target: Vector, f: Callable[[Vector], float], budget: int | None = None) -> SearchOutcome:
     """Search for an f-incremental constructive sequence to the target.
 
     Depth-first over single-citation extensions in canonical order, with
@@ -180,7 +174,6 @@ def search_incremental(target: Vector, f, budget: int | None = None) -> SearchOu
     yields an indeterminate outcome, which is distinct from a proven
     absence.
     """
-    evaluate = _evaluator(f)
     needed = citation_count(target) + 1
     if budget is not None and budget < needed:
         raise ValueError(f"budget {budget} cannot cover the {needed} steps to {target}")
@@ -206,7 +199,7 @@ def search_incremental(target: Vector, f, budget: int | None = None) -> SearchOu
         for w in extensions(v):
             if w in dead:
                 continue
-            fw = evaluate(w)
+            fw = f(w)
             if fw > fv + TOLERANCE and not is_uniform(w):
                 continue
             path.append(w)
@@ -217,7 +210,7 @@ def search_incremental(target: Vector, f, budget: int | None = None) -> SearchOu
         return False
 
     try:
-        found = dfs((), evaluate(()))
+        found = dfs((), f(()))
     except _Exhausted:
         return SearchOutcome(INDETERMINATE, None, expansions)
     if not found:

@@ -563,11 +563,18 @@ def test_oversized_domain_requires_a_seed():
 
 def test_sampled_scan_is_labelled_and_deterministic():
     spec = DomainSpec(40, 40, seed=11)
-    first = check_axiom(REC, "M", spec, sample_size=60)
-    second = check_axiom(REC, "M", spec, sample_size=60)
+    first = check_axiom(REC, "M", build_domain(spec, 60))
+    second = check_axiom(REC, "M", build_domain(spec, 60))
     assert first == second
     assert first.exhaustive is False
     assert first.ok
+
+
+def test_sampled_domain_whose_uniforms_exceed_the_budget_is_refused():
+    # 300x300 keeps 300 * 300 * 301 / 2 = 13,545,000 uniform counts for
+    # any sample; the refusal comes before anything is drawn or built.
+    with pytest.raises(DomainBudgetError, match="uniform vectors of domain 300x300"):
+        build_domain(DomainSpec(300, 300, seed=1), 5)
 
 
 def test_uniform_increment_refuses_sampled_domains():

@@ -260,6 +260,14 @@ def test_conjugate_refuses_vectors_past_the_size_limit(capsys, x1):
     assert f"x_1 = {x1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["10000000", "4999999,1"])
+def test_sequence_refuses_targets_past_the_entry_limit(capsys, target):
+    # (citation_count + 1) * len is 10^7 + 1 and 10^7 + 2: just past the limit.
+    code, text = run_cli("sequence", target)
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == "error: a sequence to this target exceeds the limit of 10000000 entries\n"
+
+
 # ---------------------------------------------------------------------------
 # axioms
 # ---------------------------------------------------------------------------
@@ -315,6 +323,15 @@ def test_axioms_oversized_domain_is_refused(capsys):
     assert text == ""
     err = capsys.readouterr().err
     assert err.startswith("refused:")
+    assert "seed" in err
+
+
+def test_axioms_refusal_of_a_huge_domain_names_the_bound_not_the_count(capsys):
+    # The box holds about 10^6019 vectors, past the 4300 digits str() allows.
+    code, text = run_cli("axioms", "--n-max", "10000", "--c-max", "10000")
+    assert (code, text) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("refused: domain 10000x10000 holds more vectors than the exhaustive budget of 10000000")
     assert "seed" in err
 
 
