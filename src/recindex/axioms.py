@@ -11,7 +11,7 @@ independently of the scan that found it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -206,6 +206,15 @@ class Domain:
     ids: dict[Vector, int]
     step_lower: array
     step_upper: array
+    _id_maps: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def image_ids(self, transform: Callable[..., Vector], *params: int) -> array:
+        """By id, the id of ``transform(v, *params)``, -1 outside the domain; kept, as it holds no f value."""
+        key = (transform, params)
+        if key not in self._id_maps:
+            images = map(transform, self.vectors, *map(repeat, params))
+            self._id_maps[key] = array("i", map(self.ids.get, images, repeat(-1)))
+        return self._id_maps[key]
 
 
 def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Domain:
@@ -257,17 +266,17 @@ class _Session:
     """The checks of one index over one domain, reading shared value tables.
 
     ``values[i]`` is f of the vector with id i, ``uniform_rows[j - 1][c - 1]``
-    is f of ``(c,) * j``, and an image table, kept per (transform, param),
-    lists f of every vector's image by id.  Each table is built on first
-    use: a vector of the domain reads ``values`` by id, any other is
-    evaluated into the table that needs it and never kept as a key.  A
-    session is opened for one index and dropped with it, so nothing is
-    shared between indices.
+    is f of ``(c,) * j``, and a scaled table, kept per factor, lists f of
+    every vector scaled by it, by id.  Each table is built on first use: a
+    vector of the domain reads ``values`` by id, any other is evaluated
+    into the table that needs it and never kept as a key.  A session is
+    opened for one index and dropped with it, so no f value is shared
+    between indices; only the domain's image ids are.
     """
 
     def __init__(self, index: IndexUnderTest, domain: Domain) -> None:
         self.index, self.domain = index, domain
-        self._images: dict = {}
+        self._scaled: dict[int, list] = {}
 
     @cached_property
     def values(self) -> list:
@@ -291,28 +300,30 @@ class _Session:
         """f of a uniform vector of the box."""
         return self.uniform_rows[len(u) - 1][u[0] - 1] if u else self.values[0]
 
-    def images(self, transform: Callable[[Vector, int], Vector], param: int) -> list:
-        """The image table of one param, built whole."""
-        key = (transform, param)
-        if key not in self._images:
-            self._images[key] = self._f_all(map(transform, self.domain.vectors, repeat(param)))
-        return self._images[key]
+    def published(self, c: int) -> list:
+        """f, by id, of each vector with a c-cited publication added; evaluates only images outside the domain."""
+        values, evaluate, ids = self.values, self.index.evaluate, self.domain.image_ids(_add_publication, c)
+        return [values[j] if j >= 0 else evaluate(_add_publication(x, c)) for x, j in zip(self.domain.vectors, ids)]
 
-    def image_rows(self, transform: Callable[[Vector, int], Vector], params: range):
-        """Yield ``(x, f(x), images)`` by id, ``images[k]`` being f of
-        ``transform(x, params[k])``.
+    def scaled(self, factor: int) -> list:
+        """The scaled table of one factor that SI left, else one built whole and not kept."""
+        return self._scaled.get(factor) or self._f_all(tuple(c * factor for c in x) for x in self.domain.vectors)
 
-        The image tables are filled as the walk goes and kept for
-        ``images`` only when it ends, so a scan that stops at an early
+    def scaled_rows(self, factors: range):
+        """Yield ``(x, f(x), row)`` by id, ``row[k]`` being f of x scaled by
+        ``factors[k]``.
+
+        The scaled tables are filled as the walk goes and kept for
+        ``scaled`` only when it ends, so a scan that stops at an early
         witness evaluates no image past it.
         """
-        tables: list[list] = [[] for _ in params]
+        tables: list[list] = [[] for _ in factors]
         for x, fx in zip(self.domain.vectors, self.values):
-            row = self._f_all(map(transform, repeat(x), params))
+            row = self._f_all(tuple(c * factor for c in x) for factor in factors)
             for table, value in zip(tables, row):
                 table.append(value)
             yield x, fx, row
-        self._images.update(((transform, param), table) for param, table in zip(params, tables))
+        self._scaled.update(zip(factors, tables))
 
 
 @dataclass(frozen=True)
@@ -345,10 +356,6 @@ def _first_witness(axiom: Axiom, session: _Session) -> dict | None:
         if witness is not None:
             return witness
     return None
-
-
-def _each_vector(s: _Session):
-    return ((x,) for x in s.domain.vectors)
 
 
 def _growth_steps(s: _Session):
@@ -462,7 +469,7 @@ def _scale_candidates(s: _Session):
     factors = range(2, s.domain.spec.c_max + 1)  # scale(x, 1) is x
     return (
         (x, factor)
-        for x, fx, scaled in s.image_rows(scale, factors)
+        for x, fx, scaled in s.scaled_rows(factors)
         for factor, fs in zip(factors, scaled)
         if abs(fs - factor * fx) > TOLERANCE
     )
@@ -488,7 +495,13 @@ def _flipped_pairs(before: list, after: list):
                 yield i, j
 
 
-def _rank_axiom(key: str, first: int, transform, description: str) -> Axiom:
+def _image_candidates(s: _Session, transform: Callable[[Vector], Vector], breaks: Callable[[float, float], bool]):
+    """``(x,)`` for each non-empty x whose image is outside the domain or whose values ``breaks(f(x), f(image))``."""
+    vectors, values, ids = s.domain.vectors, s.values, s.domain.image_ids(transform)
+    return ((vectors[i],) for i, j in enumerate(ids) if vectors[i] and (j < 0 or breaks(values[i], values[j])))
+
+
+def _rank_axiom(key: str, first: int, transform, table: Callable[[_Session, int], list], description: str) -> Axiom:
     def violates(f, x, y, param):
         before = [f(x), f(y)]
         after = [f(transform(x, param)), f(transform(y, param))]
@@ -511,7 +524,7 @@ def _rank_axiom(key: str, first: int, transform, description: str) -> Axiom:
                 blocks.append([i])
         separated = _blocks_stay_apart(blocks, values)
         for param in range(first, s.domain.spec.c_max + 1):
-            after = s.images(transform, param)
+            after = table(s, param)
             if not (separated and _blocks_stay_apart(blocks, after)):
                 yield from ((vectors[i], vectors[j], param) for i, j in _flipped_pairs(values, after))
 
@@ -526,11 +539,14 @@ def _citation_count_candidates(uniforms: Callable[[_Session], Iterable[Vector]])
 
 
 def _uniform_equivalence_candidates(s: _Session):
-    # The uniforms under x are () and (c,)*j for j <= len(x) and c <= x_j.
+    # The uniforms under x are () and (c,)*j for j <= len(x) and c <= x_j.  firsts[j - 1] maps each value of row
+    # j to its first c, so an exact match takes one lookup per j (NaN, which a dict finds by identity, is left
+    # out); only an x without one gets the tolerant scan.
     base, rows = s.values[0], s.uniform_rows
+    firsts = [{fu: c for c, fu in reversed(list(enumerate(row, 1))) if fu == fu} for row in rows]
 
     def matched(x, fx) -> bool:
-        return abs(base - fx) <= TOLERANCE or any(
+        return any(first.get(fx, c + 1) <= c for first, c in zip(firsts, x)) or abs(base - fx) <= TOLERANCE or any(
             abs(fu - fx) <= TOLERANCE for row, c in zip(rows, x) for fu in row[:c]
         )
 
@@ -603,7 +619,9 @@ AXIOMS: dict[AxiomId, Axiom] = {
     AxiomId.SCALE_INVARIANCE: Axiom(
         "scaling citations by C scales f by C", ("x", "factor"), _scale_candidates, _violates_si
     ),
-    AxiomId.SELF_CONJUGACY: Axiom("f is unchanged by conjugation", ("x",), _each_vector, _violates_sc),
+    AxiomId.SELF_CONJUGACY: Axiom(  # _sign is 0 exactly when two values are equal within TOLERANCE
+        "f is unchanged by conjugation", ("x",), lambda s: _image_candidates(s, conjugate, _sign), _violates_sc
+    ),
     AxiomId.RECTANGLE_COMPLETION: Axiom(
         "f(x + citation at k) = max(f(x), k * (x_k + 1))", ("x", "position"), _growth_steps, _violates_rc
     ),
@@ -620,7 +638,7 @@ AXIOMS: dict[AxiomId, Axiom] = {
         "one citation to every publication raises f",
         ("x",),
         # no publications means nothing receives a citation
-        lambda s: ((x,) for x in s.domain.vectors if x),
+        lambda s: _image_candidates(s, add_one_to_all, lambda fx, fg: fg <= fx + TOLERANCE),
         _violates_ci,
     ),
     AxiomId.UNIFORM_MONOTONICITY: Axiom(
@@ -639,9 +657,11 @@ AXIOMS: dict[AxiomId, Axiom] = {
         "an f-incremental constructive sequence exists", ("target",), _unreachable_targets, _violates_ui
     ),
     AxiomId.RANK_INDEPENDENCE: _rank_axiom(
-        "added_citations", 1, _add_publication, "adding the same new publication preserves ranking"
+        "added_citations", 1, _add_publication, _Session.published, "adding the same new publication preserves ranking"
     ),
-    AxiomId.RANK_SCALE_INVARIANCE: _rank_axiom("factor", 2, scale, "scaling both records preserves ranking"),
+    AxiomId.RANK_SCALE_INVARIANCE: _rank_axiom(
+        "factor", 2, scale, _Session.scaled, "scaling both records preserves ranking"
+    ),
 }
 
 _CHI_STEP = Axiom(

@@ -136,6 +136,12 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
         yield line_no, name, counts
 
 
+def _csv_vector(counts: list[int]) -> Vector:
+    """The vector of counts that ``int()`` made; only a negative one needs ``make_vector`` to name it."""
+    vector = tuple(sorted(filter(None, counts), reverse=True))
+    return make_vector(counts) if vector and vector[-1] < 0 else vector
+
+
 def _parse_jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
@@ -185,17 +191,18 @@ def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]
         else:
             stripped = text.lstrip()
             fmt = "jsonl" if stripped.startswith("{") else "csv"
-    readers = {"csv": _parse_csv_lines, "jsonl": _parse_jsonl_lines}
+    readers = {"csv": (_parse_csv_lines, _csv_vector), "jsonl": (_parse_jsonl_lines, make_vector)}
     if fmt not in readers:
         raise DatasetError(f"unknown dataset format {fmt!r}")
+    read, normalise = readers[fmt]
     records: list[ResearcherRecord] = []
     seen: dict[str, int] = {}
-    for line_no, name, raw in readers[fmt](text.splitlines()):
+    for line_no, name, raw in read(text.splitlines()):
         if name in seen:
             raise DatasetError(f"duplicate researcher id {name!r} on lines {seen[name]} and {line_no}")
         seen[name] = line_no
         try:
-            vector = make_vector(raw)
+            vector = normalise(raw)
         except ValueError as exc:
             raise DatasetError(f"line {line_no}: researcher {name!r}: {exc}") from None
         # n * x_1^2 bounds the sum in O(1); the exact sum runs only past it.

@@ -25,6 +25,7 @@ from recindex.axioms import (
     INDEPENDENCE_AXIOMS,
     REC,
     _Session,
+    _add_publication,
     check_axiom,
     check_index,
     chi_increment_bound,
@@ -35,7 +36,7 @@ from recindex.axioms import (
     pattern_mismatches,
     replay_counterexample,
 )
-from recindex.core import TOLERANCE, citation_count, dominates, is_uniform, rec, scale
+from recindex.core import TOLERANCE, add_one_to_all, citation_count, conjugate, dominates, is_uniform, rec, scale
 from recindex.enumeration import DomainBudgetError, DomainSpec, enumerate_vectors
 
 DOMAIN = (4, 4)
@@ -351,6 +352,9 @@ ADVERSARIAL = [
 ORACLE_DOMAINS = {
     "4x4": build_domain(DomainSpec(4, 4)),
     "5x5": build_domain(DomainSpec(5, 5)),
+    # some conjugates and add_one_to_all images of these leave the box
+    "3x7": build_domain(DomainSpec(3, 7)),
+    "7x3": build_domain(DomainSpec(7, 3)),
     # 14x14 is the smallest square box past the exhaustive budget, so
     # the smallest that build_domain samples
     **{f"14x14_seed{seed}": build_domain(DomainSpec(14, 14, seed=seed), sample_size=40) for seed in (1, 2, 3)},
@@ -364,8 +368,10 @@ def _naive_candidates(axiom: str, domain):
         return product(domain.uniforms, domain.vectors)
     if axiom == "SI":
         return product(domain.vectors, range(1, domain.spec.c_max + 1))
-    if axiom == "UE":
+    if axiom in ("UE", "SC"):
         return ((x,) for x in domain.vectors)
+    if axiom == "CI":
+        return ((x,) for x in domain.vectors if x)
     if axiom == "UC":
         return ((u,) for u in domain.uniforms)
     if axiom == "USC":
@@ -378,7 +384,7 @@ def _naive_candidates(axiom: str, domain):
     )
 
 
-@pytest.mark.parametrize("axiom", ["M", "SM", "UM", "RANK_IND", "RANK_SI", "SI", "UE", "UC", "USC"])
+@pytest.mark.parametrize("axiom", ["M", "SM", "UM", "RANK_IND", "RANK_SI", "SI", "UE", "UC", "USC", "SC", "CI"])
 @pytest.mark.parametrize("domain_name", list(ORACLE_DOMAINS))
 def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
     domain = ORACLE_DOMAINS[domain_name]
@@ -391,6 +397,24 @@ def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
             VIOLATED if naive is not None else SATISFIED,
             naive,
         ), index.name
+
+
+MAPPED_DOMAINS = [
+    *(build_domain(DomainSpec(n, c)) for n in range(1, 6) for c in range(1, 6)),
+    ORACLE_DOMAINS["3x7"],
+    ORACLE_DOMAINS["7x3"],
+    ORACLE_DOMAINS["14x14_seed1"],
+]
+
+
+@pytest.mark.parametrize("domain", MAPPED_DOMAINS, ids=lambda d: f"{d.spec.n_max}x{d.spec.c_max}")
+def test_image_ids_match_the_dict_lookup(domain):
+    maps = [(conjugate, ()), (add_one_to_all, ())]
+    maps += [(_add_publication, (c,)) for c in range(1, domain.spec.c_max + 1)]
+    for transform, params in maps:
+        expected = [domain.ids.get(transform(v, *params), -1) for v in domain.vectors]
+        assert list(domain.image_ids(transform, *params)) == expected, (transform.__name__, params)
+        assert domain.image_ids(transform, *params) is domain.image_ids(transform, *params)
 
 
 @pytest.mark.parametrize("domain_name", list(ORACLE_DOMAINS))

@@ -9,11 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import citation_vectors, wide_citation_vectors
-from recindex.core import aux_indices, chi_index, citation_count, h_index, rec, rec_index, rec_variants
+from recindex.core import aux_indices, chi_index, citation_count, h_index, make_vector, rec, rec_index, rec_variants
 from recindex.ingest import (
     DatasetError,
     RANKABLE_COLUMNS,
     ResearcherRecord,
+    _csv_vector,
     _parse_csv_lines,
     build_report,
     ceil_chi,
@@ -157,6 +158,20 @@ def test_csv_counts_match_the_per_cell_loop(cells):
     got = outcome(lambda: list(_parse_csv_lines([line])))
     expected = outcome(lambda: [(1, "r", loop_counts(cells, 1, "r"))])
     assert got == expected
+
+
+def _vector_or_error(normalise, counts):
+    try:
+        return normalise(list(counts))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(st.lists(st.integers(-3, 5), max_size=8))
+@example([3, 0, -2, -1])
+def test_csv_vector_matches_make_vector(counts):
+    # The CSV shortcut gives make_vector's vector, and its error word for word.
+    assert _vector_or_error(_csv_vector, counts) == _vector_or_error(make_vector, counts)
 
 
 def test_jsonl_parsing(jsonl_file):
