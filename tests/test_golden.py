@@ -25,8 +25,6 @@ DATA = Path(__file__).resolve().parent / "data"
     "recorded, argv, exit_code",
     [
         ("axioms_4x4.jsonl", ["axioms", "--n-max", "4", "--c-max", "4", "--format", "jsonl"], 2),
-        ("axioms_3x7.jsonl", ["axioms", "--n-max", "3", "--c-max", "7", "--format", "jsonl"], 2),
-        ("axioms_7x3.jsonl", ["axioms", "--n-max", "7", "--c-max", "3", "--format", "jsonl"], 2),
         ("axioms_6x6.txt", ["axioms"], 2),
         (
             "axioms_40x40_seed7_sample60.jsonl",
@@ -34,6 +32,8 @@ DATA = Path(__file__).resolve().parent / "data"
              "--format", "jsonl"],
             2,
         ),
+        ("axioms_3x7.jsonl", ["axioms", "--n-max", "3", "--c-max", "7", "--format", "jsonl"], 2),
+        ("axioms_7x3.jsonl", ["axioms", "--n-max", "7", "--c-max", "3", "--format", "jsonl"], 2),
     ],
 )
 def test_axioms_output_matches_recorded_run(recorded, argv, exit_code):
