@@ -779,17 +779,19 @@ def independence_matrix(domain: Domain | DomainSpec | tuple[int, int]) -> dict[s
 
 
 def pattern_mismatches(
-    matrix: dict[str, dict[str, AxiomVerdict]],
+    matrix: dict[str, dict[str, AxiomVerdict | None]],
 ) -> list[tuple[str, str, str, AxiomVerdict]]:
-    """Cells where the computed matrix disagrees with the documented pattern."""
-    expected = expected_independence_pattern()
-    out = []
-    for name, row in matrix.items():
-        for axiom, verdict in row.items():
-            want = expected[name][axiom]
-            if verdict.status != want:
-                out.append((name, axiom, want, verdict))
-    return out
+    """Cells where the computed matrix disagrees with the documented pattern.
+
+    Only the pattern's cells are read, so the full rows of ``check_index``
+    serve as they are.
+    """
+    return [
+        (name, axiom, want, matrix[name][axiom])
+        for name, cells in expected_independence_pattern().items()
+        for axiom, want in cells.items()
+        if matrix[name][axiom].status != want
+    ]
 
 
 def chi_increment_bound(domain: Domain | DomainSpec | tuple[int, int]) -> AxiomVerdict:

@@ -19,6 +19,7 @@ from . import sequences as seq
 from .core import Vector, citation_count, conjugate, make_vector, rec
 from .enumeration import DEFAULT_SAMPLE_SIZE, DomainBudgetError, DomainSpec, count_vectors
 from .ingest import (
+    CLASSIFICATIONS,
     RANKABLE_COLUMNS,
     DatasetError,
     build_report,
@@ -128,7 +129,7 @@ def _cmd_compute(args, out) -> int:
         row["chi"] = ceil_chi(r.rec) if args.ceil_chi else round(r.chi, 4)
         return row
 
-    _emit(out, args.format, ["id", *counts, "euclidean", "rec", "chi", *tail], map(json_row, report.rows))
+    _emit(out, args.format, ["id", *counts, "euclidean", "rec", "chi", *tail], map(json_row, report))
     return EXIT_OK
 
 
@@ -143,19 +144,25 @@ def _cmd_rank(args, out) -> int:
 def _cmd_classify(args, out) -> int:
     report = build_report(parse_dataset(args.dataset, args.input_format))
     columns = ["id", "rec", "rect_width", "classification"]
-    _emit(out, args.format, columns, ({c: getattr(r, c) for c in columns} for r in report.rows))
-    total = len(report.rows)
+    summary = dict.fromkeys(CLASSIFICATIONS, 0)
+
+    def counted(r) -> dict:
+        summary[r.classification] += 1
+        return {c: getattr(r, c) for c in columns}
+
+    _emit(out, args.format, columns, map(counted, report))
+    total = sum(summary.values())
     if args.format == "table":
         shares = ", ".join(
             f"{name} {count} ({100.0 * count / total if total else 0.0:.1f}%)"
-            for name, count in report.summary.items()
+            for name, count in summary.items()
         )
         print(f"classification summary: {shares}", file=out)
     elif args.format == "csv":
-        counts = " ".join(f"{k}={v}" for k, v in report.summary.items())
+        counts = " ".join(f"{k}={v}" for k, v in summary.items())
         print(f"# summary {counts} total={total}", file=out)
     else:
-        print(json.dumps({"summary": report.summary, "total": total}), file=out)
+        print(json.dumps({"summary": summary, "total": total}), file=out)
     return EXIT_OK
 
 
@@ -201,8 +208,16 @@ def _cmd_axioms(args, out) -> int:
     # One index at a time, so only one index's value tables are alive;
     # None marks a check that needs an exhaustive domain.
     full = {index.name: ax.check_index(index, domain) for index in ax.counterexample_registry()}
-    matrix = {name: {a.value: row[a.value] for a in ax.INDEPENDENCE_AXIOMS} for name, row in full.items()}
-    mismatches = ax.pattern_mismatches(matrix)
+    mismatches = [
+        {
+            "index": name,
+            "axiom": axiom,
+            "claimed": want,
+            "computed": verdict.status,
+            "counterexample": verdict.to_json()["counterexample"],
+        }
+        for name, axiom, want, verdict in ax.pattern_mismatches(full)
+    ]
     bound = ax.chi_increment_bound(domain)
     code = EXIT_PATTERN_MISMATCH if mismatches else EXIT_OK
 
@@ -215,33 +230,20 @@ def _cmd_axioms(args, out) -> int:
             for axiom_id, verdict in row.items()
         ]
         rows.append(bound.to_json())
-        rows.append(
-            {
-                "mismatches": [
-                    {
-                        "index": name,
-                        "axiom": axiom,
-                        "claimed": want,
-                        "computed": verdict.status,
-                        "counterexample": verdict.to_json()["counterexample"],
-                    }
-                    for name, axiom, want, verdict in mismatches
-                ]
-            }
-        )
+        rows.append({"mismatches": mismatches})
         _emit(out, "jsonl", [], rows)
         return code
 
     scanned = f"exhaustive, {size}" if domain.exhaustive else f"sampled, non-exhaustive, {len(domain.vectors)} of {size}"
     print(f"domain: n_max={spec.n_max} c_max={spec.c_max} ({scanned} vectors)", file=out)
-    for title, axioms, verdicts in (
-        ("independence matrix", ax.INDEPENDENCE_AXIOMS, matrix),
-        ("full axiom matrix", ax.AxiomId, full),
+    for title, axioms in (
+        ("independence matrix", ax.INDEPENDENCE_AXIOMS),
+        ("full axiom matrix", ax.AxiomId),
     ):
         print(f"\n{title}:", file=out)
         rows = [
             {"index": name, **{a.value: _verdict_cell(row[a.value]) for a in axioms}}
-            for name, row in verdicts.items()
+            for name, row in full.items()
         ]
         _emit(out, "table", ["index"] + [a.value for a in axioms], rows)
     print(f"\nsingle-citation chi bound (chi never grows by more than 1): {_verdict_cell(bound)}", file=out)
@@ -250,18 +252,18 @@ def _cmd_axioms(args, out) -> int:
         print("independence matrix matches the documented pattern.", file=out)
     else:
         print(f"documented-pattern mismatches: {len(mismatches)}", file=out)
-        for name, axiom, want, verdict in mismatches:
-            if verdict.status == ax.VIOLATED:
-                witness = verdict.counterexample or {}
+        for m in mismatches:
+            if m["computed"] == ax.VIOLATED:
+                witness = m["counterexample"] or {}
                 where = witness.get("x", witness.get("target"))
-                detail = f"counterexample x={_render_vector(tuple(where))}" if where is not None else "counterexample found"
+                detail = f"counterexample x={_render_vector(where)}" if where is not None else "counterexample found"
                 print(
-                    f"  {name} / {axiom}: claimed pass, computed FAIL ({detail})",
+                    f"  {m['index']} / {m['axiom']}: claimed pass, computed FAIL ({detail})",
                     file=out,
                 )
             else:
                 print(
-                    f"  {name} / {axiom}: claimed FAIL, not exposed on this domain "
+                    f"  {m['index']} / {m['axiom']}: claimed FAIL, not exposed on this domain "
                     f"(domain too small?)",
                     file=out,
                 )

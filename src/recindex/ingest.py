@@ -83,11 +83,6 @@ class ReportRow(NamedTuple):
     classification: str
 
 
-class Report(NamedTuple):
-    rows: tuple[ReportRow, ...]
-    summary: dict[str, int]
-
-
 def short_repr(text: str) -> str:
     """repr of an echoed input, cut to its first 20 characters and its length."""
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
@@ -265,12 +260,9 @@ def report_row(record: ResearcherRecord) -> ReportRow:
     )
 
 
-def build_report(records: Iterable[ResearcherRecord]) -> Report:
-    rows = tuple(report_row(r) for r in records)
-    summary = {c: 0 for c in CLASSIFICATIONS}
-    for row in rows:
-        summary[row.classification] += 1
-    return Report(rows=rows, summary=summary)
+def build_report(records: Iterable[ResearcherRecord]) -> Iterator[ReportRow]:
+    """The report rows of ``records``, built one at a time in record order."""
+    return map(report_row, records)
 
 
 def ceil_chi(rec_value: int) -> int:
@@ -279,8 +271,10 @@ def ceil_chi(rec_value: int) -> int:
     return root if root * root == rec_value else root + 1
 
 
-def rank_rows(report: Report, by: str, ascending: bool = False) -> list[tuple[int, str, float]]:
+def rank_rows(rows: Iterable[ReportRow], by: str, ascending: bool = False) -> list[tuple[int, str, float]]:
     """Stable ranking of report rows by one index column.
+
+    Only the ``(value, id)`` pair of each row is kept.
 
     Ties break by id ascending for display order but share the same rank
     number (competition style: 1, 1, 3).
@@ -289,7 +283,7 @@ def rank_rows(report: Report, by: str, ascending: bool = False) -> list[tuple[in
         raise ValueError(
             f"cannot rank by {by!r}; choose one of {', '.join(RANKABLE_COLUMNS)}"
         )
-    keyed = [(getattr(row, by), row.id) for row in report.rows]
+    keyed = [(getattr(row, by), row.id) for row in rows]
     keyed.sort(key=lambda kv: (kv[0] if ascending else -kv[0], kv[1]))
     ranked: list[tuple[int, str, float]] = []
     rank = 0

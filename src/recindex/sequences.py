@@ -10,7 +10,7 @@ of f lands on a uniform vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     TOLERANCE,
@@ -179,40 +179,38 @@ def search_incremental(target: Vector, f: Callable[[Vector], float], budget: int
         raise ValueError(f"budget {budget} cannot cover the {needed} steps to {target}")
 
     dead: set[Vector] = set()
-    path: list[Vector] = [()]
     expansions = 0
-
-    class _Exhausted(Exception):
-        pass
 
     def extensions(v: Vector) -> list[Vector]:
         out = [add_citation_at(v, k) for k in valid_positions(v)]
         return sorted((w for w in out if dominates(w, target)), key=canonical_key)
 
-    def dfs(v: Vector, fv: float) -> bool:
-        nonlocal expansions
+    # One frame per vector on the current path: the vector, its f and an
+    # iterator over its untried extensions.  A frame whose extensions run
+    # out is a dead end.
+    frames: list[tuple[Vector, float, Iterator[Vector]]] = []
+    step: tuple[Vector, float] | None = ((), f(()))
+    while step is not None:
+        v, fv = step
         expansions += 1
         if budget is not None and expansions > budget:
-            raise _Exhausted
+            return SearchOutcome(INDETERMINATE, None, expansions)
         if v == target:
-            return True
-        for w in extensions(v):
-            if w in dead:
-                continue
-            fw = f(w)
-            if fw > fv + TOLERANCE and not is_uniform(w):
-                continue
-            path.append(w)
-            if dfs(w, fw):
-                return True
-            path.pop()
-        dead.add(v)
-        return False
-
-    try:
-        found = dfs((), f(()))
-    except _Exhausted:
-        return SearchOutcome(INDETERMINATE, None, expansions)
-    if not found:
-        return SearchOutcome(ABSENT, None, expansions)
-    return SearchOutcome(FOUND, ConstructiveSequence(tuple(path), target), expansions)
+            path = tuple(u for u, _, _ in frames) + (v,)
+            return SearchOutcome(FOUND, ConstructiveSequence(path, target), expansions)
+        frames.append((v, fv, iter(extensions(v))))
+        step = None
+        while frames and step is None:
+            u, fu, untried = frames[-1]
+            for w in untried:
+                if w in dead:
+                    continue
+                fw = f(w)
+                if fw > fu + TOLERANCE and not is_uniform(w):
+                    continue
+                step = (w, fw)
+                break
+            else:
+                frames.pop()
+                dead.add(u)
+    return SearchOutcome(ABSENT, None, expansions)

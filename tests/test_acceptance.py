@@ -64,7 +64,7 @@ def test_criterion_01_extreme_profiles_share_chi_but_not_h(tmp_path):
         "flat," + ",".join(["1"] * 100) + "\n",
         encoding="utf-8",
     )
-    rows = {r.id: r for r in build_report(parse_dataset(path)).rows}
+    rows = {r.id: r for r in build_report(parse_dataset(path))}
     for name in ("solo", "square", "flat"):
         assert abs(rows[name].chi - 10.0) <= ABS_TOL
     assert rows["solo"].h == 1

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recindex import ingest
 from recindex.axioms import build_domain
 from recindex.cli import main
 from recindex.enumeration import DomainSpec, count_vectors
@@ -178,6 +179,33 @@ def test_classify_jsonl_summary_object(trio_csv):
     }
     solo = next(l for l in lines if l.get("id") == "solo")
     assert solo == {"id": "solo", "rec": 100, "rect_width": 1, "classification": "influential"}
+
+
+@pytest.mark.parametrize("command", ["compute", "classify"])
+@pytest.mark.parametrize("fmt, header_lines", [("csv", 1), ("jsonl", 0)])
+def test_report_rows_are_written_as_they_are_built(trio_csv, monkeypatch, command, fmt, header_lines):
+    out = io.StringIO()
+    written = []  # the length of the output each time a row is about to be built
+    build = ingest.report_row
+
+    def recording(record):
+        written.append(len(out.getvalue()))
+        return build(record)
+
+    monkeypatch.setattr(ingest, "report_row", recording)
+    assert main([command, trio_csv, "--format", fmt], out=out) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    assert written == [len("".join(lines[: header_lines + k])) for k in range(3)]
+
+
+@pytest.mark.parametrize("argv", [["compute"], ["rank", "--by", "rec"], ["classify"]])
+@pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+def test_a_bad_last_line_writes_no_rows(tmp_path, capsys, argv, fmt):
+    path = tmp_path / "late.csv"
+    path.write_text(TRIO + "late,1,x\n", encoding="utf-8")
+    code, text = run_cli(argv[0], str(path), *argv[1:], "--format", fmt)
+    assert code == 1 and text == ""
+    assert "line 4: invalid citation count 'x'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

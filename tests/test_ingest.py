@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import citation_vectors, wide_citation_vectors
+from recindex.cli import main
 from recindex.core import aux_indices, chi_index, citation_count, h_index, make_vector, rec, rec_index, rec_variants
 from recindex.ingest import (
     DatasetError,
@@ -265,8 +267,7 @@ def test_missing_file_is_a_dataset_error(tmp_path):
 
 
 def test_report_row_values(csv_file):
-    report = build_report(parse_dataset(csv_file))
-    ada = next(r for r in report.rows if r.id == "ada")
+    ada = next(r for r in build_report(parse_dataset(csv_file)) if r.id == "ada")
     assert ada.vector == (6, 4, 3, 1)
     assert (ada.n, ada.citations, ada.max) == (4, 14, 6)
     assert (ada.h, ada.g, ada.w) == (3, 3, 4)
@@ -279,8 +280,7 @@ def test_report_row_values(csv_file):
 
 
 def test_report_row_for_zero_cited_researcher(csv_file):
-    report = build_report(parse_dataset(csv_file))
-    zero = next(r for r in report.rows if r.id == "zero")
+    zero = next(r for r in build_report(parse_dataset(csv_file)) if r.id == "zero")
     assert zero.vector == ()
     assert (zero.n, zero.citations, zero.rec, zero.chi) == (0, 0, 0, 0.0)
     assert zero.rect_width is None
@@ -319,20 +319,21 @@ def test_report_row_matches_the_per_function_indices(x):
 
 def test_records_and_rows_are_immutable(csv_file):
     record = parse_dataset(csv_file)[0]
-    report = build_report([record])
-    for value in (record, report.rows[0], report):
+    for value in (record, *build_report([record])):
         for field in value._fields:
             with pytest.raises(AttributeError):
                 setattr(value, field, None)
 
 
 def test_report_summary_counts(csv_file):
-    report = build_report(parse_dataset(csv_file))
-    assert report.summary == {"influential": 1, "prolific": 0, "balanced": 2, "empty": 1}
+    out = io.StringIO()
+    assert main(["classify", str(csv_file), "--format", "jsonl"], out=out) == 0
+    summary = json.loads(out.getvalue().splitlines()[-1])
+    assert summary == {"summary": {"influential": 1, "prolific": 0, "balanced": 2, "empty": 1}, "total": 4}
 
 
 def test_report_chi_squares_back_to_rec(csv_file):
-    for row in build_report(parse_dataset(csv_file)).rows:
+    for row in build_report(parse_dataset(csv_file)):
         assert row.chi == pytest.approx(chi_index(row.vector))
         assert row.chi**2 == pytest.approx(rec(row.vector))
 
@@ -367,8 +368,7 @@ def test_ceil_chi_is_exact():
 
 
 def test_rank_rows_competition_style(csv_file):
-    report = build_report(parse_dataset(csv_file))
-    ranked = rank_rows(report, "chi")
+    ranked = rank_rows(build_report(parse_dataset(csv_file)), "chi")
     assert [(rank, name) for rank, name, _ in ranked] == [
         (1, "grace"),
         (1, "solo"),
@@ -380,14 +380,13 @@ def test_rank_rows_competition_style(csv_file):
 
 
 def test_rank_rows_ascending(csv_file):
-    report = build_report(parse_dataset(csv_file))
-    ranked = rank_rows(report, "n", ascending=True)
+    ranked = rank_rows(build_report(parse_dataset(csv_file)), "n", ascending=True)
     assert [name for _, name, _ in ranked] == ["zero", "solo", "ada", "grace"]
     assert [rank for rank, _, _ in ranked] == [1, 2, 3, 4]
 
 
 def test_rank_rows_rejects_unknown_column(csv_file):
-    report = build_report(parse_dataset(csv_file))
+    report = list(build_report(parse_dataset(csv_file)))
     with pytest.raises(ValueError, match="cannot rank by 'sociability'"):
         rank_rows(report, "sociability")
     for column in RANKABLE_COLUMNS:
@@ -406,7 +405,7 @@ def test_a_utf8_byte_order_mark_is_ignored(tmp_path, name, body):
     plain.write_text(body, encoding="utf-8")
     marked = tmp_path / f"marked-{name}"
     marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
-    assert build_report(parse_dataset(marked)) == build_report(parse_dataset(plain))
+    assert list(build_report(parse_dataset(marked))) == list(build_report(parse_dataset(plain)))
 
 
 def test_a_byte_order_mark_does_not_shift_the_bad_byte(tmp_path):

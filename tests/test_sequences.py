@@ -4,8 +4,18 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import citation_vectors
-from recindex.core import citation_count, dominates, is_uniform, rec, rec_index
-from recindex.enumeration import DomainSpec, enumerate_vectors
+from recindex.axioms import CHI, H, counterexample_registry
+from recindex.core import (
+    TOLERANCE,
+    add_citation_at,
+    citation_count,
+    dominates,
+    is_uniform,
+    rec,
+    rec_index,
+    valid_positions,
+)
+from recindex.enumeration import DomainSpec, canonical_key, enumerate_vectors
 from recindex.sequences import (
     ABSENT,
     FOUND,
@@ -179,3 +189,64 @@ def test_search_classifies_every_small_target_under_citation_count():
         outcome = search_incremental(target, citation_count)
         reachable = target == () or len(target) == 1 or target[0] == 1
         assert outcome.status == (FOUND if reachable else ABSENT)
+
+
+def _recursive_search(target, f, budget=None):
+    """The recursive depth-first search that ``search_incremental`` replaced,
+    kept as its oracle: (status, expansions, steps or None)."""
+    dead = set()
+    path = [()]
+    expansions = 0
+
+    class _Exhausted(Exception):
+        pass
+
+    def extensions(v):
+        out = [add_citation_at(v, k) for k in valid_positions(v)]
+        return sorted((w for w in out if dominates(w, target)), key=canonical_key)
+
+    def dfs(v, fv):
+        nonlocal expansions
+        expansions += 1
+        if budget is not None and expansions > budget:
+            raise _Exhausted
+        if v == target:
+            return True
+        for w in extensions(v):
+            if w in dead:
+                continue
+            fw = f(w)
+            if fw > fv + TOLERANCE and not is_uniform(w):
+                continue
+            path.append(w)
+            if dfs(w, fw):
+                return True
+            path.pop()
+        dead.add(v)
+        return False
+
+    try:
+        found = dfs((), f(()))
+    except _Exhausted:
+        return INDETERMINATE, expansions, None
+    return (FOUND, expansions, tuple(path)) if found else (ABSENT, expansions, None)
+
+
+def test_search_matches_the_recursive_oracle_on_a_domain():
+    # Every 5x5 target under every registry index, chi and h, without a
+    # budget and with the tightest one allowed.
+    for index in [*counterexample_registry(), CHI, H]:
+        for target in enumerate_vectors(DomainSpec(5, 5)):
+            for budget in (None, citation_count(target) + 1):
+                outcome = search_incremental(target, index.evaluate, budget)
+                steps = outcome.sequence.steps if outcome.sequence else None
+                want = _recursive_search(target, index.evaluate, budget)
+                assert (outcome.status, outcome.expansions, steps) == want, (index.name, target, budget)
+
+
+@pytest.mark.parametrize("target", [(1500,), (3000, 2)])
+def test_search_reaches_deep_targets(target):
+    # One citation per step: deeper than the interpreter's recursion limit.
+    outcome = search_incremental(target, rec)
+    assert outcome.status == FOUND
+    assert len(outcome.sequence.steps) == citation_count(target) + 1
