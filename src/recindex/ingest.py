@@ -192,7 +192,8 @@ def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]
     read, normalise = readers[fmt]
     records: list[ResearcherRecord] = []
     seen: dict[str, int] = {}
-    for line_no, name, raw in read(text.splitlines()):
+    # read_text made every line end "\n"; splitlines() would also break at U+2028, "\x1c" and the like.
+    for line_no, name, raw in read(text.split("\n")):
         if name in seen:
             raise DatasetError(f"duplicate researcher id {name!r} on lines {seen[name]} and {line_no}")
         seen[name] = line_no

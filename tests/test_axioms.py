@@ -399,6 +399,73 @@ def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
         ), index.name
 
 
+def _moved(base, moves: dict) -> IndexUnderTest:
+    """``base`` with the values of ``moves`` put in."""
+    return make_index("moved", lambda v: moves.get(v, base(v)))
+
+
+def _zero(v):
+    return 0
+
+
+def _edge(axioms: str, shift: float, base, moves: dict, witness: dict | None):
+    return pytest.param(axioms.split(), _moved(base, moves), witness, id=f"{axioms.replace(' ', '+')}-{shift}T")
+
+
+T = TOLERANCE
+
+#: Each relation at its tolerance edge on the 2x2 box, whose vectors are
+#: (), (1,), (2,), (1, 1), (2, 1) and (2, 2) in canonical order.  One value
+#: moves 1.5, 1.0 or 0.6 times TOLERANCE from where the property holds.
+#: Each difference that a relation reads is exact, so the 1.0 case turns on
+#: whether its comparison is strict.  The witnesses are written out, not
+#: drawn from the predicates.
+RELATION_EDGES = [
+    # M and UM break where f drops by more than TOLERANCE, here from (1,) to (2,)
+    _edge("M UM", 1.5, _zero, {(1,): 1.5 * T}, {"x": (1,), "y": (2,), "f_x": 1.5 * T, "f_y": 0}),
+    _edge("M UM", 1.0, _zero, {(1,): T}, None),
+    _edge("M UM", 0.6, _zero, {(1,): 0.6 * T}, None),
+    # SM breaks unless f rises by more than TOLERANCE, here from () to (1,)
+    _edge("SM", 1.5, citation_count, {(1,): 1.5 * T}, None),
+    _edge("SM", 1.0, citation_count, {(1,): T}, {"x": (), "y": (1,), "f_x": 0, "f_y": T}),
+    _edge("SM", 0.6, citation_count, {(1,): 0.6 * T}, {"x": (), "y": (1,), "f_x": 0, "f_y": 0.6 * T}),
+    # so does CI, here from (1,) to (2,)
+    _edge("CI", 1.5, citation_count, {(1,): 0, (2,): 1.5 * T}, None),
+    _edge(
+        "CI", 1.0, citation_count, {(1,): 0, (2,): T}, {"x": (1,), "incremented": (2,), "f_x": 0, "f_incremented": T}
+    ),
+    _edge(
+        "CI",
+        0.6,
+        citation_count,
+        {(1,): 0, (2,): 0.6 * T},
+        {"x": (1,), "incremented": (2,), "f_x": 0, "f_incremented": 0.6 * T},
+    ),
+    # SI breaks where f(k x) is off k f(x) by more than TOLERANCE, here f(2) off 2 f(1); f(4) = 2 f(2) keeps
+    # (2,) in step
+    _edge("SI", 1.5, _zero, {(2,): 1.5 * T, (4,): 3 * T}, {"x": (1,), "factor": 2, "f_x": 0, "f_scaled": 1.5 * T}),
+    _edge("SI", 1.0, _zero, {(2,): T, (4,): 2 * T}, None),
+    _edge("SI", 0.6, _zero, {(2,): 0.6 * T, (4,): 1.2 * T}, None),
+    # SC breaks where f of x and of its conjugate differ by more than TOLERANCE, here of (2,) and (1, 1)
+    _edge("SC", 1.5, _zero, {(1, 1): 1.5 * T}, {"x": (2,), "conjugate": (1, 1), "f_x": 0, "f_conjugate": 1.5 * T}),
+    _edge("SC", 1.0, _zero, {(1, 1): T}, None),
+    _edge("SC", 0.6, _zero, {(1, 1): 0.6 * T}, None),
+    # UC and USC break where f is off the citation count by more than TOLERANCE, here at (1, 1); only at (),
+    # whose count is 0, can the difference be exactly TOLERANCE
+    _edge("UC USC", 1.5, citation_count, {(1, 1): 2 + 1.5 * T}, {"x": (1, 1), "f_x": 2 + 1.5 * T, "citation_count": 2}),
+    _edge("UC USC", 1.0, citation_count, {(): T}, None),
+    _edge("UC USC", 0.6, citation_count, {(1, 1): 2 + 0.6 * T}, None),
+]
+
+
+@pytest.mark.parametrize("axioms, index, witness", RELATION_EDGES)
+def test_each_relation_at_its_tolerance_edge(axioms, index, witness):
+    for axiom in axioms:
+        verdict = check_axiom(index, axiom, (2, 2))
+        assert (verdict.status, verdict.counterexample) == (VIOLATED if witness else SATISFIED, witness), axiom
+        assert replay_counterexample(verdict, index) == (witness is not None), axiom
+
+
 MAPPED_DOMAINS = [
     *(build_domain(DomainSpec(n, c)) for n in range(1, 6) for c in range(1, 6)),
     ORACLE_DOMAINS["3x7"],

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recindex import ingest
+from recindex import axioms, ingest
 from recindex.axioms import build_domain
 from recindex.cli import main
 from recindex.enumeration import DomainSpec, count_vectors
@@ -389,6 +389,20 @@ def test_axioms_sample_size_below_1_exits_1(capsys):
     assert run_cli("axioms", "--n-max", "3", "--c-max", "3", "--sample-size", "0") == run_cli(
         "axioms", "--n-max", "3", "--c-max", "3"
     )
+
+
+def test_axioms_sample_size_above_the_budget_exits_3(capsys, monkeypatch):
+    code, text = run_cli("axioms", "--n-max", "40", "--c-max", "40", "--seed", "1", "--sample-size", "10000001")
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == "refused: sample size 10000001 exceeds the budget of 10000000\n"
+    assert run_cli("axioms", "--n-max", "3", "--c-max", "3", "--sample-size", "10000001") == run_cli(
+        "axioms", "--n-max", "3", "--c-max", "3"
+    )
+    # The budget itself is a valid size; a stand-in draw keeps the scan small.
+    drawn = []
+    monkeypatch.setattr(axioms, "sample_vectors", lambda spec, size: drawn.append(size) or [(), (1,)])
+    assert build_domain(DomainSpec(40, 40, seed=1), 10_000_000).vectors == [(), (1,)]
+    assert drawn == [10_000_000]
 
 
 # ---------------------------------------------------------------------------

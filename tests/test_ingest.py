@@ -432,3 +432,25 @@ def test_malformed_input_names_the_line_or_the_path(tmp_path):
         path.write_bytes(body)
         with pytest.raises(DatasetError, match=re.escape(fragment)):
             parse_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "name, body, ids, bad",
+    [
+        # U+2028 inside a JSON string: json.loads reads it raw
+        ("sep.jsonl", '{"id": "a\u2028b", "citations": [3, 2]}\n', ["a\u2028b"], '{"id": "c", "citations": 3}'),
+        # "\x1c" and "\x0b" are blanks around a CSV count, as int() reads them
+        ("sep.csv", "a,3,2\nb,1\x1c,2\x0b\n", ["a", "b"], "c,x"),
+    ],
+)
+def test_lines_end_only_at_line_breaks(tmp_path, name, body, ids, bad):
+    # str.splitlines() would also break at these characters.
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    assert [r.id for r in parse_dataset(path)] == ids
+    assert main(["compute", str(path)], out=io.StringIO()) == 0
+    # "\r\n" and "\r" end a line as "\n" does, and a blank line made of those
+    # other characters counts as one line, so the bad line comes two lines on.
+    path.write_bytes((body.replace("\n", "\r\n", 1) + " \x85\x1e\x0c\r" + bad + "\n").encode("utf-8"))
+    with pytest.raises(DatasetError, match=f"^line {len(ids) + 2}: "):
+        parse_dataset(path)
