@@ -15,22 +15,23 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import le
 from typing import Callable, Iterable
 
 from . import sequences
 from .core import (
-    TOLERANCE,
     Vector,
     add_citation_at,
     add_one_to_all,
+    at_most,
     chi_index,
     citation_count,
+    close,
     conjugate,
     dominates,
     h_index,
     is_uniform,
     rec,
+    rises,
     scale,
     valid_positions,
 )
@@ -80,7 +81,7 @@ class IndexUnderTest:
 def make_index(name: str, evaluate: Callable[[Vector], float]) -> IndexUnderTest:
     """Wrap an index function, enforcing the zero baseline on registration."""
     baseline = evaluate(())
-    if abs(baseline) > TOLERANCE:
+    if not close(baseline, 0):
         raise ValueError(f"index {name!r} maps the empty vector to {baseline!r}, not 0")
     return IndexUnderTest(name, evaluate)
 
@@ -345,30 +346,15 @@ class Axiom:
     violates: Callable[..., dict | None]
 
 
-def _sign(a: float, b: float) -> int:
-    if abs(a - b) <= TOLERANCE:
-        return 0
-    return 1 if a > b else -1
+def _sign(a: float, b: float) -> float:
+    """0 when a and b are close, else 1 or -1 as a is above or below b, or NaN, equal to no sign, if neither holds."""
+    return 0 if close(a, b) else 1 if a > b else -1 if a < b else float("nan")
 
 
-def _decreases(fx, fy) -> bool:
-    """f drops by more than TOLERANCE: breaks M and UM."""
-    return fx > fy + TOLERANCE
-
-
-def _fails_to_rise(fx, fy) -> bool:
-    """f rises by TOLERANCE or less, or a value is NaN: breaks SM and CI."""
-    return not fy > fx + TOLERANCE
-
-
-def _apart(a, b) -> bool:
-    """The values differ by more than TOLERANCE: breaks SC, UC and USC."""
-    return abs(a - b) > TOLERANCE
-
-
-def _scale_breaks(fx, fs, factor: int) -> bool:
-    """f of x scaled by ``factor`` is not ``factor * f(x)`` within TOLERANCE: breaks SI."""
-    return abs(fs - factor * fx) > TOLERANCE
+def _finite(table: Iterable) -> bool:
+    """True when the table holds no NaN or infinity, whose sum is not close to itself; an overflow costs a shortcut."""
+    total = sum(table)
+    return close(total, total)
 
 
 def _first_witness(axiom: Axiom, session: _Session) -> dict | None:
@@ -384,27 +370,13 @@ def _growth_steps(s: _Session):
     return ((x, k) for x in s.domain.vectors for k in valid_positions(x))
 
 
-def _pair_violation(breaks: Callable[[float, float], bool]):
-    """The predicate of a pair x under y whose values ``breaks(f(x), f(y))``."""
-
-    def violates(f, x, y):
-        # Comparing table values is cheaper than ``dominates``, and
-        # pair scans mostly meet pairs whose values are in order.
-        fx, fy = f(x), f(y)
-        if x != y and breaks(fx, fy) and dominates(x, y):
-            return {"x": x, "y": y, "f_x": fx, "f_y": fy}
-        return None
-
-    return violates
-
-
 def _violates_um(f, x, y):
     return AXIOMS[AxiomId.MONOTONICITY].violates(f, x, y) if is_uniform(x) else None
 
 
 def _violates_si(f, x, factor):
     fx, scaled = f(x), f(scale(x, factor))
-    if _scale_breaks(fx, scaled, factor):
+    if not close(scaled, factor * fx):
         return {"x": x, "factor": factor, "f_x": fx, "f_scaled": scaled}
     return None
 
@@ -413,14 +385,14 @@ def _violates_rc(f, x, position):
     grown = add_citation_at(x, position)
     old = x[position - 1] if position <= len(x) else 0
     fg, expected = f(grown), max(f(x), position * (old + 1))
-    if abs(fg - expected) > TOLERANCE:
+    if not close(fg, expected):
         return {"x": x, "position": position, "extended": grown, "f_extended": fg, "expected": expected}
     return None
 
 
 def _violates_ue(f, x):
     fx = f(x)
-    if not any(abs(f(u) - fx) <= TOLERANCE for u in enumerate_uniform_dominated(x)):
+    if not any(close(f(u), fx) for u in enumerate_uniform_dominated(x)):
         return {"x": x, "f_x": fx, "candidates": [[u, f(u)] for u in enumerate_uniform_dominated(x)]}
     return None
 
@@ -434,14 +406,22 @@ def _violates_ui(f, target):
 
 def _violates_chi_step(f, x, position):
     before, after = f(x), f(add_citation_at(x, position))
-    if after > before + 1 + TOLERANCE:
+    if not at_most(after, before + 1):
         return {"x": x, "position": position, "chi_before": before, "chi_after": after}
     return None
 
 
-def _domination_axiom(description: str, edge_holds, pair_breaks) -> Axiom:
-    """``edge_holds(f(v), f(w))`` tests a one-citation step v -> w;
-    ``pair_breaks(f(x), f(y))`` says whether x under y is a witness."""
+def _domination_axiom(description: str, edge_holds, holds: Callable[[float, float], bool]) -> Axiom:
+    """``edge_holds(f(v), f(w))`` tests a one-citation step v -> w; x under
+    y is a witness when ``holds(f(x), f(y))`` fails."""
+
+    def violates(f, x, y):
+        # Comparing table values is cheaper than ``dominates``, and
+        # pair scans mostly meet pairs whose values are in order.
+        fx, fy = f(x), f(y)
+        if x != y and not holds(fx, fy) and dominates(x, y):
+            return {"x": x, "y": y, "f_x": fx, "f_y": fy}
+        return None
 
     def candidates(s: _Session):
         # Domination is generated by single-citation additions, so on a
@@ -453,28 +433,30 @@ def _domination_axiom(description: str, edge_holds, pair_breaks) -> Axiom:
         ):
             return ()
         scored = list(zip(domain.vectors, values))
-        return ((x, y) for x, fx in scored for y, fy in scored if pair_breaks(fx, fy))
+        return ((x, y) for x, fx in scored for y, fy in scored if not holds(fx, fy))
 
-    return Axiom(description, ("x", "y"), candidates, _pair_violation(pair_breaks))
+    return Axiom(description, ("x", "y"), candidates, violates)
 
 
 def _scale_candidates(s: _Session):
-    factors = range(2, s.domain.spec.c_max + 1)  # scale(x, 1) is x
+    factors = range(2, s.domain.spec.c_max + 1)  # scale(x, 1) is x, so factor 1 reads f(x) itself
     return (
         (x, factor)
         for x, fx, scaled in s.scaled_rows(factors)
-        for factor, fs in zip(factors, scaled)
-        if _scale_breaks(fx, fs, factor)
+        for factor, fs in enumerate((fx, *scaled), 1)
+        if not close(fs, factor * fx)
     )
 
 
 def _blocks_stay_apart(blocks: list[list[int]], table: list) -> bool:
-    """True when the table spans at most TOLERANCE on each block of ids
-    and each block lies more than TOLERANCE below the next."""
+    """True when the table is finite, spans at most TOLERANCE on each block
+    of ids and each block lies more than TOLERANCE below the next."""
+    if not _finite(table):
+        return False
     previous_hi = float("-inf")
     for block in blocks:
         values = [table[i] for i in block]
-        if max(values) - min(values) > TOLERANCE or min(values) - previous_hi <= TOLERANCE:
+        if not close(max(values), min(values)) or not rises(previous_hi, min(values)):
             return False
         previous_hi = max(values)
     return True
@@ -488,20 +470,20 @@ def _flipped_pairs(before: list, after: list):
                 yield i, j
 
 
-def _image_axiom(description: str, transform: Callable[[Vector], Vector], label: str, breaks) -> Axiom:
-    """An axiom broken by a non-empty x when ``breaks(f(x), f(transform(x)))``;
-    the witness names the image ``label``."""
+def _image_axiom(description: str, transform: Callable[[Vector], Vector], label: str, holds) -> Axiom:
+    """An axiom broken by a non-empty x when ``holds(f(x), f(transform(x)))``
+    fails; the witness names the image ``label``."""
 
     def violates(f, x):
         image = transform(x)
         fx, fi = f(x), f(image)
-        if breaks(fx, fi):
+        if not holds(fx, fi):
             return {"x": x, label: image, "f_x": fx, f"f_{label}": fi}
         return None
 
     def candidates(s: _Session):
         vectors, values, ids = s.domain.vectors, s.values, s.domain.image_ids(transform)
-        return ((vectors[i],) for i, j in enumerate(ids) if vectors[i] and (j < 0 or breaks(values[i], values[j])))
+        return ((vectors[i],) for i, j in enumerate(ids) if vectors[i] and (j < 0 or not holds(values[i], values[j])))
 
     return Axiom(description, ("x",), candidates, violates)
 
@@ -518,12 +500,13 @@ def _rank_axiom(key: str, first: int, transform, table: Callable[[_Session, int]
         # Cut the f order into blocks within TOLERANCE of their first value.
         # If f keeps the blocks apart, pairs tie exactly within a block, so
         # no pair flips exactly when the transformed f keeps them apart too;
-        # if not, ties chain (a ~ b ~ c, a !~ c) and the pairs whose signs
-        # differ in the tables go to the predicate.
+        # if not, ties chain (a ~ b ~ c, a !~ c), or a table is not finite
+        # and its order means nothing, and the pairs whose signs differ in
+        # the tables go to the predicate.
         vectors, values = s.domain.vectors, s.values
         blocks: list[list[int]] = []
         for i in sorted(range(len(values)), key=values.__getitem__):
-            if blocks and values[i] - values[blocks[-1][0]] <= TOLERANCE:
+            if blocks and at_most(values[i], values[blocks[-1][0]]):
                 blocks[-1].append(i)
             else:
                 blocks.append([i])
@@ -541,7 +524,7 @@ def _citation_count_axiom(description: str, uniforms: Callable[[_Session], Itera
 
     def violates(f, x):
         fx, count = f(x), citation_count(x)
-        if _apart(fx, count):
+        if not close(fx, count):
             return {"x": x, "f_x": fx, "citation_count": count}
         return None
 
@@ -550,14 +533,14 @@ def _citation_count_axiom(description: str, uniforms: Callable[[_Session], Itera
 
 def _uniform_equivalence_candidates(s: _Session):
     # The uniforms under x are () and (c,)*j for j <= len(x) and c <= x_j.  firsts[j - 1] maps each value of row
-    # j to its first c, so an exact match takes one lookup per j (NaN, which a dict finds by identity, is left
-    # out); only an x without one gets the tolerant scan.
+    # j to its first c, so an exact match takes one lookup per j; a value that is not close to itself, NaN or an
+    # infinity, matches nothing and is left out.  Only an x without an exact match gets the tolerant scan.
     base, rows = s.values[0], s.uniform_rows
-    firsts = [{fu: c for c, fu in reversed(list(enumerate(row, 1))) if fu == fu} for row in rows]
+    firsts = [{fu: c for c, fu in reversed(list(enumerate(row, 1))) if close(fu, fu)} for row in rows]
 
     def matched(x, fx) -> bool:
-        return any(first.get(fx, c + 1) <= c for first, c in zip(firsts, x)) or abs(base - fx) <= TOLERANCE or any(
-            abs(fu - fx) <= TOLERANCE for row, c in zip(rows, x) for fu in row[:c]
+        return any(first.get(fx, c + 1) <= c for first, c in zip(firsts, x)) or close(base, fx) or any(
+            close(fu, fx) for row, c in zip(rows, x) for fu in row[:c]
         )
 
     return ((x,) for x, fx in zip(s.domain.vectors, s.values) if not matched(x, fx))
@@ -567,18 +550,20 @@ def _uniform_monotonicity_candidates(s: _Session):
     # (c,)*j lies under y exactly when j <= len(y) and c <= y_j, so the
     # largest f over the uniforms under y is the largest running maximum
     # top[j][y_j]; only a y that this maximum exceeds can be in a witness,
-    # and only with a uniform under it that scores more than y.
-    base = s.values[0]
-    top = [list(accumulate(row, max, initial=base)) for row in s.uniform_rows]
+    # and only with a uniform under it that scores more than y.  A maximum
+    # over NaN means nothing, so a uniform table that is not finite makes every y a suspect.
+    base, rows = s.values[0], s.uniform_rows
+    top = [list(accumulate(row, max, initial=base)) for row in rows]
+    finite = _finite([base, *map(sum, rows)])
     suspects = [
         (y, fy)
         for y, fy in zip(s.domain.vectors, s.values)
-        if _decreases(max((row[c] for row, c in zip(top, y)), default=base), fy)
+        if not (finite and at_most(max((row[c] for row, c in zip(top, y)), default=base), fy))
     ]
     for u in s.domain.uniforms:
         fu, j = s.uniform(u), len(u)
         for y, fy in suspects:
-            if _decreases(fu, fy) and j <= len(y) and (not u or u[0] <= y[j - 1]):
+            if not at_most(fu, fy) and j <= len(y) and (not u or u[0] <= y[j - 1]):
                 yield u, y
 
 
@@ -604,9 +589,8 @@ def _unreachable_targets(s: _Session):
     reachable = bytearray(len(vectors))
     reachable[0] = 1  # the empty vector
     for i, j in zip(domain.step_lower, domain.step_upper):
-        if reachable[i] and not reachable[j]:
-            if values[j] <= values[i] + TOLERANCE or is_uniform(vectors[j]):
-                reachable[j] = 1
+        if reachable[i] and not reachable[j] and sequences.is_incremental_step(values[i], values[j], vectors[j]):
+            reachable[j] = 1
     for v, ok in zip(vectors, reachable):
         if not ok:
             yield (v,)
@@ -616,17 +600,16 @@ def _unreachable_targets(s: _Session):
 
 AXIOMS: dict[AxiomId, Axiom] = {
     # M's tolerance does not add up along a chain (drops within it can
-    # chain past it), so its edges must hold exactly; SM's margin does.
-    AxiomId.MONOTONICITY: _domination_axiom("f never decreases along domination", le, _decreases),
-    AxiomId.STRICT_MONOTONICITY: _domination_axiom(
-        "f strictly increases along strict domination", lambda fv, fw: not _fails_to_rise(fv, fw), _fails_to_rise
-    ),
+    # chain past it), so its edges must hold exactly, and inf -> inf, whose
+    # difference is NaN, does not; SM's margin adds up.
+    AxiomId.MONOTONICITY: _domination_axiom("f never decreases along domination", lambda fv, fw: fw - fv >= 0, at_most),
+    AxiomId.STRICT_MONOTONICITY: _domination_axiom("f strictly increases along strict domination", rises, rises),
     AxiomId.SCALE_INVARIANCE: Axiom(
         "scaling citations by C scales f by C", ("x", "factor"), _scale_candidates, _violates_si
     ),
     # conjugate is looked up at each call, so perfbench's tracer can count its calls
     AxiomId.SELF_CONJUGACY: _image_axiom(
-        "f is unchanged by conjugation", lambda x: conjugate(x), "conjugate", _apart
+        "f is unchanged by conjugation", lambda x: conjugate(x), "conjugate", close
     ),
     AxiomId.RECTANGLE_COMPLETION: Axiom(
         "f(x + citation at k) = max(f(x), k * (x_k + 1))", ("x", "position"), _growth_steps, _violates_rc
@@ -639,7 +622,7 @@ AXIOMS: dict[AxiomId, Axiom] = {
     ),
     # no publications means nothing receives a citation
     AxiomId.CITATION_INCREASE: _image_axiom(
-        "one citation to every publication raises f", add_one_to_all, "incremented", _fails_to_rise
+        "one citation to every publication raises f", add_one_to_all, "incremented", rises
     ),
     AxiomId.UNIFORM_MONOTONICITY: Axiom(
         "monotone when the dominated side is uniform",

@@ -14,7 +14,9 @@ from typing import Iterable
 
 Vector = tuple[int, ...]
 
-#: Absolute tolerance for every floating-point comparison in the package.
+#: Absolute tolerance of the three relations below, which every property of
+#: index values reads.  Each is True only when its comparison is, so a NaN
+#: difference, from a NaN value or from inf - inf, breaks the property.
 TOLERANCE = 1e-9
 
 INFLUENTIAL = "influential"
@@ -23,8 +25,19 @@ BALANCED = "balanced"
 EMPTY = "empty"
 
 
-def close(a: float, b: float, tol: float = TOLERANCE) -> bool:
-    return abs(a - b) <= tol
+def close(a: float, b: float) -> bool:
+    """a and b differ by at most TOLERANCE."""
+    return abs(a - b) <= TOLERANCE
+
+
+def at_most(a: float, b: float) -> bool:
+    """a exceeds b by at most TOLERANCE."""
+    return a - b <= TOLERANCE
+
+
+def rises(a: float, b: float) -> bool:
+    """b exceeds a by more than TOLERANCE."""
+    return b - a > TOLERANCE
 
 
 def make_vector(raw: Iterable[int]) -> Vector:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    TOLERANCE,
     Vector,
     add_citation_at,
+    at_most,
     citation_count,
     dominates,
     is_uniform,
@@ -77,6 +77,11 @@ def is_constructive(steps: Sequence[Iterable[int]], target: Iterable[int]) -> bo
     return True
 
 
+def is_incremental_step(fv: float, fw: float, w: Vector) -> bool:
+    """A step v -> w may be part of an f-incremental sequence: f rises only onto a uniform w."""
+    return at_most(fw, fv) or is_uniform(w)
+
+
 def is_f_incremental(seq: ConstructiveSequence, f: Callable[[Vector], float]) -> IncrementalCheck:
     """Check that every strict f increase along seq lands on a uniform vector.
 
@@ -88,7 +93,7 @@ def is_f_incremental(seq: ConstructiveSequence, f: Callable[[Vector], float]) ->
     previous = f(seq.steps[0])
     for i, step in enumerate(seq.steps[1:], 1):
         current = f(step)
-        if current > previous + TOLERANCE and not is_uniform(step):
+        if not is_incremental_step(previous, current, step):
             return IncrementalCheck(False, i)
         previous = current
     return IncrementalCheck(True, None)
@@ -206,10 +211,9 @@ def search_incremental(target: Vector, f: Callable[[Vector], float], budget: int
                 if w in dead:
                     continue
                 fw = f(w)
-                if fw > fu + TOLERANCE and not is_uniform(w):
-                    continue
-                step = (w, fw)
-                break
+                if is_incremental_step(fu, fw, w):
+                    step = (w, fw)
+                    break
             else:
                 frames.pop()
                 dead.add(u)

@@ -47,8 +47,9 @@ def _registry():
 
 
 def test_make_index_enforces_zero_baseline():
-    with pytest.raises(ValueError, match="empty vector"):
-        make_index("shifted", lambda v: len(v) + 1)
+    for shift in (1, float("nan")):
+        with pytest.raises(ValueError, match="empty vector"):
+            make_index("shifted", lambda v: len(v) + shift)
     ok = make_index("len", lambda v: len(v))
     assert ok.evaluate((5, 2)) == 2
 
@@ -349,6 +350,25 @@ ADVERSARIAL = [
     make_index("peak_table", lambda v: _PEAK_LEVELS.get(max(v, default=0), 0.0)),
 ]
 
+#: One NaN object for every table below, so that witnesses holding it
+#: compare equal.
+NAN = float("nan")
+
+#: rec with one value put in from a table: NaN, +inf or -inf at one vector.
+#: Every comparison with a NaN difference breaks a property, and the
+#: filters' shortcuts (exact maps, running maxima, sorted blocks, edge
+#: tests) must not drop the witnesses that makes.  (8, 6) lies outside the
+#: 4x4 box, where only the table of (4, 3) scaled by 2 holds its value.
+NON_FINITE = [
+    *(
+        make_index(f"rec_{value}_at_{''.join(map(str, at))}", lambda v, table={at: value}: table.get(v, rec(v)))
+        for value in (NAN, float("inf"), float("-inf"))
+        for at in [(1,), (2,), (2, 1), (1, 1), (3, 2, 1), (8, 6)]
+    ),
+    # f never drops along a step, but inf -> inf has a NaN difference
+    make_index("rec_inf_from_2", lambda v: float("inf") if dominates((2,), v) else rec(v)),
+]
+
 ORACLE_DOMAINS = {
     "4x4": build_domain(DomainSpec(4, 4)),
     "5x5": build_domain(DomainSpec(5, 5)),
@@ -389,7 +409,7 @@ def _naive_candidates(axiom: str, domain):
 def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
     domain = ORACLE_DOMAINS[domain_name]
     violates = AXIOMS[AxiomId(axiom)].violates
-    for index in counterexample_registry() + ADVERSARIAL:
+    for index in counterexample_registry() + ADVERSARIAL + NON_FINITE:
         f = functools.cache(index.evaluate)
         naive = next((w for c in _naive_candidates(axiom, domain) if (w := violates(f, *c)) is not None), None)
         verdict = check_axiom(index, axiom, domain)
@@ -397,6 +417,13 @@ def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
             VIOLATED if naive is not None else SATISFIED,
             naive,
         ), index.name
+
+
+def test_a_nan_value_breaks_every_property_that_compares_it():
+    # f((1,)) = NaN.  UI lets f rise onto any uniform vector, and every
+    # step out of (1,) lands on one, so UI alone still holds.
+    row = check_index(NON_FINITE[0], build_domain(DomainSpec(3, 3)))
+    assert [axiom for axiom, verdict in row.items() if verdict.ok] == ["UI"]
 
 
 def _moved(base, moves: dict) -> IndexUnderTest:
@@ -536,12 +563,10 @@ def test_uniform_increment_dp_agrees_with_search_for_rec():
     assert check_axiom(REC, "UI", (3, 3)).ok
 
 
-@pytest.mark.parametrize("bounds", [(3, 3), (4, 4), (3, 5)])
-def test_uniform_increment_target_is_the_first_the_search_refutes(bounds):
+def _assert_ui_target_is_the_first_the_search_refutes(domain, indices):
     # The scan confirms its own target through the search, but only the
     # search over every earlier vector shows none was wrongly called reachable.
-    domain = build_domain(DomainSpec(*bounds))
-    for index in counterexample_registry() + ADVERSARIAL:
+    for index in indices:
         f = functools.cache(index.evaluate)
         first = next(
             (v for v in domain.vectors if sequences.search_incremental(v, f).status == sequences.ABSENT),
@@ -552,6 +577,20 @@ def test_uniform_increment_target_is_the_first_the_search_refutes(bounds):
             assert verdict.ok, index.name
         else:
             assert verdict.counterexample["target"] == first, index.name
+
+
+@pytest.mark.parametrize("bounds", [(3, 3), (4, 4), (3, 5)])
+def test_uniform_increment_target_is_the_first_the_search_refutes(bounds):
+    _assert_ui_target_is_the_first_the_search_refutes(
+        build_domain(DomainSpec(*bounds)), counterexample_registry() + ADVERSARIAL
+    )
+
+
+@pytest.mark.parametrize("bounds", [(n, c) for n in range(1, 5) for c in range(1, 5)])
+def test_uniform_increment_reachability_agrees_with_search_on_non_finite_values(bounds):
+    # The reachability pass and the search read one step rule, so a NaN or
+    # infinite value cannot make them disagree.
+    _assert_ui_target_is_the_first_the_search_refutes(build_domain(DomainSpec(*bounds)), NON_FINITE)
 
 
 # ---------------------------------------------------------------------------
