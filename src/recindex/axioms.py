@@ -352,7 +352,7 @@ def _sign(a: float, b: float) -> float:
 
 
 def _finite(table: Iterable) -> bool:
-    """True when the table holds no NaN or infinity, whose sum is not close to itself; an overflow costs a shortcut."""
+    """True when the table holds no NaN or infinity: a sum over one is not close to itself (nor is an overflow)."""
     total = sum(table)
     return close(total, total)
 
