@@ -11,11 +11,10 @@ independently of the scan that found it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import sequences
 from .core import (
@@ -72,8 +71,7 @@ class AxiomId(str, Enum):
     RANK_SCALE_INVARIANCE = "RANK_SI"
 
 
-@dataclass(frozen=True)
-class IndexUnderTest:
+class IndexUnderTest(NamedTuple):
     name: str
     evaluate: Callable[[Vector], float]
 
@@ -86,8 +84,7 @@ def make_index(name: str, evaluate: Callable[[Vector], float]) -> IndexUnderTest
     return IndexUnderTest(name, evaluate)
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(NamedTuple):
     """Outcome of one (index, axiom, domain) check."""
 
     index: str
@@ -185,8 +182,7 @@ def counterexample_registry() -> list[IndexUnderTest]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """One scan domain, built once and shared by every check over it.
 
     ``vectors`` is the whole box in canonical order when ``exhaustive``,
@@ -197,7 +193,7 @@ class Domain:
     The one-citation steps of an exhaustive box are the id pairs
     ``(step_lower[s], step_upper[s])``: the upper vector adds one citation
     to the lower one and stays in the box.  They are listed by ascending
-    lower id; a sampled domain has none.
+    lower id; a sampled domain has none.  ``id_maps`` caches ``image_ids``.
     """
 
     spec: DomainSpec
@@ -207,15 +203,15 @@ class Domain:
     ids: dict[Vector, int]
     step_lower: array
     step_upper: array
-    _id_maps: dict = field(default_factory=dict, repr=False, compare=False)
+    id_maps: dict
 
     def image_ids(self, transform: Callable[..., Vector], *params: int) -> array:
         """By id, the id of ``transform(v, *params)``, -1 outside the domain; kept, as it holds no f value."""
-        key = (transform, params)
-        if key not in self._id_maps:
+        key, maps = (transform, params), self.id_maps
+        if key not in maps:
             images = map(transform, self.vectors, *map(repeat, params))
-            self._id_maps[key] = array("i", map(self.ids.get, images, repeat(-1)))
-        return self._id_maps[key]
+            maps[key] = array("i", map(self.ids.get, images, repeat(-1)))
+        return maps[key]
 
 
 def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Domain:
@@ -250,7 +246,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
                 if j is not None:
                     step_lower.append(i)
                     step_upper.append(j)
-    return Domain(spec, vectors, exhaustive, uniforms, ids, step_lower, step_upper)
+    return Domain(spec, vectors, exhaustive, uniforms, ids, step_lower, step_upper, {})
 
 
 def _as_domain(domain: Domain | DomainSpec | tuple[int, int]) -> Domain:
@@ -279,19 +275,21 @@ class _Session:
 
     def __init__(self, index: IndexUnderTest, domain: Domain) -> None:
         self.index, self.domain = index, domain
+        # f runs once per candidate, and a NamedTuple field reads slower than an attribute.
+        self._id, self._evaluate = domain.ids.get, index.evaluate
         self._scaled: dict[int, list] = {}
 
     @cached_property
     def values(self) -> list:
-        return list(map(self.index.evaluate, self.domain.vectors))
+        return list(map(self._evaluate, self.domain.vectors))
 
     def f(self, v: Vector):
         """f of any vector; the predicates read it."""
-        i = self.domain.ids.get(v)
-        return self.index.evaluate(v) if i is None else self.values[i]
+        i = self._id(v)
+        return self._evaluate(v) if i is None else self.values[i]
 
     def _f_all(self, vectors: Iterable[Vector]) -> list:
-        get, values, evaluate = self.domain.ids.get, self.values, self.index.evaluate
+        get, values, evaluate = self._id, self.values, self._evaluate
         return [evaluate(w) if (i := get(w)) is None else values[i] for w in vectors]
 
     @cached_property
@@ -305,8 +303,9 @@ class _Session:
 
     def published(self, c: int) -> list:
         """f, by id, of each vector with a c-cited publication added; evaluates only images outside the domain."""
-        values, evaluate, ids = self.values, self.index.evaluate, self.domain.image_ids(_add_publication, c)
-        return [values[j] if j >= 0 else evaluate(_add_publication(x, c)) for x, j in zip(self.domain.vectors, ids)]
+        domain, values, evaluate = self.domain, self.values, self._evaluate
+        ids = domain.image_ids(_publish_in_box, c, domain.spec.n_max)
+        return [values[j] if j >= 0 else evaluate(_add_publication(x, c)) for x, j in zip(domain.vectors, ids)]
 
     def scaled(self, factor: int) -> list:
         """The scaled table of one factor that SI left, else one built whole and not kept."""
@@ -329,8 +328,7 @@ class _Session:
         self._scaled.update(zip(factors, tables))
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     """One checkable property, stated once for the scan and for replay.
 
     ``candidates(session)`` yields, in the domain's order, tuples of the
@@ -571,6 +569,11 @@ def _add_publication(x: Vector, citations: int) -> Vector:
     return tuple(sorted(x + (citations,), reverse=True))
 
 
+def _publish_in_box(x: Vector, citations: int, n_max: int) -> Vector | None:
+    """``_add_publication(x, citations)``, or None when x holds n_max entries, as the image then leaves the box."""
+    return None if len(x) == n_max else _add_publication(x, citations)
+
+
 def _unreachable_targets(s: _Session):
     domain = s.domain
     if not domain.exhaustive:
@@ -650,15 +653,8 @@ _CHI_STEP = Axiom(
 
 
 def _verdict(index: str, axiom: str, domain: Domain, counterexample: dict | None) -> AxiomVerdict:
-    return AxiomVerdict(
-        index=index,
-        axiom=axiom,
-        n_max=domain.spec.n_max,
-        c_max=domain.spec.c_max,
-        status=VIOLATED if counterexample is not None else SATISFIED,
-        counterexample=counterexample,
-        exhaustive=domain.exhaustive,
-    )
+    status = VIOLATED if counterexample is not None else SATISFIED
+    return AxiomVerdict(index, axiom, domain.spec.n_max, domain.spec.c_max, status, counterexample, domain.exhaustive)
 
 
 def check_axiom(
@@ -733,7 +729,7 @@ def expected_independence_pattern() -> dict[str, dict[str, str]]:
     matrix reports one extra violation.  The claimed pattern is kept
     as-is so the discrepancy stays visible in the comparison.
     """
-    rows = {
+    return {
         "avg_rec_citation": {"M": SATISFIED, "UC": SATISFIED, "UE": VIOLATED},
         "h_squared": {"M": SATISFIED, "UC": VIOLATED, "UE": SATISFIED},
         "publication_count": {"M": SATISFIED, "UC": VIOLATED, "UE": SATISFIED},
@@ -743,19 +739,15 @@ def expected_independence_pattern() -> dict[str, dict[str, str]]:
         "n_times_min": {"M": VIOLATED, "UC": SATISFIED, "UE": SATISFIED},
         "rec": {"M": SATISFIED, "UC": SATISFIED, "UE": SATISFIED},
     }
-    return rows
 
 
 def independence_matrix(domain: Domain | DomainSpec | tuple[int, int]) -> dict[str, dict[str, AxiomVerdict]]:
     """Check M, UC and UE for every registry index over one domain."""
     domain = _as_domain(domain)
-    matrix: dict[str, dict[str, AxiomVerdict]] = {}
-    for index in counterexample_registry():
-        matrix[index.name] = {
-            axiom.value: check_axiom(index, axiom, domain)
-            for axiom in INDEPENDENCE_AXIOMS
-        }
-    return matrix
+    return {
+        index.name: {axiom.value: check_axiom(index, axiom, domain) for axiom in INDEPENDENCE_AXIOMS}
+        for index in counterexample_registry()
+    }
 
 
 def pattern_mismatches(

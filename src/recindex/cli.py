@@ -208,15 +208,18 @@ def _cmd_axioms(args, out) -> int:
     # One index at a time, so only one index's value tables are alive;
     # None marks a check that needs an exhaustive domain.
     full = {index.name: ax.check_index(index, domain) for index in ax.counterexample_registry()}
+    found = ax.pattern_mismatches(full)
+    # A mismatched verdict's JSON serves its mismatch row and, in jsonl, its own row.
+    mismatched = {(name, axiom): verdict.to_json() for name, axiom, _, verdict in found}
     mismatches = [
         {
             "index": name,
             "axiom": axiom,
             "claimed": want,
             "computed": verdict.status,
-            "counterexample": verdict.to_json()["counterexample"],
+            "counterexample": mismatched[name, axiom]["counterexample"],
         }
-        for name, axiom, want, verdict in ax.pattern_mismatches(full)
+        for name, axiom, want, verdict in found
     ]
     bound = ax.chi_increment_bound(domain)
     code = EXIT_PATTERN_MISMATCH if mismatches else EXIT_OK
@@ -225,7 +228,7 @@ def _cmd_axioms(args, out) -> int:
         rows = [
             {"index": name, "axiom": axiom_id, "status": "refused", "reason": "needs an exhaustive domain"}
             if verdict is None
-            else verdict.to_json()
+            else mismatched.get((name, axiom_id)) or verdict.to_json()
             for name, row in full.items()
             for axiom_id, verdict in row.items()
         ]

@@ -9,8 +9,7 @@ Everything in this module is a pure function over plain tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Vector = tuple[int, ...]
 
@@ -87,8 +86,7 @@ def citation_count(x: Vector) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecAnalysis:
+class RecAnalysis(NamedTuple):
     """Largest-rectangle analysis of a citation vector.
 
     ``value`` is the maximal area i * x_i over publication ranks i.  A
@@ -147,8 +145,7 @@ def h_index(x: Vector) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class AuxIndices:
+class AuxIndices(NamedTuple):
     publication_count: int
     max_citation: int
     euclidean: float
@@ -208,8 +205,7 @@ def conjugate(x: Vector) -> Vector:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class RecVariants:
+class RecVariants(NamedTuple):
     """rec restricted to each side of the diagram's diagonal.
 
     ``influence`` maximises i * x_i over ranks with i <= x_i (rectangles at

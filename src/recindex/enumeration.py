@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import Vector, citation_count, make_vector
 
@@ -28,17 +27,27 @@ class DomainBudgetError(Exception):
     """Raised instead of silently truncating a too-large exhaustive scan."""
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Bounds of a finite scan domain, with an optional sampling seed."""
-
+class _Bounds(NamedTuple):
     n_max: int
     c_max: int
     seed: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.n_max < 1 or self.c_max < 1:
-            raise ValueError(f"domain bounds must be >= 1, got {self.n_max}x{self.c_max}")
+
+class DomainSpec(_Bounds):
+    """Bounds of a finite scan domain, with an optional sampling seed."""
+
+    __slots__ = ()
+
+    # A NamedTuple body may not define __new__, so the check lives in this subclass.
+    def __new__(cls, n_max: int, c_max: int, seed: int | None = None) -> DomainSpec:
+        if n_max < 1 or c_max < 1:
+            raise ValueError(f"domain bounds must be >= 1, got {n_max}x{c_max}")
+        return super().__new__(cls, n_max, c_max, seed)
+
+    @classmethod
+    def _make(cls, iterable) -> DomainSpec:
+        # _replace builds through _make, which would skip the check otherwise.
+        return cls(*iterable)
 
 
 def canonical_key(v: Vector) -> tuple:

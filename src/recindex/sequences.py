@@ -9,8 +9,7 @@ of f lands on a uniform vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     Vector,
@@ -31,14 +30,12 @@ ABSENT = "absent"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class ConstructiveSequence:
+class ConstructiveSequence(NamedTuple):
     steps: tuple[Vector, ...]
     target: Vector
 
 
-@dataclass(frozen=True)
-class IncrementalCheck:
+class IncrementalCheck(NamedTuple):
     """Outcome of an f-incremental check; falsy when a step violates it."""
 
     ok: bool
@@ -48,8 +45,7 @@ class IncrementalCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of a witness search.
 
     ``absent`` is a definitive no (the whole space below the target was

@@ -26,6 +26,7 @@ from recindex.axioms import (
     REC,
     _Session,
     _add_publication,
+    _publish_in_box,
     check_axiom,
     check_index,
     chi_increment_bound,
@@ -36,7 +37,17 @@ from recindex.axioms import (
     pattern_mismatches,
     replay_counterexample,
 )
-from recindex.core import TOLERANCE, add_one_to_all, citation_count, conjugate, dominates, is_uniform, rec, scale
+from recindex.core import (
+    TOLERANCE,
+    add_one_to_all,
+    citation_count,
+    conjugate,
+    dominates,
+    is_uniform,
+    rec,
+    rec_index,
+    scale,
+)
 from recindex.enumeration import DomainBudgetError, DomainSpec, enumerate_vectors
 
 DOMAIN = (4, 4)
@@ -509,6 +520,23 @@ def test_image_ids_match_the_dict_lookup(domain):
         expected = [domain.ids.get(transform(v, *params), -1) for v in domain.vectors]
         assert list(domain.image_ids(transform, *params)) == expected, (transform.__name__, params)
         assert domain.image_ids(transform, *params) is domain.image_ids(transform, *params)
+
+
+@pytest.mark.parametrize("domain", MAPPED_DOMAINS, ids=lambda d: f"{d.spec.n_max}x{d.spec.c_max}")
+def test_the_in_box_publication_map_equals_the_full_one(domain):
+    n_max = domain.spec.n_max
+    for c in range(1, domain.spec.c_max + 1):
+        full = domain.image_ids(_add_publication, c)
+        assert domain.image_ids(_publish_in_box, c, n_max) == full
+        assert all(j == -1 for v, j in zip(domain.vectors, full) if len(v) == n_max)
+
+
+def test_result_records_are_immutable():
+    verdict = check_axiom(REC, "UC", DOMAIN)
+    for record in (verdict, DomainSpec(3, 3), rec_index((6, 4, 3, 1))):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 @pytest.mark.parametrize("domain_name", list(ORACLE_DOMAINS))

@@ -478,6 +478,16 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 1
 
 
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    # The import is the cold start of every command; dataclasses alone pulls
+    # in inspect, ast, dis and tokenize.  -S keeps site's imports out of it.
+    loaded = "import sys, recindex, recindex.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", loaded], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_closed_stdout_ends_quietly_with_exit_1():
     src = str(ROOT / "src")
     pythonpath = os.environ.get("PYTHONPATH")

@@ -26,6 +26,14 @@ def test_domain_spec_rejects_bad_bounds():
         DomainSpec(3, 0)
 
 
+def test_domain_spec_copies_are_checked_too():
+    assert DomainSpec(3, 4)._replace(seed=5) == DomainSpec(3, 4, seed=5)
+    with pytest.raises(ValueError):
+        DomainSpec(3, 4)._replace(c_max=0)
+    with pytest.raises(ValueError):
+        DomainSpec._make((0, 4, None))
+
+
 def test_smallest_domains():
     assert list(enumerate_vectors(DomainSpec(1, 1))) == [(), (1,)]
     assert list(enumerate_vectors(DomainSpec(2, 2))) == [

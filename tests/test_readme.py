@@ -17,10 +17,10 @@ def test_readme_python_examples_hold():
     assert len(blocks) >= 3
     parser = doctest.DocTestParser()
     runner = doctest.DocTestRunner()
-    globs: dict = {}
+    # Each block imports its own names: it runs in a fresh namespace.
     for number, block in enumerate(blocks, 1):
-        test = parser.get_doctest(block, globs, f"README.md python block {number}", str(README), 0)
+        test = parser.get_doctest(block, {}, f"README.md python block {number}", str(README), 0)
         assert test.examples
-        runner.run(test, clear_globs=False)
+        runner.run(test)
     result = runner.summarize(verbose=False)
     assert result.failed == 0, f"{result.failed} of {result.attempted} README examples failed"

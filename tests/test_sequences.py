@@ -60,6 +60,7 @@ def test_is_f_incremental_reports_first_violation():
     check = is_f_incremental(ConstructiveSequence(steps, (3, 2)), rec)
     assert not check.ok
     assert check.violation_index == 5  # rec jumps 3 -> 6 landing on <3,2>
+    assert not check
 
 
 def test_is_f_incremental_rejects_non_constructive_input():
