@@ -221,6 +221,8 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     This is the only scan function that reads a sample size.  A sampled
     box still keeps every uniform vector, c_max * n_max * (n_max + 1) / 2
     counts in all; it is refused when those or the size exceed the budget.
+    Either domain is refused when its image tables exceed the budget: SI,
+    RANK_SI and RANK_IND hold up to c_max values per vector.
     """
     try:
         vectors, exhaustive = list(enumerate_vectors(spec)), True
@@ -235,6 +237,11 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
         if sample_size > EXHAUSTIVE_BUDGET:
             raise DomainBudgetError(f"sample size {sample_size} exceeds the budget of {EXHAUSTIVE_BUDGET}") from None
         vectors, exhaustive = sample_vectors(spec, sample_size), False
+    if len(vectors) * spec.c_max > EXHAUSTIVE_BUDGET:
+        raise DomainBudgetError(
+            f"the image tables of domain {spec.n_max}x{spec.c_max} hold {spec.c_max} values for each of its "
+            f"{len(vectors)} vectors, more than the budget of {EXHAUSTIVE_BUDGET}"
+        )
     uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
     uniforms.sort(key=canonical_key)
     ids = {v: i for i, v in enumerate(vectors)}

@@ -42,11 +42,8 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved here, so remap.
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._validation_exit(message))
-
-    def _validation_exit(self, message: str) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise SystemExit(EXIT_VALIDATION)
 
 
 def _render_vector(x: Vector) -> str:
@@ -195,10 +192,8 @@ def _cmd_sequence(args, out) -> int:
     return EXIT_OK
 
 
-def _verdict_cell(verdict: ax.AxiomVerdict | None) -> str:
-    if verdict is None:
-        return "n/a"
-    return "pass" if verdict.ok else "FAIL"
+#: How each cell status reads in the text matrices.
+_STATUS_WORDS = {ax.SATISFIED: "pass", ax.VIOLATED: "FAIL", "refused": "n/a"}
 
 
 def _cmd_axioms(args, out) -> int:
@@ -208,68 +203,51 @@ def _cmd_axioms(args, out) -> int:
     # One index at a time, so only one index's value tables are alive;
     # None marks a check that needs an exhaustive domain.
     full = {index.name: ax.check_index(index, domain) for index in ax.counterexample_registry()}
-    found = ax.pattern_mismatches(full)
-    # A mismatched verdict's JSON serves its mismatch row and, in jsonl, its own row.
-    mismatched = {(name, axiom): verdict.to_json() for name, axiom, _, verdict in found}
+    # Each cell's JSONL row; both formats and the mismatch list read these.
+    cells = {
+        (name, axiom): {"index": name, "axiom": axiom, "status": "refused", "reason": "needs an exhaustive domain"}
+        if verdict is None
+        else verdict.to_json()
+        for name, row in full.items()
+        for axiom, verdict in row.items()
+    }
     mismatches = [
         {
             "index": name,
             "axiom": axiom,
             "claimed": want,
             "computed": verdict.status,
-            "counterexample": mismatched[name, axiom]["counterexample"],
+            "counterexample": cells[name, axiom]["counterexample"],
         }
-        for name, axiom, want, verdict in found
+        for name, axiom, want, verdict in ax.pattern_mismatches(full)
     ]
-    bound = ax.chi_increment_bound(domain)
+    bound = ax.chi_increment_bound(domain).to_json()
     code = EXIT_PATTERN_MISMATCH if mismatches else EXIT_OK
 
     if args.format == "jsonl":
-        rows = [
-            {"index": name, "axiom": axiom_id, "status": "refused", "reason": "needs an exhaustive domain"}
-            if verdict is None
-            else mismatched.get((name, axiom_id)) or verdict.to_json()
-            for name, row in full.items()
-            for axiom_id, verdict in row.items()
-        ]
-        rows.append(bound.to_json())
-        rows.append({"mismatches": mismatches})
-        _emit(out, "jsonl", [], rows)
+        _emit(out, "jsonl", [], [*cells.values(), bound, {"mismatches": mismatches}])
         return code
 
     scanned = f"exhaustive, {size}" if domain.exhaustive else f"sampled, non-exhaustive, {len(domain.vectors)} of {size}"
     print(f"domain: n_max={spec.n_max} c_max={spec.c_max} ({scanned} vectors)", file=out)
-    for title, axioms in (
-        ("independence matrix", ax.INDEPENDENCE_AXIOMS),
-        ("full axiom matrix", ax.AxiomId),
-    ):
+    for title, axioms in ("independence matrix", ax.INDEPENDENCE_AXIOMS), ("full axiom matrix", ax.AxiomId):
+        columns = [a.value for a in axioms]
+        rows = ({"index": name, **{a: _STATUS_WORDS[cells[name, a]["status"]] for a in columns}} for name in full)
         print(f"\n{title}:", file=out)
-        rows = [
-            {"index": name, **{a.value: _verdict_cell(row[a.value]) for a in axioms}}
-            for name, row in full.items()
-        ]
-        _emit(out, "table", ["index"] + [a.value for a in axioms], rows)
-    print(f"\nsingle-citation chi bound (chi never grows by more than 1): {_verdict_cell(bound)}", file=out)
+        _emit(out, "table", ["index", *columns], rows)
+    print(f"\nsingle-citation chi bound (chi never grows by more than 1): {_STATUS_WORDS[bound['status']]}", file=out)
     print("", file=out)
     if not mismatches:
         print("independence matrix matches the documented pattern.", file=out)
     else:
         print(f"documented-pattern mismatches: {len(mismatches)}", file=out)
         for m in mismatches:
+            # Only M, UC and UE cells can mismatch, and each of their witnesses names x.
             if m["computed"] == ax.VIOLATED:
-                witness = m["counterexample"] or {}
-                where = witness.get("x", witness.get("target"))
-                detail = f"counterexample x={_render_vector(where)}" if where is not None else "counterexample found"
-                print(
-                    f"  {m['index']} / {m['axiom']}: claimed pass, computed FAIL ({detail})",
-                    file=out,
-                )
+                detail = f"claimed pass, computed FAIL (counterexample x={_render_vector(m['counterexample']['x'])})"
             else:
-                print(
-                    f"  {m['index']} / {m['axiom']}: claimed FAIL, not exposed on this domain "
-                    f"(domain too small?)",
-                    file=out,
-                )
+                detail = "claimed FAIL, not exposed on this domain (domain too small?)"
+            print(f"  {m['index']} / {m['axiom']}: {detail}", file=out)
     return code
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 # Unused here; perfbench/tracing.py wraps rec_index, h_index, aux_indices and rec_variants by name.
@@ -161,16 +161,16 @@ def _parse_jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
         yield line_no, name, counts
 
 
-def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]:
+def parse_dataset(path: str | os.PathLike, fmt: str = "auto") -> list[ResearcherRecord]:
     """Read a researcher dataset from disk.
 
     ``fmt`` is ``csv``, ``jsonl`` or ``auto`` (decide by extension, then
     by whether the first non-blank character is an opening brace).
     """
-    path = Path(path)
     try:
         # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as file:
+            text = file.read().removeprefix("\ufeff")
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -178,7 +178,7 @@ def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]
             f"cannot read dataset {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
     if fmt == "auto":
-        suffix = path.suffix.lower()
+        suffix = os.path.splitext(path)[1].lower()
         if suffix == ".csv":
             fmt = "csv"
         elif suffix in (".jsonl", ".ndjson", ".json"):
@@ -192,7 +192,7 @@ def parse_dataset(path: str | Path, fmt: str = "auto") -> list[ResearcherRecord]
     read, normalise = readers[fmt]
     records: list[ResearcherRecord] = []
     seen: dict[str, int] = {}
-    # read_text made every line end "\n"; splitlines() would also break at U+2028, "\x1c" and the like.
+    # Text mode made every line end "\n"; splitlines() would also break at U+2028, "\x1c" and the like.
     for line_no, name, raw in read(text.split("\n")):
         if name in seen:
             raise DatasetError(f"duplicate researcher id {name!r} on lines {seen[name]} and {line_no}")

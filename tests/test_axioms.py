@@ -735,6 +735,17 @@ def test_sampled_domain_whose_uniforms_exceed_the_budget_is_refused():
         build_domain(DomainSpec(300, 300, seed=1), 5)
 
 
+def test_a_domain_whose_image_tables_exceed_the_budget_is_refused(monkeypatch):
+    # SI, RANK_SI and RANK_IND hold up to c_max values per vector: 100,001 * 100,000 here.
+    with pytest.raises(DomainBudgetError, match="image tables of domain 1x100000 hold 100000 values"):
+        build_domain(DomainSpec(1, 100000))
+    # 3x400 (10,827,401 vectors) is sampled; 25,000 drawn vectors fill the budget exactly.
+    monkeypatch.setattr("recindex.axioms.sample_vectors", lambda spec, size: [()] * size)
+    assert len(build_domain(DomainSpec(3, 400, seed=1), 25_000).vectors) == 25_000
+    with pytest.raises(DomainBudgetError, match="for each of its 25001 vectors, more than the budget of 10000000"):
+        build_domain(DomainSpec(3, 400, seed=1), 25_001)
+
+
 def test_uniform_increment_refuses_sampled_domains():
     with pytest.raises(DomainBudgetError, match="exhaustive"):
         check_axiom(REC, "UI", DomainSpec(40, 40, seed=3))

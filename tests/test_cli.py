@@ -405,6 +405,45 @@ def test_axioms_sample_size_above_the_budget_exits_3(capsys, monkeypatch):
     assert drawn == [10_000_000]
 
 
+@pytest.mark.parametrize(
+    "argv, domain",
+    [(("--n-max", "1", "--c-max", "100000"), "1x100000"), (("--n-max", "2", "--c-max", "1000000", "--seed", "1"), "2x1000000")],
+)
+def test_axioms_image_tables_above_the_budget_exit_3(capsys, argv, domain):
+    code, text = run_cli("axioms", *argv)
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err.startswith(f"refused: the image tables of domain {domain} hold")
+
+
+@pytest.mark.parametrize(
+    "argv", [("--n-max", "3", "--c-max", "3"), ("--n-max", "40", "--c-max", "40", "--seed", "11", "--sample-size", "30")]
+)
+def test_axioms_table_reads_what_jsonl_reads(argv):
+    # Each format is pinned by its own golden files; this pins one to the other.
+    words = {"satisfied-on-domain": "pass", "violated": "FAIL", "refused": "n/a"}
+    code, text = run_cli("axioms", *argv)
+    jsonl_code, jsonl = run_cli("axioms", *argv, "--format", "jsonl")
+    assert jsonl_code == code == 2
+    *cells, chi, last = map(json.loads, jsonl.splitlines())
+    expected = {(cell["index"], cell["axiom"]): words[cell["status"]] for cell in cells}
+    _, independence, full, chi_line, tail = text.rstrip("\n").split("\n\n")
+    for matrix, axioms_shown in (independence, ["M", "UC", "UE"]), (full, [a.value for a in axioms.AxiomId]):
+        title, header, *rows = matrix.splitlines()
+        assert header.split() == ["index", *axioms_shown]
+        shown = {(row.split()[0], axiom): word for row in rows for axiom, word in zip(axioms_shown, row.split()[1:])}
+        assert shown == {key: word for key, word in expected.items() if key[1] in axioms_shown}
+    assert chi["axiom"] == "CHI_STEP_BOUND"
+    assert chi_line == f"single-citation chi bound (chi never grows by more than 1): {words[chi['status']]}"
+    mismatches = last["mismatches"]
+    assert tail.splitlines() == [f"documented-pattern mismatches: {len(mismatches)}"] + [
+        f"  {m['index']} / {m['axiom']}: claimed pass, computed FAIL "
+        f"(counterexample x=<{','.join(map(str, m['counterexample']['x']))}>)"
+        if m["computed"] == "violated"
+        else f"  {m['index']} / {m['axiom']}: claimed FAIL, not exposed on this domain (domain too small?)"
+        for m in mismatches
+    ]
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
@@ -480,8 +519,9 @@ def test_python_dash_m_runs_the_cli():
 
 def test_importing_the_cli_skips_dataclasses_and_inspect():
     # The import is the cold start of every command; dataclasses alone pulls
-    # in inspect, ast, dis and tokenize.  -S keeps site's imports out of it.
-    loaded = "import sys, recindex, recindex.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # in inspect, ast, dis and tokenize, and pathlib pulls in urllib.parse and
+    # ipaddress.  -S keeps site's imports out of it.
+    loaded = "import sys, recindex, recindex.cli; print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-S", "-c", loaded], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
