@@ -39,6 +39,7 @@ from .enumeration import (
     EXHAUSTIVE_BUDGET,
     DomainBudgetError,
     DomainSpec,
+    box_size,
     canonical_key,
     enumerate_uniform_dominated,
     enumerate_vectors,
@@ -225,7 +226,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     RANK_SI and RANK_IND hold up to c_max values per vector.
     """
     try:
-        vectors, exhaustive = list(enumerate_vectors(spec)), True
+        size, exhaustive = box_size(spec), True
     except DomainBudgetError as exc:
         if spec.seed is None:
             raise DomainBudgetError(f"{exc}; supply a seed for a sampled (non-exhaustive) scan") from None
@@ -237,11 +238,14 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
         if sample_size > EXHAUSTIVE_BUDGET:
             raise DomainBudgetError(f"sample size {sample_size} exceeds the budget of {EXHAUSTIVE_BUDGET}") from None
         vectors, exhaustive = sample_vectors(spec, sample_size), False
-    if len(vectors) * spec.c_max > EXHAUSTIVE_BUDGET:
+        size = len(vectors)
+    if size * spec.c_max > EXHAUSTIVE_BUDGET:
         raise DomainBudgetError(
             f"the image tables of domain {spec.n_max}x{spec.c_max} hold {spec.c_max} values for each of its "
-            f"{len(vectors)} vectors, more than the budget of {EXHAUSTIVE_BUDGET}"
+            f"{size} vectors, more than the budget of {EXHAUSTIVE_BUDGET}"
         )
+    if exhaustive:
+        vectors = list(enumerate_vectors(spec))
     uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
     uniforms.sort(key=canonical_key)
     ids = {v: i for i, v in enumerate(vectors)}

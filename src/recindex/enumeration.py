@@ -60,19 +60,25 @@ def count_vectors(n_max: int, c_max: int) -> int:
     return math.comb(n_max + c_max, n_max)
 
 
+def box_size(spec: DomainSpec) -> int:
+    """Number of vectors in the box; the one place that refuses a box above EXHAUSTIVE_BUDGET."""
+    size = count_vectors(spec.n_max, spec.c_max)
+    if size > EXHAUSTIVE_BUDGET:
+        # The count itself can run past the 4300 digits that str() allows.
+        raise DomainBudgetError(
+            f"domain {spec.n_max}x{spec.c_max} holds more vectors than the exhaustive budget of {EXHAUSTIVE_BUDGET}"
+        )
+    return size
+
+
 def enumerate_vectors(spec: DomainSpec) -> Iterator[Vector]:
     """All domain vectors in canonical order.
 
     The vectors of length n are the n-multisets of 1..c_max, each drawn
     in descending order.  Refuses domains above EXHAUSTIVE_BUDGET
-    outright rather than truncating; this is the one place that compares
-    the size of a box with the budget.
+    (``box_size``) outright rather than truncating.
     """
-    if count_vectors(spec.n_max, spec.c_max) > EXHAUSTIVE_BUDGET:
-        # The count itself can run past the 4300 digits that str() allows.
-        raise DomainBudgetError(
-            f"domain {spec.n_max}x{spec.c_max} holds more vectors than the exhaustive budget of {EXHAUSTIVE_BUDGET}"
-        )
+    box_size(spec)
     counts = range(spec.c_max, 0, -1)
     vectors = chain.from_iterable(combinations_with_replacement(counts, n) for n in range(spec.n_max + 1))
     yield from sorted(vectors, key=canonical_key)

@@ -103,7 +103,17 @@ def _csv_rows(lines: Iterable[str]):
         raise DatasetError(f"line {line_no + 1}: malformed CSV row: {exc}") from None
 
 
+class _CountCache(dict):
+    # int() of each count cell, kept only for cells of at most 4 characters, so memory stays bounded.
+    def __missing__(self, cell: str) -> int:
+        count = int(cell)
+        if len(cell) <= 4:
+            self[cell] = count
+        return count
+
+
 def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
+    count_of = _CountCache().__getitem__
     for line_no, row in _csv_rows(lines):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -115,13 +125,10 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
         try:
             # int() ignores surrounding blanks itself, and filter() drops the
             # empty cells of padded rows; the loop below names a bad cell.
-            counts = list(map(int, filter(None, row[1:])))
+            counts = list(map(count_of, filter(None, row[1:])))
         except ValueError:
             counts = []
-            for cell in row[1:]:
-                cell = cell.strip()
-                if not cell:
-                    continue  # spreadsheet exports pad short rows with empty cells
+            for cell in filter(None, map(str.strip, row[1:])):  # exports pad short rows with blank cells
                 try:
                     counts.append(int(cell))
                 except ValueError:

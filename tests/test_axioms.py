@@ -746,6 +746,16 @@ def test_a_domain_whose_image_tables_exceed_the_budget_is_refused(monkeypatch):
         build_domain(DomainSpec(3, 400, seed=1), 25_001)
 
 
+def test_a_box_over_the_image_budget_is_refused_before_it_is_enumerated(monkeypatch):
+    def enumerate_vectors(spec):
+        pytest.fail(f"enumerated {spec}")
+        yield
+
+    monkeypatch.setattr("recindex.axioms.enumerate_vectors", enumerate_vectors)
+    with pytest.raises(DomainBudgetError, match="image tables of domain 12x12 hold 12 values for each of its 2704156 vectors"):
+        build_domain(DomainSpec(12, 12))
+
+
 def test_uniform_increment_refuses_sampled_domains():
     with pytest.raises(DomainBudgetError, match="exhaustive"):
         check_axiom(REC, "UI", DomainSpec(40, 40, seed=3))

@@ -16,6 +16,7 @@ from recindex.ingest import (
     DatasetError,
     RANKABLE_COLUMNS,
     ResearcherRecord,
+    _CountCache,
     _csv_vector,
     _parse_csv_lines,
     build_report,
@@ -160,6 +161,29 @@ def test_csv_counts_match_the_per_cell_loop(cells):
     got = outcome(lambda: list(_parse_csv_lines([line])))
     expected = outcome(lambda: [(1, "r", loop_counts(cells, 1, "r"))])
     assert got == expected
+
+
+@given(st.lists(CELL, min_size=1, max_size=6), st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=6))
+@example(["7", " 7", "7 ", "x"], [[0, 1, 2], [2, 1, 0], [0, 0, 3]])
+@example(["12345", "99999", ""], [[0, 1], [1, 0, 2], [0]])
+def test_csv_counts_match_the_per_cell_loop_across_rows(pool, picks):
+    # Rows pick their cells from one small pool, so later rows repeat the
+    # cells of earlier ones and read them from the parse's count cache.
+    rows = [[pool[i % len(pool)] for i in picked] for picked in picks]
+    lines = [",".join([f"r{k}", *cells]) for k, cells in enumerate(rows, 1)]
+    got = outcome(lambda: list(_parse_csv_lines(lines)))
+    expected = outcome(lambda: [(k, f"r{k}", loop_counts(cells, k, f"r{k}")) for k, cells in enumerate(rows, 1)])
+    assert got == expected
+
+
+def test_the_count_cache_keeps_only_short_cells_that_convert():
+    cache = _CountCache()
+    assert cache["12345"] == 12345
+    assert cache["\xa07 "] == 7
+    with pytest.raises(ValueError):
+        cache["x"]
+    assert "12345" not in cache and "x" not in cache
+    assert cache == {"\xa07 ": 7}
 
 
 def _vector_or_error(normalise, counts):
