@@ -108,16 +108,8 @@ class AxiomVerdict(NamedTuple):
             "c_max": self.c_max,
             "exhaustive": self.exhaustive,
             "status": self.status,
-            "counterexample": _jsonable(self.counterexample),
+            "counterexample": self.counterexample,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +185,9 @@ class Domain(NamedTuple):
     order.
     The one-citation steps of an exhaustive box are the id pairs
     ``(step_lower[s], step_upper[s])``: the upper vector adds one citation
-    to the lower one and stays in the box.  They are listed by ascending
-    lower id; a sampled domain has none.  ``id_maps`` caches ``image_ids``.
+    to the lower one at rank ``step_position[s]`` and stays in the box.
+    They are listed by ascending lower id, then rank; a sampled domain has
+    none.  ``id_maps`` caches ``image_ids``.
     """
 
     spec: DomainSpec
@@ -204,6 +197,7 @@ class Domain(NamedTuple):
     ids: dict[Vector, int]
     step_lower: array
     step_upper: array
+    step_position: array
     id_maps: dict
 
     def image_ids(self, transform: Callable[..., Vector], *params: int) -> array:
@@ -249,15 +243,19 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
     uniforms.sort(key=canonical_key)
     ids = {v: i for i, v in enumerate(vectors)}
-    step_lower, step_upper = array("i"), array("i")
+    step_lower, step_upper, step_position = array("i"), array("i"), array("b" if spec.n_max < 128 else "i")
     if exhaustive:
-        for i, v in enumerate(vectors):
-            for k in valid_positions(v):
-                j = ids.get(add_citation_at(v, k))
-                if j is not None:
+        for i, x in enumerate(vectors):
+            # Rank k takes a citation when x_k differs from x_{k-1}; rank n + 1 reads a count of 0 and opens a
+            # publication.  Reading c_max for x_0 and cutting at rank n_max drop the steps that leave the box.
+            before = spec.c_max
+            for k, c in enumerate((x + (0,))[: spec.n_max], 1):
+                if c != before:
                     step_lower.append(i)
-                    step_upper.append(j)
-    return Domain(spec, vectors, exhaustive, uniforms, ids, step_lower, step_upper, {})
+                    step_upper.append(ids[x[: k - 1] + (c + 1,) + x[k:]])
+                    step_position.append(k)
+                before = c
+    return Domain(spec, vectors, exhaustive, uniforms, ids, step_lower, step_upper, step_position, {})
 
 
 def _as_domain(domain: Domain | DomainSpec | tuple[int, int]) -> Domain:
@@ -299,14 +297,10 @@ class _Session:
         i = self._id(v)
         return self._evaluate(v) if i is None else self.values[i]
 
-    def _f_all(self, vectors: Iterable[Vector]) -> list:
-        get, values, evaluate = self._id, self.values, self._evaluate
-        return [evaluate(w) if (i := get(w)) is None else values[i] for w in vectors]
-
     @cached_property
     def uniform_rows(self) -> list[list]:
         spec = self.domain.spec
-        return [self._f_all((c,) * j for c in range(1, spec.c_max + 1)) for j in range(1, spec.n_max + 1)]
+        return [[self.f((c,) * j) for c in range(1, spec.c_max + 1)] for j in range(1, spec.n_max + 1)]
 
     def uniform(self, u: Vector):
         """f of a uniform vector of the box."""
@@ -318,9 +312,18 @@ class _Session:
         ids = domain.image_ids(_publish_in_box, c, domain.spec.n_max)
         return [values[j] if j >= 0 else evaluate(_add_publication(x, c)) for x, j in zip(domain.vectors, ids)]
 
+    def _f_scaled(self, vectors: Iterable[Vector], factors: Iterable[int]) -> list:
+        """f of each vector scaled by its paired factor; only an image with x_1 * factor <= c_max is looked up by id."""
+        get, values, evaluate, c_max = self._id, self.values, self._evaluate, self.domain.spec.c_max
+        return [
+            evaluate(w) if x and x[0] * factor > c_max or (i := get(w)) is None else values[i]
+            for x, factor in zip(vectors, factors)
+            for w in (tuple(map(factor.__mul__, x)),)
+        ]
+
     def scaled(self, factor: int) -> list:
         """The scaled table of one factor that SI left, else one built whole and not kept."""
-        return self._scaled.get(factor) or self._f_all(tuple(c * factor for c in x) for x in self.domain.vectors)
+        return self._scaled.get(factor) or self._f_scaled(self.domain.vectors, repeat(factor))
 
     def scaled_rows(self, factors: range):
         """Yield ``(x, f(x), row)`` by id, ``row[k]`` being f of x scaled by
@@ -332,7 +335,7 @@ class _Session:
         """
         tables: list[list] = [[] for _ in factors]
         for x, fx in zip(self.domain.vectors, self.values):
-            row = self._f_all(tuple(c * factor for c in x) for factor in factors)
+            row = self._f_scaled(repeat(x), factors)
             for table, value in zip(tables, row):
                 table.append(value)
             yield x, fx, row
@@ -375,10 +378,6 @@ def _first_witness(axiom: Axiom, session: _Session) -> dict | None:
     return None
 
 
-def _growth_steps(s: _Session):
-    return ((x, k) for x in s.domain.vectors for k in valid_positions(x))
-
-
 def _violates_um(f, x, y):
     return AXIOMS[AxiomId.MONOTONICITY].violates(f, x, y) if is_uniform(x) else None
 
@@ -387,15 +386,6 @@ def _violates_si(f, x, factor):
     fx, scaled = f(x), f(scale(x, factor))
     if not close(scaled, factor * fx):
         return {"x": x, "factor": factor, "f_x": fx, "f_scaled": scaled}
-    return None
-
-
-def _violates_rc(f, x, position):
-    grown = add_citation_at(x, position)
-    old = x[position - 1] if position <= len(x) else 0
-    fg, expected = f(grown), max(f(x), position * (old + 1))
-    if not close(fg, expected):
-        return {"x": x, "position": position, "extended": grown, "f_extended": fg, "expected": expected}
     return None
 
 
@@ -410,13 +400,6 @@ def _violates_ui(f, target):
     outcome = sequences.search_incremental(target, f, budget=UI_SEARCH_BUDGET)
     if outcome.status == sequences.ABSENT:
         return {"target": target, "note": "no f-incremental constructive sequence"}
-    return None
-
-
-def _violates_chi_step(f, x, position):
-    before, after = f(x), f(add_citation_at(x, position))
-    if not at_most(after, before + 1):
-        return {"x": x, "position": position, "chi_before": before, "chi_after": after}
     return None
 
 
@@ -445,6 +428,34 @@ def _domination_axiom(description: str, edge_holds, holds: Callable[[float, floa
         return ((x, y) for x, fx in scored for y, fy in scored if not holds(fx, fy))
 
     return Axiom(description, ("x", "y"), candidates, violates)
+
+
+def _step_axiom(description: str, relation, bound, witness) -> Axiom:
+    """An axiom broken by a one-citation step (x, k), x growing into
+    ``grown``, when ``relation(f(grown), b)`` fails for ``b = bound(f(x),
+    grown, k)``; the witness is ``witness(x, k, grown, f(x), f(grown), b)``."""
+
+    def violates(f, x, position):
+        grown = add_citation_at(x, position)
+        fx, fg = f(x), f(grown)
+        expected = bound(fx, grown, position)
+        return None if relation(fg, expected) else witness(x, position, grown, fx, fg, expected)
+
+    def candidates(s: _Session):
+        # On a closed domain an in-box step is two table reads.  When all of them hold, only the steps that
+        # leave the box, in the same order, can give a witness; else every step goes to the predicate in order.
+        domain, read = s.domain, s.values.__getitem__
+        grown = map(domain.vectors.__getitem__, domain.step_upper)
+        expected = map(bound, map(read, domain.step_lower), grown, domain.step_position)
+        if domain.exhaustive and all(map(relation, map(read, domain.step_upper), expected)):
+            # rank 1 leaves the box when x_1 = c_max; rank n_max + 1 is a step only when x has n_max entries
+            n_max, top = domain.spec.n_max, (domain.spec.c_max,)
+            return (
+                (x, k) for x in domain.vectors for k in (1, n_max + 1) if (x[:1] == top if k == 1 else len(x) == n_max)
+            )
+        return ((x, k) for x in domain.vectors for k in valid_positions(x))
+
+    return Axiom(description, ("x", "position"), candidates, violates)
 
 
 def _scale_candidates(s: _Session):
@@ -625,8 +636,11 @@ AXIOMS: dict[AxiomId, Axiom] = {
     AxiomId.SELF_CONJUGACY: _image_axiom(
         "f is unchanged by conjugation", lambda x: conjugate(x), "conjugate", close
     ),
-    AxiomId.RECTANGLE_COMPLETION: Axiom(
-        "f(x + citation at k) = max(f(x), k * (x_k + 1))", ("x", "position"), _growth_steps, _violates_rc
+    AxiomId.RECTANGLE_COMPLETION: _step_axiom(
+        "f(x + citation at k) = max(f(x), k * (x_k + 1))",
+        close,
+        lambda fx, grown, k: max(fx, k * grown[k - 1]),
+        lambda x, k, grown, fx, fg, b: {"x": x, "position": k, "extended": grown, "f_extended": fg, "expected": b},
     ),
     AxiomId.UNIFORM_CITATION: _citation_count_axiom(
         "on uniform vectors f equals the citation count", lambda s: s.domain.uniforms
@@ -658,8 +672,11 @@ AXIOMS: dict[AxiomId, Axiom] = {
     ),
 }
 
-_CHI_STEP = Axiom(
-    "chi grows by at most 1 per added citation", ("x", "position"), _growth_steps, _violates_chi_step
+_CHI_STEP = _step_axiom(
+    "chi grows by at most 1 per added citation",
+    at_most,
+    lambda fx, grown, k: fx + 1,
+    lambda x, k, grown, fx, fg, b: {"x": x, "position": k, "chi_before": fx, "chi_after": fg},
 )
 
 

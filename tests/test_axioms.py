@@ -24,6 +24,7 @@ from recindex.axioms import (
     H,
     INDEPENDENCE_AXIOMS,
     REC,
+    _CHI_STEP,
     _Session,
     _add_publication,
     _publish_in_box,
@@ -40,6 +41,7 @@ from recindex.axioms import (
 from recindex.core import (
     TOLERANCE,
     add_one_to_all,
+    chi_index,
     citation_count,
     conjugate,
     dominates,
@@ -47,6 +49,7 @@ from recindex.core import (
     rec,
     rec_index,
     scale,
+    valid_positions,
 )
 from recindex.enumeration import DomainBudgetError, DomainSpec, enumerate_vectors
 
@@ -407,6 +410,8 @@ def _naive_candidates(axiom: str, domain):
         return ((u,) for u in domain.uniforms)
     if axiom == "USC":
         return (((1,) * j,) for j in range(domain.spec.n_max + 1))
+    if axiom == "RC":
+        return ((x, k) for x in domain.vectors for k in valid_positions(x))
     first = 1 if axiom == "RANK_IND" else 2
     return (
         (x, y, param)
@@ -415,7 +420,7 @@ def _naive_candidates(axiom: str, domain):
     )
 
 
-@pytest.mark.parametrize("axiom", ["M", "SM", "UM", "RANK_IND", "RANK_SI", "SI", "UE", "UC", "USC", "SC", "CI"])
+@pytest.mark.parametrize("axiom", ["M", "SM", "UM", "RANK_IND", "RANK_SI", "SI", "UE", "UC", "USC", "SC", "CI", "RC"])
 @pytest.mark.parametrize("domain_name", list(ORACLE_DOMAINS))
 def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
     domain = ORACLE_DOMAINS[domain_name]
@@ -424,6 +429,37 @@ def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
         f = functools.cache(index.evaluate)
         naive = next((w for c in _naive_candidates(axiom, domain) if (w := violates(f, *c)) is not None), None)
         verdict = check_axiom(index, axiom, domain)
+        assert (verdict.status, verdict.counterexample) == (
+            VIOLATED if naive is not None else SATISFIED,
+            naive,
+        ), index.name
+
+
+#: chi with NaN, +inf or -inf at one vector.  (4,), (8,), (1, 1, 1, 1) and
+#: (1,) * 8 each lie outside some oracle box, where only a step that
+#: leaves the box reaches them.
+CHI_VARIANTS = [
+    CHI,
+    *(
+        make_index(f"chi_{value}_at_{''.join(map(str, at))}", lambda v, table={at: value}: table.get(v, chi_index(v)))
+        for value in (NAN, float("inf"), float("-inf"))
+        for at in [(1,), (2, 1), (1, 1), (3, 2, 1), (4,), (8,), (1, 1, 1, 1), (1,) * 8]
+    ),
+    # (7, 7, 7) leaves the 3x7 box by both ranks 1 and 4, and both steps
+    # break the bound, so the witness shows which one the scan takes first
+    make_index("chi_nan_past_777", lambda v: NAN if v in ((8, 7, 7), (7, 7, 7, 1)) else chi_index(v)),
+]
+
+
+@pytest.mark.parametrize("domain_name", list(ORACLE_DOMAINS))
+def test_the_chi_bound_gives_the_naive_first_witness(domain_name, monkeypatch):
+    domain = ORACLE_DOMAINS[domain_name]
+    steps = [(x, k) for x in domain.vectors for k in valid_positions(x)]
+    for index in CHI_VARIANTS:
+        f = functools.cache(index.evaluate)
+        naive = next((w for c in steps if (w := _CHI_STEP.violates(f, *c)) is not None), None)
+        monkeypatch.setattr("recindex.axioms.CHI", index)
+        verdict = chi_increment_bound(domain)
         assert (verdict.status, verdict.counterexample) == (
             VIOLATED if naive is not None else SATISFIED,
             naive,
@@ -763,7 +799,8 @@ def test_uniform_increment_refuses_sampled_domains():
 
 def test_verdict_to_json_is_plain_data():
     verdict = check_axiom(_registry()["n_times_min"], "M", DOMAIN)
-    payload = verdict.to_json()
+    # json writes the witness's tuples as arrays, so the payload needs no copy
+    payload = json.loads(json.dumps(verdict.to_json()))
     assert payload["status"] == VIOLATED
     assert payload["counterexample"]["x"] == [3]
     assert payload["counterexample"]["y"] == [3, 1]

@@ -7,7 +7,7 @@ from hypothesis import given
 
 from conftest import citation_vectors
 from recindex.axioms import build_domain
-from recindex.core import citation_count, dominates, is_uniform, rec
+from recindex.core import add_citation_at, citation_count, dominates, is_uniform, rec, valid_positions
 from recindex.enumeration import (
     DomainBudgetError,
     DomainSpec,
@@ -146,7 +146,8 @@ def test_domination_pairs_smallest_domains():
     assert sum(1 for _ in domination_pairs(DomainSpec(2, 2))) == 20
 
 
-@pytest.mark.parametrize("bounds", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 5)])
+# past 127 entries a step's rank no longer fits a signed byte
+@pytest.mark.parametrize("bounds", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 5), (130, 1)])
 def test_domain_steps_are_the_domination_pairs_one_citation_apart(bounds):
     domain = build_domain(DomainSpec(*bounds))
     ids = {v: i for i, v in enumerate(domain.vectors)}
@@ -160,12 +161,23 @@ def test_domain_steps_are_the_domination_pairs_one_citation_apart(bounds):
     assert len(steps) == len(oracle)
     assert set(steps) == oracle
     assert all(a <= b for a, b in zip(domain.step_lower, domain.step_lower[1:]))
+    # each step adds its citation at its recorded rank, and every valid
+    # step left out of the list leaves the box
+    vectors = domain.vectors
+    positions = list(zip(domain.step_lower, domain.step_position))
+    assert len(positions) == len(steps)
+    for (i, j), (_, k) in zip(steps, positions):
+        assert vectors[j] == add_citation_at(vectors[i], k)
+    recorded = set(positions)
+    left_out = [(x, k) for i, x in enumerate(vectors) for k in valid_positions(x) if (i, k) not in recorded]
+    assert all(add_citation_at(x, k) not in ids for x, k in left_out)
+    assert sorted(positions) == positions
 
 
 def test_sampled_domain_has_no_steps():
     domain = build_domain(DomainSpec(14, 14, seed=1), sample_size=40)
     assert not domain.exhaustive
-    assert len(domain.step_lower) == len(domain.step_upper) == 0
+    assert len(domain.step_lower) == len(domain.step_upper) == len(domain.step_position) == 0
 
 
 def test_brute_force_rec_known_values():

@@ -80,6 +80,16 @@ def test_csv_skips_padding_cells(tmp_path):
     assert records[1].vector == ()
 
 
+def test_csv_rows_padded_with_a_blank_cell_parse_as_clean_ones(tmp_path, csv_file):
+    # a blank-only cell fails int(); the row is read again with its cells stripped
+    path = tmp_path / "blank-padded.csv"
+    path.write_text("\n".join(line + ", " if line else line for line in CSV_BODY.split("\n")), encoding="utf-8")
+    assert parse_dataset(path) == parse_dataset(csv_file)
+    path.write_text("ada,6,4, \nbob,3,x, \n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"line 2: invalid citation count 'x' for researcher 'bob'"):
+        parse_dataset(path)
+
+
 def test_csv_header_requires_more_than_the_id_cell(tmp_path):
     # a lone "id" first line is data (with no counts), not a header, and
     # "id" is a fine researcher name on any later line
