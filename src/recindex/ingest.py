@@ -123,17 +123,14 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
         if not name:
             raise DatasetError(f"line {line_no}: empty researcher id")
         try:
-            # int() ignores surrounding blanks itself, and filter() drops the empty cells
-            # of padded rows, blank-only ones once stripped; the loop names a bad cell.
-            try:
-                counts = list(map(count_of, filter(None, row[1:])))
-            except ValueError:
-                counts = list(map(count_of, filter(None, map(str.strip, row[1:]))))
+            # int() ignores surrounding blanks itself, and filter() drops the
+            # empty cells of padded rows; the loop below names a bad cell.
+            counts = list(map(count_of, filter(None, row[1:])))
         except ValueError:
             counts = []
             for cell in filter(None, map(str.strip, row[1:])):  # exports pad short rows with blank cells
                 try:
-                    counts.append(int(cell))
+                    counts.append(count_of(cell))
                 except ValueError:
                     raise DatasetError(
                         f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"

@@ -72,17 +72,13 @@ def test_csv_sorts_and_drops_zeros(tmp_path):
     assert record.vector == (6, 4, 3, 1)
 
 
-def test_csv_skips_padding_cells(tmp_path):
+def test_csv_skips_padding_cells(tmp_path, csv_file):
     path = tmp_path / "padded.csv"
     path.write_text("a,2,,1,\nb,,,\n", encoding="utf-8")
     records = parse_dataset(path)
     assert records[0].vector == (2, 1)
     assert records[1].vector == ()
-
-
-def test_csv_rows_padded_with_a_blank_cell_parse_as_clean_ones(tmp_path, csv_file):
-    # a blank-only cell fails int(); the row is read again with its cells stripped
-    path = tmp_path / "blank-padded.csv"
+    # a blank-only cell fails int(); the row is then walked cell by cell, stripped
     path.write_text("\n".join(line + ", " if line else line for line in CSV_BODY.split("\n")), encoding="utf-8")
     assert parse_dataset(path) == parse_dataset(csv_file)
     path.write_text("ada,6,4, \nbob,3,x, \n", encoding="utf-8")
