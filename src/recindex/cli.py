@@ -198,7 +198,6 @@ _STATUS_WORDS = {ax.SATISFIED: "pass", ax.VIOLATED: "FAIL", "refused": "n/a"}
 
 def _cmd_axioms(args, out) -> int:
     spec = DomainSpec(args.n_max, args.c_max, seed=args.seed)
-    size = count_vectors(spec.n_max, spec.c_max)
     domain = ax.build_domain(spec, args.sample_size)
     # One index at a time, so only one index's value tables are alive;
     # None marks a check that needs an exhaustive domain.
@@ -228,6 +227,8 @@ def _cmd_axioms(args, out) -> int:
         _emit(out, "jsonl", [], [*cells.values(), bound, {"mismatches": mismatches}])
         return code
 
+    # Counted only now: build_domain has refused a box whose count would take long to compute.
+    size = count_vectors(spec.n_max, spec.c_max)
     scanned = f"exhaustive, {size}" if domain.exhaustive else f"sampled, non-exhaustive, {len(domain.vectors)} of {size}"
     print(f"domain: n_max={spec.n_max} c_max={spec.c_max} ({scanned} vectors)", file=out)
     for title, axioms in ("independence matrix", ax.INDEPENDENCE_AXIOMS), ("full axiom matrix", ax.AxiomId):

@@ -114,14 +114,8 @@ def rec(x: Vector) -> int:
 
 def rec_index(x: Vector) -> RecAnalysis:
     """Full rectangle analysis: value, maximizer set, and classification."""
-    if not x:
-        return RecAnalysis(0, (), None, None, EMPTY)
-    areas = [i * c for i, c in enumerate(x, 1)]
-    value = max(areas)
-    maximizers = tuple(i for i, a in enumerate(areas, 1) if a == value)
-    width = maximizers[0]
-    height = x[width - 1]
-    return RecAnalysis(value, maximizers, width, height, classify(width, height))
+    r = ReportIndices._make(report_indices(x))
+    return RecAnalysis(r.rec, r.maximizers, r.rect_width, x[r.rect_width - 1] if x else None, r.classification)
 
 
 def classify(width: int, height: int) -> str:
@@ -145,6 +139,80 @@ def h_index(x: Vector) -> int:
     return h
 
 
+class ReportIndices(NamedTuple):
+    """The fields of ``report_indices``, in its order.
+
+    g is the largest rank whose cumulative citations reach g^2 (no
+    zero-padding beyond the actual publication list); w is the largest w
+    such that the top w publications have at least w, w-1, ..., 1
+    citations respectively.  The records of ``rec_index``, ``aux_indices``
+    and ``rec_variants`` describe the others.
+    """
+
+    n: int
+    citations: int
+    max: int
+    h: int
+    g: int
+    w: int
+    euclidean: float
+    rec: int
+    chi: float
+    rec_i: int
+    rec_p: int
+    rect_width: int | None
+    maximizers: tuple[int, ...]
+    classification: str
+
+
+def report_indices(x: Vector) -> tuple:
+    """Every report index of x from a single pass, as a plain tuple in the
+    order of ``ReportIndices``, whose ``_make`` names the fields.
+
+    h, g and w hold on a prefix of a descending vector, so their tests need no ``break``.
+    """
+    total = squares = best = h = g = w = influence = wide = 0
+    maximizers: list[int] = []
+    lowest = x[0] if x else 0
+    for k, c in enumerate(x, 1):
+        total += c
+        squares += c * c
+        area = k * c
+        if area > best:
+            best = area
+            maximizers = [k]
+        elif area == best:
+            maximizers.append(k)
+        if c >= k:  # a rectangle at least as tall as wide
+            h = k
+            influence = best
+        elif area > wide:
+            wide = area
+        if total >= k * k:
+            g = k
+        # w is feasible iff min over i <= w of x_i + i - 1 is >= w.  The
+        # minimum never grows with w while w does, so the feasible w form a prefix.
+        if c + k - 1 < lowest:
+            lowest = c + k - 1
+        if lowest >= k:
+            w = k
+    if x:
+        width = maximizers[0]
+        classification = classify(width, x[width - 1])
+    else:
+        width, classification = None, EMPTY
+    # Reflection maps rectangles at least as tall as wide to ones at least as
+    # wide as tall, so rec_p is the largest of those under x, k wide and
+    # min(x_k, k) tall: the larger of the tall prefix's widest square, h * h,
+    # and the largest rectangle past it.  The conjugate itself is never built.
+    return (
+        len(x), total, x[0] if x else 0,  # n, citations, max
+        h, g, w, math.sqrt(squares),  # h, g, w, euclidean
+        best, math.sqrt(best), influence, max(h * h, wide),  # rec, chi, rec_i, rec_p
+        width, tuple(maximizers), classification,  # rect_width, maximizers, classification
+    )
+
+
 class AuxIndices(NamedTuple):
     publication_count: int
     max_citation: int
@@ -154,39 +222,9 @@ class AuxIndices(NamedTuple):
 
 
 def aux_indices(x: Vector) -> AuxIndices:
-    """Companion indices: n, x_1, Euclidean length, g-index and w-index.
-
-    g is the largest rank whose cumulative citations reach g^2 (no
-    zero-padding beyond the actual publication list); w is the largest w
-    such that the top w publications have at least w, w-1, ..., 1
-    citations respectively.
-    """
-    n = len(x)
-    total = 0
-    g = 0
-    for i, c in enumerate(x, 1):
-        total += c
-        if total >= i * i:
-            g = i
-        else:
-            break
-    # w is feasible iff min over i <= w of x_i + i - 1 is >= w.  The minimum
-    # never grows with w while w does, so the feasible w form a prefix.
-    w = 0
-    lowest = x[0] if x else 0
-    for i, c in enumerate(x, 1):
-        if c + i - 1 < lowest:
-            lowest = c + i - 1
-        if lowest < i:
-            break
-        w = i
-    return AuxIndices(
-        publication_count=n,
-        max_citation=x[0] if x else 0,
-        euclidean=math.sqrt(sum(c * c for c in x)),
-        g_index=g,
-        w_index=w,
-    )
+    """Companion indices: n, x_1, Euclidean length, g-index and w-index."""
+    r = ReportIndices._make(report_indices(x))
+    return AuxIndices(r.n, r.max, r.euclidean, r.g, r.w)
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +256,8 @@ class RecVariants(NamedTuple):
 
 
 def rec_variants(x: Vector) -> RecVariants:
-    # Reflection maps rectangles at least as tall as wide to ones at least
-    # as wide as tall, so prolificity is the largest of those under x: k
-    # wide and min(x_k, k) tall.  The conjugate itself is never built.
-    influence = prolificity = 0
-    for k, c in enumerate(x, 1):
-        if k <= c:
-            if k * c > influence:
-                influence = k * c
-            if k * k > prolificity:
-                prolificity = k * k
-        elif k * c > prolificity:
-            prolificity = k * c
-    return RecVariants(influence, prolificity)
+    r = ReportIndices._make(report_indices(x))
+    return RecVariants(r.rec_i, r.rec_p)
 
 
 # ---------------------------------------------------------------------------

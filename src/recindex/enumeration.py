@@ -62,12 +62,15 @@ def count_vectors(n_max: int, c_max: int) -> int:
 
 def box_size(spec: DomainSpec) -> int:
     """Number of vectors in the box; the one place that refuses a box above EXHAUSTIVE_BUDGET."""
-    size = count_vectors(spec.n_max, spec.c_max)
-    if size > EXHAUSTIVE_BUDGET:
-        # The count itself can run past the 4300 digits that str() allows.
-        raise DomainBudgetError(
-            f"domain {spec.n_max}x{spec.c_max} holds more vectors than the exhaustive budget of {EXHAUSTIVE_BUDGET}"
-        )
+    # C(n_max + c_max, k) rises for k <= min(n_max, c_max), so the first term past the budget refuses
+    # the box; its exact count, of up to millions of digits, would take seconds to minutes.
+    total, size = spec.n_max + spec.c_max, 1
+    for k in range(1, min(spec.n_max, spec.c_max) + 1):
+        size = size * (total - k + 1) // k
+        if size > EXHAUSTIVE_BUDGET:
+            raise DomainBudgetError(
+                f"domain {spec.n_max}x{spec.c_max} holds more vectors than the exhaustive budget of {EXHAUSTIVE_BUDGET}"
+            )
     return size
 
 

@@ -23,31 +23,20 @@ from .core import (
     EMPTY,
     INFLUENTIAL,
     PROLIFIC,
+    ReportIndices,
     Vector,
     aux_indices,
-    classify,
     h_index,
     make_vector,
     rec_index,
     rec_variants,
+    report_indices,
 )
 
 CLASSIFICATIONS = (INFLUENTIAL, PROLIFIC, BALANCED, EMPTY)
 
-#: Report columns that name a numeric index a ranking can sort by.
-RANKABLE_COLUMNS = (
-    "n",
-    "citations",
-    "max",
-    "h",
-    "g",
-    "w",
-    "euclidean",
-    "rec",
-    "chi",
-    "rec_i",
-    "rec_p",
-)
+#: Report columns that name a numeric index a ranking can sort by: the fields of ``ReportIndices`` up to rec_p.
+RANKABLE_COLUMNS = ReportIndices._fields[: ReportIndices._fields.index("rec_p") + 1]
 
 
 class DatasetError(ValueError):
@@ -64,23 +53,8 @@ class ResearcherRecord(NamedTuple):
     vector: Vector
 
 
-class ReportRow(NamedTuple):
-    id: str
-    vector: Vector
-    n: int
-    citations: int
-    max: int
-    h: int
-    g: int
-    w: int
-    euclidean: float
-    rec: int
-    chi: float
-    rec_i: int
-    rec_p: int
-    rect_width: int | None
-    maximizers: tuple[int, ...]
-    classification: str
+#: A researcher's id and vector, then the fields of ``core.ReportIndices``.
+ReportRow = NamedTuple("ReportRow", [("id", str), ("vector", Vector), *ReportIndices.__annotations__.items()])
 
 
 def short_repr(text: str) -> str:
@@ -224,48 +198,9 @@ def parse_dataset(path: str | os.PathLike, fmt: str = "auto") -> list[Researcher
 
 
 def report_row(record: ResearcherRecord) -> ReportRow:
-    """Every index of one researcher from a single pass over the vector.
-
-    Each field equals its ``core`` function's value: h, g and w hold on a
-    prefix of a descending vector, so their tests need no ``break``.
-    """
-    x = record.vector
-    total = squares = best = h = g = w = influence = wide = 0
-    maximizers: list[int] = []
-    lowest = x[0] if x else 0
-    for k, c in enumerate(x, 1):
-        total += c
-        squares += c * c
-        area = k * c
-        if area > best:
-            best = area
-            maximizers = [k]
-        elif area == best:
-            maximizers.append(k)
-        if c >= k:  # a rectangle at least as tall as wide
-            h = k
-            influence = best
-        elif area > wide:
-            wide = area
-        if total >= k * k:
-            g = k
-        if c + k - 1 < lowest:
-            lowest = c + k - 1
-        if lowest >= k:
-            w = k
-    if x:
-        width = maximizers[0]
-        classification = classify(width, x[width - 1])
-    else:
-        width, classification = None, EMPTY
-    # rec_p is the larger of the tall prefix's widest square, h * h, and the
-    # largest rectangle past it.
-    return ReportRow(
-        record.id, x, len(x), total, x[0] if x else 0,  # id, vector, n, citations, max
-        h, g, w, math.sqrt(squares),  # h, g, w, euclidean
-        best, math.sqrt(best), influence, max(h * h, wide),  # rec, chi, rec_i, rec_p
-        width, tuple(maximizers), classification,  # rect_width, maximizers, classification
-    )
+    """The report row of one researcher: its id, its vector and ``report_indices`` of the vector."""
+    # _make of one concatenated tuple is faster than 16 positional arguments.
+    return ReportRow._make((record.id, record.vector) + report_indices(record.vector))
 
 
 def build_report(records: Iterable[ResearcherRecord]) -> Iterator[ReportRow]:

@@ -4,7 +4,7 @@ import math
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import citation_vectors, nonempty_citation_vectors, wide_citation_vectors
@@ -29,10 +29,13 @@ from recindex.core import (
     rec,
     rec_index,
     RecVariants,
+    ReportIndices,
     rec_variants,
+    report_indices,
     scale,
     valid_positions,
 )
+from recindex.enumeration import brute_force_rec
 
 # Three extreme profiles with the same total: one blockbuster paper, a
 # balanced 10x10 record, and one hundred singly-cited papers.
@@ -318,6 +321,36 @@ def test_rec_variants_match_naive_oracle(x):
 @given(wide_citation_vectors())
 def test_w_index_matches_naive_oracle(x):
     assert aux_indices(x).w_index == naive_w_index(x)
+
+
+# brute_force_rec enumerates every dominated uniform vector, up to 600,000 on these vectors.
+@settings(deadline=None)
+@given(wide_citation_vectors())
+@example(())
+@example((5,) * 12)  # h, g and w stop inside one long run
+@example((60, 30, 20, 15, 12, 10))  # six maximizers
+@example((12, 6, 4, 3, 2, 2, 1))
+@example((10,) + (1,) * 30)  # g and w stop early, then the tail runs on
+@example((40, 3, 3, 3, 3, 3, 3, 3, 3))
+def test_report_indices_match_naive_oracles(x):
+    """Every field of the one pass that rec_index, aux_indices, rec_variants
+    and the report rows read, against an oracle that shares none of its code."""
+    r = ReportIndices._make(report_indices(x))
+    best = brute_force_rec(x)
+    maximizers = tuple(i for i, c in enumerate(x, 1) if i * c == best)
+    assert (r.n, r.citations, r.max) == (len(x), sum(x), max(x, default=0))
+    assert r.h == max(h for h in range(len(x) + 1) if sum(c >= h for c in x) >= h)
+    assert r.g == max(g for g in range(len(x) + 1) if sum(x[:g]) >= g * g)
+    assert r.w == naive_w_index(x)
+    assert r.euclidean == math.sqrt(sum(c * c for c in x))
+    assert (r.rec, r.chi, r.maximizers) == (best, math.sqrt(best), maximizers)
+    assert (r.rec_i, r.rec_p) == (one_sided(x), one_sided(naive_conjugate(x)))
+    if x:
+        width, height = maximizers[0], x[maximizers[0] - 1]
+        shape = INFLUENTIAL if height > width else PROLIFIC if height < width else BALANCED
+        assert (r.rect_width, r.classification) == (width, shape)
+    else:
+        assert (r.rect_width, r.classification) == (None, EMPTY)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from functools import lru_cache
 
 import pytest
@@ -11,6 +12,8 @@ from recindex.core import add_citation_at, citation_count, dominates, is_uniform
 from recindex.enumeration import (
     DomainBudgetError,
     DomainSpec,
+    EXHAUSTIVE_BUDGET,
+    box_size,
     brute_force_rec,
     count_vectors,
     enumerate_uniform_dominated,
@@ -99,6 +102,25 @@ def test_enumeration_is_canonical_and_deterministic():
 def test_enumeration_refuses_oversized_domains():
     with pytest.raises(DomainBudgetError):
         list(enumerate_vectors(DomainSpec(40, 40)))
+
+
+def test_box_size_admits_exactly_the_boxes_within_the_budget():
+    edges = [(1, 9_999_999), (1, 10_000_000), (9_999_999, 1), (10_000_000, 1), (2, 4470), (2, 4471)]
+    for n, c in [*((n, c) for n in range(1, 13) for c in range(1, 13)), *edges]:
+        count = count_vectors(n, c)
+        if count <= EXHAUSTIVE_BUDGET:
+            assert box_size(DomainSpec(n, c)) == count, (n, c)
+        else:
+            with pytest.raises(DomainBudgetError):
+                box_size(DomainSpec(n, c))
+
+
+def test_a_huge_box_is_refused_without_its_exact_count():
+    # math.comb(2 * 10**6, 10**6), the exact count of this box, takes tens of seconds.
+    start = time.perf_counter()
+    with pytest.raises(DomainBudgetError, match="exhaustive budget"):
+        box_size(DomainSpec(10**6, 10**6))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sampling_is_seeded_and_deterministic():
