@@ -14,8 +14,6 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from . import axioms as ax
-from . import sequences as seq
 from .core import Vector, citation_count, conjugate, make_vector, rec
 from .enumeration import DEFAULT_SAMPLE_SIZE, DomainBudgetError, DomainSpec, count_vectors
 from .ingest import (
@@ -176,6 +174,8 @@ def _cmd_conjugate(args, out) -> int:
 
 
 def _cmd_sequence(args, out) -> int:
+    from . import sequences as seq
+
     target = _parse_vector_literal(args.vector)
     if (citation_count(target) + 1) * len(target) > ENTRY_LIMIT:
         raise ValueError(f"a sequence to this target exceeds the limit of {ENTRY_LIMIT} entries")
@@ -192,11 +192,13 @@ def _cmd_sequence(args, out) -> int:
     return EXIT_OK
 
 
-#: How each cell status reads in the text matrices.
-_STATUS_WORDS = {ax.SATISFIED: "pass", ax.VIOLATED: "FAIL", "refused": "n/a"}
-
-
 def _cmd_axioms(args, out) -> int:
+    # Imported on first use, like sequences, so the report commands start without the scanner.
+    from . import axioms as ax
+
+    # How each cell status reads in the text matrices.
+    status_words = {ax.SATISFIED: "pass", ax.VIOLATED: "FAIL", "refused": "n/a"}
+
     spec = DomainSpec(args.n_max, args.c_max, seed=args.seed)
     domain = ax.build_domain(spec, args.sample_size)
     # One index at a time, so only one index's value tables are alive;
@@ -233,10 +235,10 @@ def _cmd_axioms(args, out) -> int:
     print(f"domain: n_max={spec.n_max} c_max={spec.c_max} ({scanned} vectors)", file=out)
     for title, axioms in ("independence matrix", ax.INDEPENDENCE_AXIOMS), ("full axiom matrix", ax.AxiomId):
         columns = [a.value for a in axioms]
-        rows = ({"index": name, **{a: _STATUS_WORDS[cells[name, a]["status"]] for a in columns}} for name in full)
+        rows = ({"index": name, **{a: status_words[cells[name, a]["status"]] for a in columns}} for name in full)
         print(f"\n{title}:", file=out)
         _emit(out, "table", ["index", *columns], rows)
-    print(f"\nsingle-citation chi bound (chi never grows by more than 1): {_STATUS_WORDS[bound['status']]}", file=out)
+    print(f"\nsingle-citation chi bound (chi never grows by more than 1): {status_words[bound['status']]}", file=out)
     print("", file=out)
     if not mismatches:
         print("independence matrix matches the documented pattern.", file=out)

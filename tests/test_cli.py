@@ -528,6 +528,43 @@ def test_importing_the_cli_skips_dataclasses_and_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_report_commands_start_without_the_scanner(tmp_path):
+    # axioms and sequences load on first use, so the report commands and
+    # conjugate never compile them; -S keeps site's imports out, as above.
+    path = tmp_path / "three.csv"
+    path.write_text("ada,6,4,3,1\nbob,2\ncy,1,1,1\n", encoding="utf-8")
+    script = """import io, json, sys
+from recindex.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    code = main(argv, out=io.StringIO())
+    runs.append([argv[0], code, sorted({"recindex.axioms", "recindex.sequences"} & set(sys.modules))])
+print(json.dumps(runs))"""
+    commands = [
+        ["compute", str(path)],
+        ["rank", str(path), "--by", "rec"],
+        ["classify", str(path)],
+        ["conjugate", "6,4,3,1"],
+        ["sequence", "2,1"],
+        ["axioms", "--n-max", "2", "--c-max", "2"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, json.dumps(commands)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    both = ["recindex.axioms", "recindex.sequences"]
+    # 2x2 exits 2: it cannot expose n_times_min / M, and min_n_x1 fails UE there.
+    assert json.loads(proc.stdout) == [
+        ["compute", 0, []],
+        ["rank", 0, []],
+        ["classify", 0, []],
+        ["conjugate", 0, []],
+        ["sequence", 0, ["recindex.sequences"]],
+        ["axioms", 2, both],
+    ]
+
+
 def test_closed_stdout_ends_quietly_with_exit_1():
     src = str(ROOT / "src")
     pythonpath = os.environ.get("PYTHONPATH")

@@ -28,6 +28,8 @@ from recindex.core import (
     max_uniform_dominated,
     rec,
     rec_index,
+    AuxIndices,
+    RecAnalysis,
     RecVariants,
     ReportIndices,
     rec_variants,
@@ -36,6 +38,7 @@ from recindex.core import (
     valid_positions,
 )
 from recindex.enumeration import brute_force_rec
+from recindex.ingest import ResearcherRecord, report_row
 
 # Three extreme profiles with the same total: one blockbuster paper, a
 # balanced 10x10 record, and one hundred singly-cited papers.
@@ -325,7 +328,7 @@ def test_w_index_matches_naive_oracle(x):
 
 # brute_force_rec enumerates every dominated uniform vector, up to 600,000 on these vectors.
 @settings(deadline=None)
-@given(wide_citation_vectors())
+@given(st.one_of(wide_citation_vectors(), citation_vectors()))
 @example(())
 @example((5,) * 12)  # h, g and w stop inside one long run
 @example((60, 30, 20, 15, 12, 10))  # six maximizers
@@ -333,24 +336,37 @@ def test_w_index_matches_naive_oracle(x):
 @example((10,) + (1,) * 30)  # g and w stop early, then the tail runs on
 @example((40, 3, 3, 3, 3, 3, 3, 3, 3))
 def test_report_indices_match_naive_oracles(x):
-    """Every field of the one pass that rec_index, aux_indices, rec_variants
-    and the report rows read, against an oracle that shares none of its code."""
-    r = ReportIndices._make(report_indices(x))
+    """Every field of the one pass, and each function and report row that
+    reads it, against oracles that share none of its code."""
     best = brute_force_rec(x)
     maximizers = tuple(i for i, c in enumerate(x, 1) if i * c == best)
-    assert (r.n, r.citations, r.max) == (len(x), sum(x), max(x, default=0))
-    assert r.h == max(h for h in range(len(x) + 1) if sum(c >= h for c in x) >= h)
-    assert r.g == max(g for g in range(len(x) + 1) if sum(x[:g]) >= g * g)
-    assert r.w == naive_w_index(x)
-    assert r.euclidean == math.sqrt(sum(c * c for c in x))
-    assert (r.rec, r.chi, r.maximizers) == (best, math.sqrt(best), maximizers)
-    assert (r.rec_i, r.rec_p) == (one_sided(x), one_sided(naive_conjugate(x)))
     if x:
         width, height = maximizers[0], x[maximizers[0] - 1]
         shape = INFLUENTIAL if height > width else PROLIFIC if height < width else BALANCED
-        assert (r.rect_width, r.classification) == (width, shape)
     else:
-        assert (r.rect_width, r.classification) == (None, EMPTY)
+        width, height, shape = None, None, EMPTY
+    want = ReportIndices(
+        n=len(x),
+        citations=sum(x),
+        max=max(x, default=0),
+        h=max(h for h in range(len(x) + 1) if sum(c >= h for c in x) >= h),
+        g=max(g for g in range(len(x) + 1) if sum(x[:g]) >= g * g),
+        w=naive_w_index(x),
+        euclidean=math.sqrt(sum(c * c for c in x)),
+        rec=best,
+        chi=math.sqrt(best),
+        rec_i=one_sided(x),
+        rec_p=one_sided(naive_conjugate(x)),
+        rect_width=width,
+        maximizers=maximizers,
+        classification=shape,
+    )
+    assert ReportIndices._make(report_indices(x)) == want
+    assert rec_index(x) == RecAnalysis(best, maximizers, width, height, shape)
+    assert aux_indices(x) == AuxIndices(want.n, want.max, want.euclidean, want.g, want.w)
+    assert rec_variants(x) == RecVariants(want.rec_i, want.rec_p)
+    assert (h_index(x), citation_count(x), chi_index(x)) == (want.h, want.citations, want.chi)
+    assert report_row(ResearcherRecord("r", x)) == ("r", x, *want)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import citation_vectors, wide_citation_vectors
 from recindex.cli import main
-from recindex.core import aux_indices, chi_index, citation_count, h_index, make_vector, rec, rec_index, rec_variants
+from recindex.core import chi_index, make_vector, rec
 from recindex.ingest import (
     DatasetError,
     RANKABLE_COLUMNS,
-    ResearcherRecord,
     _CountCache,
     _csv_vector,
     _parse_csv_lines,
@@ -23,7 +21,6 @@ from recindex.ingest import (
     ceil_chi,
     parse_dataset,
     rank_rows,
-    report_row,
     short_repr,
 )
 
@@ -316,35 +313,6 @@ def test_report_row_for_zero_cited_researcher(csv_file):
     assert zero.rect_width is None
     assert zero.maximizers == ()
     assert zero.classification == "empty"
-
-
-@given(st.one_of(wide_citation_vectors(), citation_vectors()))
-@example(())
-@example((5,) * 12)  # h, g and w stop inside one long run
-@example((60, 30, 20, 15, 12, 10))  # six maximizers
-@example((12, 6, 4, 3, 2, 2, 1))
-@example((10,) + (1,) * 30)  # g and w stop early, then the tail runs on
-@example((40, 3, 3, 3, 3, 3, 3, 3, 3))
-def test_report_row_matches_the_per_function_indices(x):
-    row = report_row(ResearcherRecord("r", x))
-    analysis = rec_index(x)
-    aux = aux_indices(x)
-    variants = rec_variants(x)
-    assert (row.rec, row.maximizers, row.rect_width, row.classification) == (
-        analysis.value,
-        analysis.maximizers,
-        analysis.width,
-        analysis.classification,
-    )
-    assert (row.n, row.max, row.euclidean, row.g, row.w) == (
-        aux.publication_count,
-        aux.max_citation,
-        aux.euclidean,
-        aux.g_index,
-        aux.w_index,
-    )
-    assert (row.h, row.rec_i, row.rec_p) == (h_index(x), variants.influence, variants.prolificity)
-    assert (row.citations, row.chi) == (citation_count(x), chi_index(x))
 
 
 def test_records_and_rows_are_immutable(csv_file):
