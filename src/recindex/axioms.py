@@ -210,36 +210,36 @@ class Domain(NamedTuple):
 
 
 def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Domain:
-    """Enumerate the box, or draw ``sample_size`` vectors from it when it
-    exceeds the exhaustive budget and ``spec`` has a seed.
+    """Enumerate the box, or draw ``sample_size`` vectors from it when the box
+    is too large and ``spec`` has a seed; no other scan function reads a size.
 
-    This is the only scan function that reads a sample size.  A sampled
-    box still keeps every uniform vector, c_max * n_max * (n_max + 1) / 2
-    counts in all; it is refused when those or the size exceed the budget.
-    Either domain is refused when its image tables exceed the budget: SI,
-    RANK_SI and RANK_IND hold up to c_max values per vector.
+    One rule admits a domain: SI, RANK_SI and RANK_IND keep c_max values for
+    each vector, so c_max times the vectors the domain can hold (``box_size``,
+    or ``sample_size + 1`` as a sample keeps the empty vector) must fit
+    EXHAUSTIVE_BUDGET.  So must the c_max * n_max * (n_max + 1) / 2 counts of
+    the uniform vectors a sample keeps.  Both refusals come before anything
+    is enumerated or drawn.
     """
     try:
-        size, exhaustive = box_size(spec), True
-    except DomainBudgetError as exc:
-        if spec.seed is None:
-            raise DomainBudgetError(f"{exc}; supply a seed for a sampled (non-exhaustive) scan") from None
-        if spec.c_max * spec.n_max * (spec.n_max + 1) // 2 > EXHAUSTIVE_BUDGET:
-            raise DomainBudgetError(
-                f"the uniform vectors of domain {spec.n_max}x{spec.c_max} hold more counts "
-                f"than the budget of {EXHAUSTIVE_BUDGET}, even for a sampled scan"
-            ) from None
-        if sample_size > EXHAUSTIVE_BUDGET:
-            raise DomainBudgetError(f"sample size {sample_size} exceeds the budget of {EXHAUSTIVE_BUDGET}") from None
-        vectors, exhaustive = sample_vectors(spec, sample_size), False
-        size = len(vectors)
-    if size * spec.c_max > EXHAUSTIVE_BUDGET:
-        raise DomainBudgetError(
-            f"the image tables of domain {spec.n_max}x{spec.c_max} hold {spec.c_max} values for each of its "
-            f"{size} vectors, more than the budget of {EXHAUSTIVE_BUDGET}"
+        exhaustive = box_size(spec) * spec.c_max <= EXHAUSTIVE_BUDGET
+    except DomainBudgetError:  # more vectors than the budget, so more image values too
+        exhaustive = False
+    if not exhaustive and (spec.seed is None or (sample_size + 1) * spec.c_max > EXHAUSTIVE_BUDGET):
+        held = (
+            "its box holds; supply a seed for a sampled (non-exhaustive) scan"
+            if spec.seed is None
+            else f"a sample of {sample_size} holds with the empty vector"
         )
-    if exhaustive:
-        vectors = list(enumerate_vectors(spec))
+        raise DomainBudgetError(
+            f"the image tables of domain {spec.n_max}x{spec.c_max} hold {spec.c_max} values for each vector, so at "
+            f"most {EXHAUSTIVE_BUDGET // spec.c_max} vectors fit the budget of {EXHAUSTIVE_BUDGET}, fewer than {held}"
+        )
+    if not exhaustive and spec.c_max * spec.n_max * (spec.n_max + 1) // 2 > EXHAUSTIVE_BUDGET:
+        raise DomainBudgetError(
+            f"the uniform vectors of domain {spec.n_max}x{spec.c_max} hold more counts "
+            f"than the budget of {EXHAUSTIVE_BUDGET}, even for a sampled scan"
+        )
+    vectors = list(enumerate_vectors(spec)) if exhaustive else sample_vectors(spec, sample_size)
     uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
     uniforms.sort(key=canonical_key)
     ids = {v: i for i, v in enumerate(vectors)}

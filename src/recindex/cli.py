@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation error, 2 the axiom scan disagreed
-with the documented verdict pattern, 3 a scan was refused because the
-domain exceeds the exhaustive budget.
+with the documented verdict pattern, 3 a scan was refused because its
+domain is over the budget.
 """
 
 from __future__ import annotations

@@ -63,8 +63,8 @@ def short_repr(text: str) -> str:
 
 
 def _csv_rows(lines: Iterable[str]):
-    """(line number, row) pairs; every row must end on its own line, so a
-    quote left open cannot swallow the rows after it."""
+    """(line number, row) pairs of the non-blank rows; every row must end on
+    its own line, so a quote left open cannot swallow the rows after it."""
     reader = csv.reader(lines, strict=True)
     line_no = 0
     try:
@@ -72,7 +72,8 @@ def _csv_rows(lines: Iterable[str]):
             if reader.line_num != line_no + 1:
                 raise csv.Error("quote left open at the end of the line")
             line_no += 1
-            yield line_no, row
+            if row and (len(row) > 1 or row[0].strip()):
+                yield line_no, row
     except csv.Error as exc:
         raise DatasetError(f"line {line_no + 1}: malformed CSV row: {exc}") from None
 
@@ -88,10 +89,8 @@ class _CountCache(dict):
 
 def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
     count_of = _CountCache().__getitem__
-    for line_no, row in _csv_rows(lines):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if line_no == 1 and row[0].strip().lower() == "id" and len(row) > 1:
+    for i, (line_no, row) in enumerate(_csv_rows(lines)):
+        if i == 0 and row[0].strip().lower() == "id" and len(row) > 1:  # only the first non-blank row may be a header
             continue
         name = row[0].strip()
         if not name:

@@ -771,25 +771,65 @@ def test_sampled_domain_whose_uniforms_exceed_the_budget_is_refused():
         build_domain(DomainSpec(300, 300, seed=1), 5)
 
 
-def test_a_domain_whose_image_tables_exceed_the_budget_is_refused(monkeypatch):
-    # SI, RANK_SI and RANK_IND hold up to c_max values per vector: 100,001 * 100,000 here.
-    with pytest.raises(DomainBudgetError, match="image tables of domain 1x100000 hold 100000 values"):
-        build_domain(DomainSpec(1, 100000))
-    # 3x400 (10,827,401 vectors) is sampled; 25,000 drawn vectors fill the budget exactly.
-    monkeypatch.setattr("recindex.axioms.sample_vectors", lambda spec, size: [()] * size)
-    assert len(build_domain(DomainSpec(3, 400, seed=1), 25_000).vectors) == 25_000
-    with pytest.raises(DomainBudgetError, match="for each of its 25001 vectors, more than the budget of 10000000"):
-        build_domain(DomainSpec(3, 400, seed=1), 25_001)
+@pytest.fixture
+def calls(monkeypatch):
+    """Stand-ins for enumerate_vectors and sample_vectors that log each call; a sample is the empty vector alone."""
+    log = []
+
+    def enumerate_box(spec):
+        log.append(("enumerate", spec))
+        return enumerate_vectors(spec)
+
+    def sample(spec, size):
+        log.append(("sample", spec, size))
+        return [()]
+
+    monkeypatch.setattr("recindex.axioms.enumerate_vectors", enumerate_box)
+    monkeypatch.setattr("recindex.axioms.sample_vectors", sample)
+    return log
 
 
-def test_a_box_over_the_image_budget_is_refused_before_it_is_enumerated(monkeypatch):
-    def enumerate_vectors(spec):
-        pytest.fail(f"enumerated {spec}")
-        yield
+def _refuse(spec, sample_size, calls, match):
+    with pytest.raises(DomainBudgetError, match=match):
+        build_domain(spec, sample_size)
+    assert calls == [], f"{spec} was refused after {calls}"
 
-    monkeypatch.setattr("recindex.axioms.enumerate_vectors", enumerate_vectors)
-    with pytest.raises(DomainBudgetError, match="image tables of domain 12x12 hold 12 values for each of its 2704156 vectors"):
-        build_domain(DomainSpec(12, 12))
+
+def test_a_domain_whose_image_tables_exceed_the_budget_is_refused(calls):
+    # SI, RANK_SI and RANK_IND keep c_max values for each vector the domain can hold.
+    # 1x3161 holds 3,162 vectors: 3,162 * 3,161 = 9,995,082 values fit the budget.
+    assert build_domain(DomainSpec(1, 3161)).exhaustive and calls == [("enumerate", DomainSpec(1, 3161))]
+    calls.clear()
+    # 1x3162 holds 3,163 vectors, 10,001,406 values: sampled with a seed, refused without one.
+    _refuse(DomainSpec(1, 3162), 500, calls, r"1x3162 hold 3162 values .* fewer than its box holds; supply a seed")
+    assert not build_domain(DomainSpec(1, 3162, seed=1)).exhaustive
+    assert calls == [("sample", DomainSpec(1, 3162, seed=1), 500)]
+    calls.clear()
+    # 3x400 (10,827,401 vectors) is sampled; a sample keeps the empty vector too, so 24,999 draws fill the budget.
+    build_domain(DomainSpec(3, 400, seed=1), 24_999)
+    assert calls == [("sample", DomainSpec(3, 400, seed=1), 24_999)]
+    calls.clear()
+    _refuse(
+        DomainSpec(3, 400, seed=1),
+        25_000,
+        calls,
+        "the image tables of domain 3x400 hold 400 values for each vector, so at most 25000 vectors fit the budget "
+        "of 10000000, fewer than a sample of 25000 holds with the empty vector",
+    )
+    _refuse(DomainSpec(1, 100000), 500, calls, "image tables of domain 1x100000 hold 100000 values")
+
+
+def test_a_box_over_the_image_budget_is_refused_before_it_is_enumerated(calls):
+    # 12x12 holds 2,704,156 vectors, more than the 833,333 whose 12 values fit.
+    _refuse(
+        DomainSpec(12, 12),
+        500,
+        calls,
+        r"^the image tables of domain 12x12 hold 12 values for each vector, so at most 833333 vectors fit the budget "
+        r"of 10000000, fewer than its box holds; supply a seed for a sampled \(non-exhaustive\) scan$",
+    )
+    assert not build_domain(DomainSpec(12, 12, seed=1), 30).exhaustive
+    assert calls == [("sample", DomainSpec(12, 12, seed=1), 30)]
 
 
 def test_uniform_increment_refuses_sampled_domains():

@@ -358,9 +358,10 @@ def test_axioms_refusal_of_a_huge_domain_names_the_bound_not_the_count(capsys):
     # The box holds about 10^6019 vectors, past the 4300 digits str() allows.
     code, text = run_cli("axioms", "--n-max", "10000", "--c-max", "10000")
     assert (code, text) == (3, "")
-    err = capsys.readouterr().err
-    assert err.startswith("refused: domain 10000x10000 holds more vectors than the exhaustive budget of 10000000")
-    assert "seed" in err
+    assert capsys.readouterr().err == (
+        "refused: the image tables of domain 10000x10000 hold 10000 values for each vector, so at most 1000 vectors "
+        "fit the budget of 10000000, fewer than its box holds; supply a seed for a sampled (non-exhaustive) scan\n"
+    )
 
 
 def test_axioms_sampled_mode_is_labelled():
@@ -370,6 +371,14 @@ def test_axioms_sampled_mode_is_labelled():
     assert code in (0, 2)
     assert "sampled, non-exhaustive" in text.splitlines()[0]
     assert any("n/a" in line for line in text.splitlines())  # refused UI cells
+
+
+def test_axioms_seeded_12x12_is_sampled_not_refused():
+    # 12x12 is past the image budget as a box (2,704,156 vectors x 12 values), not as a sample.
+    code, text = run_cli("axioms", "--n-max", "12", "--c-max", "12", "--seed", "1", "--sample-size", "30")
+    scanned = len(build_domain(DomainSpec(12, 12, seed=1), 30).vectors)
+    assert code == 2
+    assert text.splitlines()[0] == f"domain: n_max=12 c_max=12 (sampled, non-exhaustive, {scanned} of 2704156 vectors)"
 
 
 def test_axioms_sampled_domain_line_counts_the_scanned_vectors():
@@ -392,24 +401,31 @@ def test_axioms_sample_size_below_1_exits_1(capsys):
 
 
 def test_axioms_sample_size_above_the_budget_exits_3(capsys, monkeypatch):
-    code, text = run_cli("axioms", "--n-max", "40", "--c-max", "40", "--seed", "1", "--sample-size", "10000001")
-    assert (code, text) == (3, "")
-    assert capsys.readouterr().err == "refused: sample size 10000001 exceeds the budget of 10000000\n"
+    # A stand-in draw keeps the scan small, and shows that a refused sample is never drawn.
+    drawn = []
+    monkeypatch.setattr(axioms, "sample_vectors", lambda spec, size: drawn.append(size) or [(), (1,)])
+    code, text = run_cli("axioms", "--n-max", "40", "--c-max", "40", "--seed", "1", "--sample-size", "250000")
+    assert (code, text, drawn) == (3, "", [])
+    assert capsys.readouterr().err == (
+        "refused: the image tables of domain 40x40 hold 40 values for each vector, so at most 250000 vectors fit "
+        "the budget of 10000000, fewer than a sample of 250000 holds with the empty vector\n"
+    )
     assert run_cli("axioms", "--n-max", "3", "--c-max", "3", "--sample-size", "10000001") == run_cli(
         "axioms", "--n-max", "3", "--c-max", "3"
     )
-    # The budget itself is a valid size; a stand-in draw keeps the scan small.
-    drawn = []
-    monkeypatch.setattr(axioms, "sample_vectors", lambda spec, size: drawn.append(size) or [(), (1,)])
-    assert build_domain(DomainSpec(40, 40, seed=1), 10_000_000).vectors == [(), (1,)]
-    assert drawn == [10_000_000]
+    # One draw fewer fits, as the empty vector is kept too.
+    assert build_domain(DomainSpec(40, 40, seed=1), 249_999).vectors == [(), (1,)]
+    assert drawn == [249_999]
 
 
 @pytest.mark.parametrize(
     "argv, domain",
     [(("--n-max", "1", "--c-max", "100000"), "1x100000"), (("--n-max", "2", "--c-max", "1000000", "--seed", "1"), "2x1000000")],
 )
-def test_axioms_image_tables_above_the_budget_exit_3(capsys, argv, domain):
+def test_axioms_image_tables_above_the_budget_exit_3(capsys, monkeypatch, argv, domain):
+    # Were the rule to admit them, these domains would be built and scanned, not refused.
+    for name in ("enumerate_vectors", "sample_vectors"):
+        monkeypatch.setattr(axioms, name, lambda spec, *size: pytest.fail(f"{spec} was built"))
     code, text = run_cli("axioms", *argv)
     assert (code, text) == (3, "")
     assert capsys.readouterr().err.startswith(f"refused: the image tables of domain {domain} hold")

@@ -98,6 +98,10 @@ def test_csv_header_requires_more_than_the_id_cell(tmp_path):
         assert [(r.id, r.vector) for r in parse_dataset(path)] == [("ada", (3, 2))], header
     path.write_text("ID\n", encoding="utf-8")
     assert [r.id for r in parse_dataset(path)] == ["ID"]
+    # the header is the first non-blank row, after a byte-order mark and blank "\r\n" lines too
+    for blank in ("\n", "\ufeff\r\n \r\n"):
+        path.write_bytes(f"{blank}id,c1,c2\nada,3,2\nid,1\n".replace("\n", "\r\n").encode())
+        assert [(r.id, r.vector) for r in parse_dataset(path)] == [("ada", (3, 2)), ("id", (1,))], repr(blank)
 
 
 def test_csv_rejects_bad_count_with_line_and_id(tmp_path):
