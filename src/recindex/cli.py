@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 from typing import Iterable, Sequence
@@ -60,7 +61,7 @@ def _parse_vector_literal(text: str) -> Vector:
     return make_vector(values)
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
+def _table(headers: list[str], rows: list[tuple[str, ...]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -77,27 +78,29 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _text(value) -> str:
-    """A table or CSV cell: 4 decimals, ``-`` for missing, ``|`` between list items."""
+    """A table or CSV cell: 4 decimals, ``-`` for missing, ``|`` between tuple items."""
     kind = type(value)
     if kind is float:
         return f"{value:.4f}"
     if value is None:
         return "-"
-    if kind is list or kind is tuple:
+    if kind is tuple:
         return "|".join(map(str, value))
     return str(value)
 
 
-def _emit(out, fmt: str, columns: list[str], rows: Iterable[dict]) -> None:
-    """Write rows of JSON-ready values (floats rounded to 4 decimals).
+def _emit(out, fmt: str, columns: list[str], rows: Iterable[Sequence]) -> None:
+    """Write rows of values in ``columns`` order, every float with 4 decimals.
 
-    jsonl dumps each row whole; table and csv show ``columns`` only.
+    jsonl writes each row as ``{column: value}`` with its floats rounded;
+    table and csv cells are rendered by ``_text``.
     """
     if fmt == "jsonl":
         for row in rows:
-            print(json.dumps(row), file=out)
+            record = {c: round(v, 4) if type(v) is float else v for c, v in zip(columns, row)}
+            print(json.dumps(record), file=out)
         return
-    cells = ([_text(row[c]) for c in columns] for row in rows)
+    cells = (tuple(map(_text, row)) for row in rows)
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
@@ -116,23 +119,17 @@ def _cmd_compute(args, out) -> int:
     counts = ["n", "citations", "max", "h", "g", "w"]
     tail = ["rec_i", "rec_p", "rect_width"] + ["maximizers"] * args.show_maximizers + ["classification"]
     # JSONL keeps its recorded key order: the vector, then rec before euclidean.
-    keys = ["id", "vector", *counts, "rec", "euclidean", "chi", *tail]
-
-    def json_row(r) -> dict:
-        row = {key: getattr(r, key) for key in keys}
-        row["euclidean"] = round(r.euclidean, 4)
-        row["chi"] = ceil_chi(r.rec) if args.ceil_chi else round(r.chi, 4)
-        return row
-
-    _emit(out, args.format, ["id", *counts, "euclidean", "rec", "chi", *tail], map(json_row, report))
+    head = ["vector", *counts, "rec", "euclidean"] if args.format == "jsonl" else [*counts, "euclidean", "rec"]
+    columns = ["id", *head, "chi", *tail]
+    if args.ceil_chi:
+        report = (r._replace(chi=ceil_chi(r.rec)) for r in report)
+    _emit(out, args.format, columns, map(operator.attrgetter(*columns), report))
     return EXIT_OK
 
 
 def _cmd_rank(args, out) -> int:
     report = build_report(parse_dataset(args.dataset, args.input_format))
-    ranked = rank_rows(report, args.by, ascending=args.ascending)
-    rows = ({"rank": rank, "id": name, args.by: round(value, 4)} for rank, name, value in ranked)
-    _emit(out, args.format, ["rank", "id", args.by], rows)
+    _emit(out, args.format, ["rank", "id", args.by], rank_rows(report, args.by, ascending=args.ascending))
     return EXIT_OK
 
 
@@ -140,10 +137,11 @@ def _cmd_classify(args, out) -> int:
     report = build_report(parse_dataset(args.dataset, args.input_format))
     columns = ["id", "rec", "rect_width", "classification"]
     summary = dict.fromkeys(CLASSIFICATIONS, 0)
+    pick = operator.attrgetter(*columns)
 
-    def counted(r) -> dict:
+    def counted(r) -> tuple:
         summary[r.classification] += 1
-        return {c: getattr(r, c) for c in columns}
+        return pick(r)
 
     _emit(out, args.format, columns, map(counted, report))
     total = sum(summary.values())
@@ -157,7 +155,7 @@ def _cmd_classify(args, out) -> int:
         counts = " ".join(f"{k}={v}" for k, v in summary.items())
         print(f"# summary {counts} total={total}", file=out)
     else:
-        print(json.dumps({"summary": summary, "total": total}), file=out)
+        _emit(out, "jsonl", ["summary", "total"], [(summary, total)])
     return EXIT_OK
 
 
@@ -167,7 +165,7 @@ def _cmd_conjugate(args, out) -> int:
         raise ValueError(f"x_1 = {x[0]} exceeds the limit of {ENTRY_LIMIT} entries for a conjugate")
     p = conjugate(x)
     if args.format == "jsonl":
-        print(json.dumps({"vector": list(x), "conjugate": list(p)}), file=out)
+        _emit(out, "jsonl", ["vector", "conjugate"], [(x, p)])
     else:
         print(",".join(str(c) for c in p), file=out)
     return EXIT_OK
@@ -182,13 +180,10 @@ def _cmd_sequence(args, out) -> int:
     steps = seq.build_rec_incremental(target).steps
     rec_values = [rec(step) for step in steps]
     if args.format == "jsonl":
-        rows = [{"target": list(target), "steps": [list(step) for step in steps], "rec": rec_values}]
+        _emit(out, "jsonl", ["target", "steps", "rec"], [(target, steps, rec_values)])
     else:
-        rows = [
-            {"step": i, "vector": _render_vector(step), "rec": r}
-            for i, (step, r) in enumerate(zip(steps, rec_values))
-        ]
-    _emit(out, args.format, ["step", "vector", "rec"], rows)
+        rows = [(i, _render_vector(step), r) for i, (step, r) in enumerate(zip(steps, rec_values))]
+        _emit(out, "table", ["step", "vector", "rec"], rows)
     return EXIT_OK
 
 
@@ -226,7 +221,9 @@ def _cmd_axioms(args, out) -> int:
     code = EXIT_PATTERN_MISMATCH if mismatches else EXIT_OK
 
     if args.format == "jsonl":
-        _emit(out, "jsonl", [], [*cells.values(), bound, {"mismatches": mismatches}])
+        # Written as built: their keys differ by row, and their witnesses are nested.
+        for record in [*cells.values(), bound, {"mismatches": mismatches}]:
+            print(json.dumps(record), file=out)
         return code
 
     # Counted only now: build_domain has refused a box whose count would take long to compute.
@@ -235,7 +232,7 @@ def _cmd_axioms(args, out) -> int:
     print(f"domain: n_max={spec.n_max} c_max={spec.c_max} ({scanned} vectors)", file=out)
     for title, axioms in ("independence matrix", ax.INDEPENDENCE_AXIOMS), ("full axiom matrix", ax.AxiomId):
         columns = [a.value for a in axioms]
-        rows = ({"index": name, **{a: status_words[cells[name, a]["status"]] for a in columns}} for name in full)
+        rows = ((name, *(status_words[cells[name, a]["status"]] for a in columns)) for name in full)
         print(f"\n{title}:", file=out)
         _emit(out, "table", ["index", *columns], rows)
     print(f"\nsingle-citation chi bound (chi never grows by more than 1): {status_words[bound['status']]}", file=out)

@@ -277,6 +277,9 @@ def test_conjugate_jsonl_and_empty():
     code, text = run_cli("conjugate", "-", "--format", "jsonl")
     assert code == 0
     assert json.loads(text) == {"vector": [], "conjugate": []}
+    code, text = run_cli("conjugate", "6,4,3,1", "--format", "jsonl")
+    assert code == 0
+    assert text == '{"vector": [6, 4, 3, 1], "conjugate": [4, 3, 3, 2, 1, 1]}\n'
 
 
 @pytest.mark.parametrize("x1", [10**20, 10**7 + 1])
@@ -602,8 +605,8 @@ def test_closed_stdout_ends_quietly_with_exit_1():
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_rounded_floats_print_the_same_4_decimals(x):
-    # JSONL rows hold floats rounded to 4 decimals, and tables and CSV
-    # print those same rounded values.
+    # JSONL rounds a float to 4 decimals, and tables and CSV format the
+    # unrounded float with 4 decimals: both formats show the same digits.
     assert f"{round(x, 4):.4f}" == f"{x:.4f}"
 
 

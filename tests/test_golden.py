@@ -57,6 +57,8 @@ REPORT = str(DATA / "report_mixed.csv")
         ("report_rank_w.txt", ["rank", REPORT, "--by", "w"]),
         ("report_rank_rec_i.txt", ["rank", REPORT, "--by", "rec_i"]),
         ("report_rank_rec_p.txt", ["rank", REPORT, "--by", "rec_p"]),
+        ("report_rank_chi.csv", ["rank", REPORT, "--by", "chi", "--format", "csv"]),
+        ("report_rank_euclidean.jsonl", ["rank", REPORT, "--by", "euclidean", "--format", "jsonl"]),
         ("report_classify.txt", ["classify", REPORT]),
         ("report_classify.csv", ["classify", REPORT, "--format", "csv"]),
         ("report_classify.jsonl", ["classify", REPORT, "--format", "jsonl"]),
