@@ -23,7 +23,9 @@ from .ingest import (
     DatasetError,
     build_report,
     ceil_chi,
+    classify_row,
     parse_dataset,
+    rank_index,
     rank_rows,
     short_repr,
 )
@@ -128,22 +130,22 @@ def _cmd_compute(args, out) -> int:
 
 
 def _cmd_rank(args, out) -> int:
-    report = build_report(parse_dataset(args.dataset, args.input_format))
-    _emit(out, args.format, ["rank", "id", args.by], rank_rows(report, args.by, ascending=args.ascending))
+    rank_index(args.by)  # an unknown column is refused before the dataset is read
+    # Handed over as an iterator, so the parsed records are dropped once ranked.
+    records = iter(parse_dataset(args.dataset, args.input_format))
+    _emit(out, args.format, ["rank", "id", args.by], rank_rows(records, args.by, ascending=args.ascending))
     return EXIT_OK
 
 
 def _cmd_classify(args, out) -> int:
-    report = build_report(parse_dataset(args.dataset, args.input_format))
-    columns = ["id", "rec", "rect_width", "classification"]
+    rows = map(classify_row, parse_dataset(args.dataset, args.input_format))
     summary = dict.fromkeys(CLASSIFICATIONS, 0)
-    pick = operator.attrgetter(*columns)
 
-    def counted(r) -> tuple:
-        summary[r.classification] += 1
-        return pick(r)
+    def counted(row: tuple) -> tuple:
+        summary[row[-1]] += 1
+        return row
 
-    _emit(out, args.format, columns, map(counted, report))
+    _emit(out, args.format, ["id", "rec", "rect_width", "classification"], map(counted, rows))
     total = sum(summary.values())
     if args.format == "table":
         shares = ", ".join(

@@ -15,9 +15,9 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-# Unused here; perfbench/tracing.py wraps rec_index, h_index, aux_indices and rec_variants by name.
+# perfbench/tracing.py wraps rec_index, h_index, aux_indices and rec_variants here by name; only h_index is used.
 from .core import (
     BALANCED,
     EMPTY,
@@ -26,8 +26,12 @@ from .core import (
     ReportIndices,
     Vector,
     aux_indices,
+    chi_index,
+    citation_count,
+    classify,
     h_index,
     make_vector,
+    rec,
     rec_index,
     rec_variants,
     report_indices,
@@ -37,6 +41,23 @@ CLASSIFICATIONS = (INFLUENTIAL, PROLIFIC, BALANCED, EMPTY)
 
 #: Report columns that name a numeric index a ranking can sort by: the fields of ``ReportIndices`` up to rec_p.
 RANKABLE_COLUMNS = ReportIndices._fields[: ReportIndices._fields.index("rec_p") + 1]
+
+
+def _report_field(name: str) -> Callable[[Vector], float]:
+    position = ReportIndices._fields.index(name)
+    return lambda x: report_indices(x)[position]
+
+
+#: The function of a vector that gives each rankable column, in ``RANKABLE_COLUMNS`` order: core's own
+#: function where it has one, else that field of the full ``report_indices`` pass.
+RANKABLE_INDICES: dict[str, Callable[[Vector], float]] = {
+    **{name: _report_field(name) for name in RANKABLE_COLUMNS},
+    "n": len,
+    "citations": citation_count,
+    "h": h_index,
+    "rec": rec,
+    "chi": chi_index,
+}
 
 
 class DatasetError(ValueError):
@@ -207,25 +228,45 @@ def build_report(records: Iterable[ResearcherRecord]) -> Iterator[ReportRow]:
     return map(report_row, records)
 
 
+def classify_row(record: ResearcherRecord) -> tuple[str, int, int | None, str]:
+    """``(id, rec, rect_width, classification)`` of one researcher, as in its report row: rec,
+    then the narrowest rectangle of that area and its shape, and no other index."""
+    x = record.vector
+    if not x:
+        return record.id, 0, None, EMPTY
+    best = rec(x)
+    width = next(k for k, c in enumerate(x, 1) if k * c == best)
+    return record.id, best, width, classify(width, x[width - 1])
+
+
 def ceil_chi(rec_value: int) -> int:
     """Exact integer ceiling of sqrt(rec), computed without floats."""
     root = math.isqrt(rec_value)
     return root if root * root == rec_value else root + 1
 
 
-def rank_rows(rows: Iterable[ReportRow], by: str, ascending: bool = False) -> list[tuple[int, str, float]]:
-    """Stable ranking of report rows by one index column.
+def rank_index(by: str) -> Callable[[Vector], float]:
+    """The ``RANKABLE_INDICES`` function of column ``by``; an unknown column is a ValueError."""
+    if by not in RANKABLE_INDICES:
+        raise ValueError(
+            f"cannot rank by {by!r}; choose one of {', '.join(RANKABLE_COLUMNS)}"
+        )
+    return RANKABLE_INDICES[by]
 
-    Only the ``(value, id)`` pair of each row is kept.
+
+def rank_rows(
+    rows: Iterable[ResearcherRecord | ReportRow], by: str, ascending: bool = False
+) -> list[tuple[int, str, float]]:
+    """Stable ranking of researchers by one index column.
+
+    The value is ``rank_index(by)`` of each row's vector, so a record ranks
+    like its report row; only the ``(value, id)`` pair of each row is kept.
 
     Ties break by id ascending for display order but share the same rank
     number (competition style: 1, 1, 3).
     """
-    if by not in RANKABLE_COLUMNS:
-        raise ValueError(
-            f"cannot rank by {by!r}; choose one of {', '.join(RANKABLE_COLUMNS)}"
-        )
-    keyed = [(getattr(row, by), row.id) for row in rows]
+    index = rank_index(by)
+    keyed = [(index(row.vector), row.id) for row in rows]
     keyed.sort(key=lambda kv: (kv[0] if ascending else -kv[0], kv[1]))
     ranked: list[tuple[int, str, float]] = []
     rank = 0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recindex import axioms, ingest
+from recindex import axioms, cli, ingest
 from recindex.axioms import build_domain
 from recindex.cli import main
 from recindex.enumeration import DomainSpec, count_vectors
@@ -157,6 +157,39 @@ def test_rank_unknown_column_fails_validation(trio_csv, capsys):
     assert "cannot rank by 'sociability'" in capsys.readouterr().err
 
 
+def test_rank_unknown_column_is_refused_before_the_dataset_is_read(tmp_path, capsys):
+    code, text = run_cli("rank", str(tmp_path / "missing.csv"), "--by", "sociability")
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert f"cannot rank by 'sociability'; choose one of {', '.join(ingest.RANKABLE_COLUMNS)}" in err
+    assert "cannot read dataset" not in err
+
+
+@pytest.mark.parametrize(
+    "command, passes_per_row",
+    [
+        *((f"rank --by {by}", 0) for by in ("chi", "rec", "h", "n", "citations")),
+        ("classify", 0),
+        ("compute", 1),
+        ("rank --by w", 1),
+    ],
+)
+def test_report_commands_run_the_full_pass_only_for_the_columns_that_need_it(
+    trio_csv, monkeypatch, command, passes_per_row
+):
+    calls = []
+    full_pass = ingest.report_indices
+
+    def counting(x):
+        calls.append(x)
+        return full_pass(x)
+
+    monkeypatch.setattr(ingest, "report_indices", counting)
+    name, *options = command.split()
+    assert run_cli(name, trio_csv, *options)[0] == 0
+    assert len(calls) == 3 * passes_per_row
+
+
 def test_classify_table_and_summary(trio_csv):
     code, text = run_cli("classify", trio_csv)
     lines = text.splitlines()
@@ -181,18 +214,25 @@ def test_classify_jsonl_summary_object(trio_csv):
     assert solo == {"id": "solo", "rec": 100, "rect_width": 1, "classification": "influential"}
 
 
-@pytest.mark.parametrize("command", ["compute", "classify"])
+@pytest.mark.parametrize(
+    "command, module, row_builder",
+    # classify builds its rows with the function it imported, so the hook goes on cli.
+    [("compute", ingest, "report_row"), ("classify", cli, "classify_row")],
+    ids=["compute", "classify"],
+)
 @pytest.mark.parametrize("fmt, header_lines", [("csv", 1), ("jsonl", 0)])
-def test_report_rows_are_written_as_they_are_built(trio_csv, monkeypatch, command, fmt, header_lines):
+def test_report_rows_are_written_as_they_are_built(
+    trio_csv, monkeypatch, command, module, row_builder, fmt, header_lines
+):
     out = io.StringIO()
     written = []  # the length of the output each time a row is about to be built
-    build = ingest.report_row
+    build = getattr(module, row_builder)
 
     def recording(record):
         written.append(len(out.getvalue()))
         return build(record)
 
-    monkeypatch.setattr(ingest, "report_row", recording)
+    monkeypatch.setattr(module, row_builder, recording)
     assert main([command, trio_csv, "--format", fmt], out=out) == 0
     lines = out.getvalue().splitlines(keepends=True)
     assert written == [len("".join(lines[: header_lines + k])) for k in range(3)]

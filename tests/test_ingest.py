@@ -6,19 +6,23 @@ import math
 import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import citation_vectors, wide_citation_vectors
 from recindex.cli import main
-from recindex.core import chi_index, make_vector, rec
+from recindex.core import ReportIndices, chi_index, make_vector, rec, report_indices
 from recindex.ingest import (
     DatasetError,
     RANKABLE_COLUMNS,
+    RANKABLE_INDICES,
+    ResearcherRecord,
     _CountCache,
     _csv_vector,
     _parse_csv_lines,
     build_report,
     ceil_chi,
+    classify_row,
     parse_dataset,
     rank_rows,
     short_repr,
@@ -317,6 +321,23 @@ def test_report_row_for_zero_cited_researcher(csv_file):
     assert zero.rect_width is None
     assert zero.maximizers == ()
     assert zero.classification == "empty"
+
+
+@settings(deadline=None)
+@given(st.one_of(wide_citation_vectors(), citation_vectors()))
+@example(())
+@example((60, 30, 20, 15, 12, 10))  # six maximizers: the narrowest is the rect_width
+@example((12, 6, 4, 3, 2, 2, 1))
+def test_narrow_entries_match_the_full_pass(x):
+    """Each rankable column's function and the classify row read what the
+    full pass reports, down to the type: an int and a float render differently."""
+    assert tuple(RANKABLE_INDICES) == RANKABLE_COLUMNS  # the --by help and error list them in this order
+    full = ReportIndices._make(report_indices(x))
+    for name, index in RANKABLE_INDICES.items():
+        value, want = index(x), getattr(full, name)
+        assert (value, type(value)) == (want, type(want)), name
+    row, want = classify_row(ResearcherRecord("r", x)), ("r", full.rec, full.rect_width, full.classification)
+    assert (row, list(map(type, row))) == (want, list(map(type, want)))
 
 
 def test_records_and_rows_are_immutable(csv_file):
