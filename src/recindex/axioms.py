@@ -258,13 +258,6 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     return Domain(spec, vectors, exhaustive, uniforms, ids, step_lower, step_upper, step_position, {})
 
 
-def _as_domain(domain: Domain | DomainSpec | tuple[int, int]) -> Domain:
-    if isinstance(domain, Domain):
-        return domain
-    spec = domain if isinstance(domain, DomainSpec) else DomainSpec(*domain)
-    return build_domain(spec)
-
-
 # ---------------------------------------------------------------------------
 # the axioms
 # ---------------------------------------------------------------------------
@@ -686,22 +679,16 @@ def _verdict(index: str, axiom: str, domain: Domain, counterexample: dict | None
 
 
 def check_axiom(
-    index: IndexUnderTest,
-    axiom: AxiomId | str,
-    domain: Domain | DomainSpec | tuple[int, int],
-    *,
-    session: _Session | None = None,
+    index: IndexUnderTest, axiom: AxiomId | str, domain: Domain, *, session: _Session | None = None
 ) -> AxiomVerdict:
-    """Scan one axiom for one index over a finite domain.
+    """Scan one axiom for one index over a domain that ``build_domain`` built.
 
     Returns a verdict whose counterexample, if any, is the first in the
-    domain's order and replays independently.  A ``Domain`` is used as
-    built; a spec is built with the default sample size.  ``session``,
-    opened by ``check_index`` for this index and ``Domain``, shares the
-    value tables of the index's other checks.
+    domain's order and replays independently.  ``session``, opened for this
+    index and domain, shares the value tables of the index's other checks.
     """
     axiom = AxiomId(axiom)
-    session = session or _Session(index, _as_domain(domain))
+    session = session or _Session(index, domain)
     return _verdict(index.name, axiom.value, session.domain, _first_witness(AXIOMS[axiom], session))
 
 
@@ -769,12 +756,12 @@ def expected_independence_pattern() -> dict[str, dict[str, str]]:
     }
 
 
-def independence_matrix(domain: Domain | DomainSpec | tuple[int, int]) -> dict[str, dict[str, AxiomVerdict]]:
-    """Check M, UC and UE for every registry index over one domain."""
-    domain = _as_domain(domain)
+def independence_matrix(domain: Domain) -> dict[str, dict[str, AxiomVerdict]]:
+    """Check M, UC and UE for every registry index over one domain, evaluating each index once per vector."""
     return {
-        index.name: {axiom.value: check_axiom(index, axiom, domain) for axiom in INDEPENDENCE_AXIOMS}
+        index.name: {axiom.value: check_axiom(index, axiom, domain, session=session) for axiom in INDEPENDENCE_AXIOMS}
         for index in counterexample_registry()
+        for session in (_Session(index, domain),)
     }
 
 
@@ -794,7 +781,6 @@ def pattern_mismatches(
     ]
 
 
-def chi_increment_bound(domain: Domain | DomainSpec | tuple[int, int]) -> AxiomVerdict:
+def chi_increment_bound(domain: Domain) -> AxiomVerdict:
     """Verify chi grows by at most 1 under any single added citation."""
-    domain = _as_domain(domain)
     return _verdict("chi", "CHI_STEP_BOUND", domain, _first_witness(_CHI_STEP, _Session(CHI, domain)))

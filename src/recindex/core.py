@@ -322,11 +322,13 @@ def add_one_to_all(x: Vector) -> Vector:
 def max_uniform_dominated(x: Vector) -> Vector:
     """The heaviest uniform vector dominated by x (shortest on ties).
 
-    For width j the best dominated uniform is x_j repeated j times, so the
-    answer is the rectangle at the smallest rec maximizer.
+    For width k the best dominated uniform is x_k repeated k times, so the
+    answer is the narrowest rectangle of area rec(x): the smallest k with
+    k * x_k = rec(x).  ``classify_row`` and ``build_rec_incremental`` read
+    that rectangle here.
     """
     if not x:
         return ()
-    analysis = rec_index(x)
-    assert analysis.width is not None and analysis.height is not None
-    return (analysis.height,) * analysis.width
+    best = rec(x)
+    width = next(k for k, c in enumerate(x, 1) if k * c == best)
+    return (x[width - 1],) * width

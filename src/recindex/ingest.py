@@ -31,6 +31,7 @@ from .core import (
     classify,
     h_index,
     make_vector,
+    max_uniform_dominated,
     rec,
     rec_index,
     rec_variants,
@@ -231,12 +232,11 @@ def build_report(records: Iterable[ResearcherRecord]) -> Iterator[ReportRow]:
 def classify_row(record: ResearcherRecord) -> tuple[str, int, int | None, str]:
     """``(id, rec, rect_width, classification)`` of one researcher, as in its report row: rec,
     then the narrowest rectangle of that area and its shape, and no other index."""
-    x = record.vector
-    if not x:
+    u = max_uniform_dominated(record.vector)
+    if not u:
         return record.id, 0, None, EMPTY
-    best = rec(x)
-    width = next(k for k, c in enumerate(x, 1) if k * c == best)
-    return record.id, best, width, classify(width, x[width - 1])
+    width, height = len(u), u[0]
+    return record.id, width * height, width, classify(width, height)
 
 
 def ceil_chi(rec_value: int) -> int:

@@ -19,8 +19,8 @@ from .core import (
     dominates,
     is_uniform,
     is_valid_vector,
+    max_uniform_dominated,
     rec,
-    rec_index,
     valid_positions,
 )
 from .enumeration import canonical_key
@@ -115,9 +115,8 @@ def build_rec_incremental(target: Vector) -> ConstructiveSequence:
     """
     steps: list[Vector] = [()]
     if target:
-        analysis = rec_index(target)
-        width, height = analysis.width, analysis.height
-        assert width is not None and height is not None
+        rectangle = max_uniform_dominated(target)
+        width, height = len(rectangle), rectangle[0]
         side = min(width, height)
 
         current = (1,)
@@ -155,9 +154,12 @@ def build_rec_incremental(target: Vector) -> ConstructiveSequence:
             steps.append(current)
 
     sequence = ConstructiveSequence(tuple(steps), target)
-    if not is_constructive(sequence.steps, target) or not is_f_incremental(sequence, rec):
-        raise RuntimeError(f"builder produced an invalid sequence for {target}")
-    return sequence
+    try:
+        if is_f_incremental(sequence, rec):
+            return sequence
+    except ValueError:  # is_f_incremental refuses a sequence that is not constructive
+        pass
+    raise RuntimeError(f"builder produced an invalid sequence for {target}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from recindex.axioms import (
     H,
     SATISFIED,
     VIOLATED,
+    build_domain,
     check_axiom,
     counterexample_registry,
     expected_independence_pattern,
@@ -110,7 +111,7 @@ def test_criterion_05_independence_matrix_matches_documented_pattern():
     vector scores 2, so UE fails.  The pattern is kept as documented (README,
     "Known mismatch"), so that cell is pinned to the refutation here.
     """
-    matrix = independence_matrix((6, 6))
+    matrix = independence_matrix(build_domain(DomainSpec(6, 6)))
     expected = expected_independence_pattern()
     refuted = ("min_n_x1", "UE")
 
@@ -196,7 +197,7 @@ def test_criterion_08_builder_is_sound_for_every_small_target():
 def test_criterion_09_rank_invariance_findings():
     """h breaks rank scale invariance, h and chi break rank independence, with
     replayable witnesses; citation count keeps SM and both rank properties (5x5)."""
-    domain = (5, 5)
+    domain = build_domain(DomainSpec(5, 5))
     h_scale = check_axiom(H, "RANK_SI", domain)
     assert not h_scale.ok
     assert replay_counterexample(h_scale, H)

@@ -53,7 +53,9 @@ from recindex.core import (
 )
 from recindex.enumeration import DomainBudgetError, DomainSpec, enumerate_vectors
 
-DOMAIN = (4, 4)
+#: Every box up to 4x4, each built once and passed to every check over it.
+SMALL_BOXES = {(n, c): build_domain(DomainSpec(n, c)) for n in range(1, 5) for c in range(1, 5)}
+DOMAIN = SMALL_BOXES[4, 4]
 
 
 def _registry():
@@ -89,7 +91,7 @@ def test_axiom_ids_are_closed_and_described():
     }
 
 
-def test_check_axiom_accepts_string_ids_and_tuple_domains():
+def test_check_axiom_accepts_string_ids():
     verdict = check_axiom(REC, "M", DOMAIN)
     assert verdict.ok
     assert verdict.status == SATISFIED
@@ -191,7 +193,7 @@ def test_rec_and_chi_fail_rank_independence_and_replay():
 
 
 def test_citation_count_uniform_increment_absence_witness():
-    verdict = check_axiom(CITATION_COUNT, "UI", (3, 3))
+    verdict = check_axiom(CITATION_COUNT, "UI", SMALL_BOXES[3, 3])
     assert verdict.status == VIOLATED
     assert verdict.counterexample["target"] == (2, 1)
     assert replay_counterexample(verdict, CITATION_COUNT)
@@ -200,11 +202,11 @@ def test_citation_count_uniform_increment_absence_witness():
 def test_witnesses_read_back_from_json_replay_only_for_their_index():
     # Lists stand in for tuples once a verdict has been through JSON.  A
     # witness never replays against rec for an axiom rec satisfies.
-    rec_keeps = {a for a in AxiomId if check_axiom(REC, a, (3, 3)).ok}
+    rec_keeps = {a for a in AxiomId if check_axiom(REC, a, SMALL_BOXES[3, 3]).ok}
     replayed = 0
     for index in counterexample_registry():
         for axiom in AxiomId:
-            verdict = check_axiom(index, axiom, (3, 3))
+            verdict = check_axiom(index, axiom, SMALL_BOXES[3, 3])
             if verdict.ok:
                 continue
             parsed = AxiomVerdict(**json.loads(json.dumps(verdict.to_json())))
@@ -292,7 +294,7 @@ def test_edge_scan_monotonicity_agrees_with_pair_scan():
     vectors = list(enumerate_vectors(DomainSpec(3, 3)))
     for index in counterexample_registry():
         for axiom, strict in (("M", False), ("SM", True)):
-            fast = check_axiom(index, axiom, (3, 3)).ok
+            fast = check_axiom(index, axiom, SMALL_BOXES[3, 3]).ok
             assert fast == _naive_monotone(index, vectors, strict), (index.name, axiom)
 
 
@@ -320,7 +322,7 @@ def test_rank_checks_agree_with_naive_pair_scans():
         si = all(
             _naive_rank(index, vectors, lambda v, c=c: scale(v, c)) for c in range(2, 4)
         )
-        assert check_axiom(index, "RANK_SI", (3, 3)).ok == si, index.name
+        assert check_axiom(index, "RANK_SI", SMALL_BOXES[3, 3]).ok == si, index.name
         ind = all(
             _naive_rank(
                 index,
@@ -329,7 +331,7 @@ def test_rank_checks_agree_with_naive_pair_scans():
             )
             for e in range(1, 4)
         )
-        assert check_axiom(index, "RANK_IND", (3, 3)).ok == ind, index.name
+        assert check_axiom(index, "RANK_IND", SMALL_BOXES[3, 3]).ok == ind, index.name
 
 
 def _value_table(seed: int, key) -> IndexUnderTest:
@@ -384,7 +386,7 @@ NON_FINITE = [
 ]
 
 ORACLE_DOMAINS = {
-    "4x4": build_domain(DomainSpec(4, 4)),
+    "4x4": DOMAIN,
     "5x5": build_domain(DomainSpec(5, 5)),
     # some conjugates and add_one_to_all images of these leave the box
     "3x7": build_domain(DomainSpec(3, 7)),
@@ -469,7 +471,7 @@ def test_the_chi_bound_gives_the_naive_first_witness(domain_name, monkeypatch):
 def test_a_nan_value_breaks_every_property_that_compares_it():
     # f((1,)) = NaN.  UI lets f rise onto any uniform vector, and every
     # step out of (1,) lands on one, so UI alone still holds.
-    row = check_index(NON_FINITE[0], build_domain(DomainSpec(3, 3)))
+    row = check_index(NON_FINITE[0], SMALL_BOXES[3, 3])
     assert [axiom for axiom, verdict in row.items() if verdict.ok] == ["UI"]
 
 
@@ -535,7 +537,7 @@ RELATION_EDGES = [
 @pytest.mark.parametrize("axioms, index, witness", RELATION_EDGES)
 def test_each_relation_at_its_tolerance_edge(axioms, index, witness):
     for axiom in axioms:
-        verdict = check_axiom(index, axiom, (2, 2))
+        verdict = check_axiom(index, axiom, SMALL_BOXES[2, 2])
         assert (verdict.status, verdict.counterexample) == (VIOLATED if witness else SATISFIED, witness), axiom
         assert replay_counterexample(verdict, index) == (witness is not None), axiom
 
@@ -608,9 +610,9 @@ def test_a_failing_scale_scan_stops_at_its_witness():
     assert sum(calls.values()) <= len(domain.vectors) + images + 1
 
 
-@pytest.mark.parametrize("bounds", [(4, 4), (5, 5)])
-def test_one_session_evaluates_each_domain_vector_once(bounds):
-    domain = build_domain(DomainSpec(*bounds))
+@pytest.mark.parametrize("domain_name", ["4x4", "5x5"])
+def test_one_session_evaluates_each_domain_vector_once(domain_name):
+    domain = ORACLE_DOMAINS[domain_name]
     for index in counterexample_registry():
         calls: Counter = Counter()
 
@@ -623,8 +625,25 @@ def test_one_session_evaluates_each_domain_vector_once(bounds):
         assert all(calls[v] == 1 for v in domain.vectors), index.name
 
 
+def test_the_independence_matrix_evaluates_each_index_once_per_vector(monkeypatch):
+    calls: Counter = Counter()
+    registry = counterexample_registry()
+
+    def counted(index):
+        def evaluate(v):
+            calls[index.name, v] += 1
+            return index.evaluate(v)
+
+        return IndexUnderTest(index.name, evaluate)
+
+    monkeypatch.setattr("recindex.axioms.counterexample_registry", lambda: list(map(counted, registry)))
+    matrix = independence_matrix(DOMAIN)
+    assert {name: set(row) for name, row in matrix.items()} == {i.name: {"M", "UC", "UE"} for i in registry}
+    assert all(calls[index.name, v] == 1 for index in registry for v in DOMAIN.vectors)
+
+
 def test_uniform_increment_dp_agrees_with_search_for_rec():
-    assert check_axiom(REC, "UI", (3, 3)).ok
+    assert check_axiom(REC, "UI", SMALL_BOXES[3, 3]).ok
 
 
 def _assert_ui_target_is_the_first_the_search_refutes(domain, indices):
@@ -650,20 +669,19 @@ def test_uniform_increment_target_is_the_first_the_search_refutes(bounds):
     )
 
 
-@pytest.mark.parametrize("bounds", [(n, c) for n in range(1, 5) for c in range(1, 5)])
+@pytest.mark.parametrize("bounds", sorted(SMALL_BOXES))
 def test_uniform_increment_reachability_agrees_with_search_on_non_finite_values(bounds):
     # The reachability pass and the search read one step rule, so a NaN or
     # infinite value cannot make them disagree.
-    _assert_ui_target_is_the_first_the_search_refutes(build_domain(DomainSpec(*bounds)), NON_FINITE)
+    _assert_ui_target_is_the_first_the_search_refutes(SMALL_BOXES[bounds], NON_FINITE)
 
 
 # ---------------------------------------------------------------------------
 # the paper's characterisation of rec as an oracle
 # ---------------------------------------------------------------------------
 
-#: Every box up to 4x4.  A box is closed under domination, so the proof
-#: that M, UC and UE characterise rec runs on the box alone.
-SMALL_BOXES = {(n, c): build_domain(DomainSpec(n, c)) for n in range(1, 5) for c in range(1, 5)}
+#: A box is closed under domination, so the proof that M, UC and UE
+#: characterise rec runs on a box of SMALL_BOXES alone.
 
 #: Shifts within, just past and well past TOLERANCE; 0 first, as the simplest.
 _FINE = [0.0, 0.6 * TOLERANCE, -0.6 * TOLERANCE, 1.5 * TOLERANCE, -1.5 * TOLERANCE]
@@ -752,7 +770,7 @@ def test_rec_read_from_its_box_passes_m_uc_and_ue(bounds):
 
 def test_oversized_domain_requires_a_seed():
     with pytest.raises(DomainBudgetError, match="seed"):
-        check_axiom(REC, "M", (40, 40))
+        build_domain(DomainSpec(40, 40))
 
 
 def test_sampled_scan_is_labelled_and_deterministic():
@@ -833,8 +851,9 @@ def test_a_box_over_the_image_budget_is_refused_before_it_is_enumerated(calls):
 
 
 def test_uniform_increment_refuses_sampled_domains():
+    domain = build_domain(DomainSpec(40, 40, seed=3))
     with pytest.raises(DomainBudgetError, match="exhaustive"):
-        check_axiom(REC, "UI", DomainSpec(40, 40, seed=3))
+        check_axiom(REC, "UI", domain)
 
 
 def test_verdict_to_json_is_plain_data():
@@ -850,7 +869,7 @@ def test_verdict_to_json_is_plain_data():
 
 
 def test_chi_increment_bound_holds_exhaustively():
-    verdict = chi_increment_bound((5, 5))
+    verdict = chi_increment_bound(ORACLE_DOMAINS["5x5"])
     assert verdict.ok
     assert verdict.axiom == "CHI_STEP_BOUND"
     assert verdict.exhaustive

@@ -458,3 +458,4 @@ def test_max_uniform_dominated_properties(x):
     assert is_uniform(u)
     assert dominates(u, x)
     assert citation_count(u) == rec(x)
+    assert len(u) == (ReportIndices._make(report_indices(x)).rect_width or 0)  # the narrowest of the rec rectangles

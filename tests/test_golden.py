@@ -68,3 +68,19 @@ def test_report_output_matches_recorded_run(recorded, argv):
     out = io.StringIO()
     assert main(argv, out=out) == 0
     assert out.getvalue().encode("utf-8") == (DATA / recorded).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "recorded, argv",
+    [
+        # rec 4 of <4,2,1,1> is reached at widths 1, 2 and 4; the builder grows the narrowest rectangle
+        ("sequence_4211.txt", ["sequence", "4,2,1,1"]),
+        ("sequence_4211.jsonl", ["sequence", "4,2,1,1", "--format", "jsonl"]),
+        ("conjugate_6431.txt", ["conjugate", "6,4,3,1"]),
+        ("conjugate_6431.jsonl", ["conjugate", "6,4,3,1", "--format", "jsonl"]),
+    ],
+)
+def test_vector_output_matches_recorded_run(recorded, argv):
+    out = io.StringIO()
+    assert main(argv, out=out) == 0
+    assert out.getvalue().encode("utf-8") == (DATA / recorded).read_bytes()

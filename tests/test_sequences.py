@@ -12,7 +12,6 @@ from recindex.core import (
     dominates,
     is_uniform,
     rec,
-    rec_index,
     valid_positions,
 )
 from recindex.enumeration import DomainSpec, canonical_key, enumerate_vectors
@@ -110,6 +109,21 @@ def test_build_extends_the_long_dimension_only():
     assert tall.steps == ((), (1,), (2,), (3,), (4,), (5,))
     wide = build_rec_incremental((1, 1, 1))
     assert wide.steps == ((), (1,), (1, 1), (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "attr, broken",
+    [
+        # every sequence reads as not constructive, which is_f_incremental refuses with a ValueError
+        ("is_constructive", lambda steps, target: False),
+        # the widest rectangle of <3,1> is <1,1>, so rec rises onto <3,1>, which is not uniform
+        ("max_uniform_dominated", lambda x: (x[-1],) * len(x)),
+    ],
+)
+def test_a_build_that_fails_its_check_raises_runtime_error(monkeypatch, attr, broken):
+    monkeypatch.setattr(f"recindex.sequences.{attr}", broken)
+    with pytest.raises(RuntimeError, match="invalid sequence for"):
+        build_rec_incremental((3, 1))
 
 
 def _assert_builder_contract(target):
