@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, repeat
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import sequences
 from .core import (
@@ -181,8 +181,8 @@ class Domain(NamedTuple):
     ``vectors`` is the whole box in canonical order when ``exhaustive``,
     else a seeded sample in draw order; a vector's id is its position
     there, and ``ids`` maps each vector to its id.  The empty vector has
-    id 0.  ``uniforms`` holds every uniform vector of the box in canonical
-    order.
+    id 0.  ``grid[j - 1][c - 1]`` is the uniform vector ``(c,) * j`` of the
+    box, and ``uniforms`` holds the same vectors and () in canonical order.
     The one-citation steps of an exhaustive box are the id pairs
     ``(step_lower[s], step_upper[s])``: the upper vector adds one citation
     to the lower one at rank ``step_position[s]`` and stays in the box.
@@ -193,6 +193,7 @@ class Domain(NamedTuple):
     spec: DomainSpec
     vectors: list[Vector]
     exhaustive: bool
+    grid: list[list[Vector]]
     uniforms: list[Vector]
     ids: dict[Vector, int]
     step_lower: array
@@ -240,8 +241,8 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
             f"than the budget of {EXHAUSTIVE_BUDGET}, even for a sampled scan"
         )
     vectors = list(enumerate_vectors(spec)) if exhaustive else sample_vectors(spec, sample_size)
-    uniforms = [()] + [(c,) * j for j in range(1, spec.n_max + 1) for c in range(1, spec.c_max + 1)]
-    uniforms.sort(key=canonical_key)
+    grid = [[(c,) * j for c in range(1, spec.c_max + 1)] for j in range(1, spec.n_max + 1)]
+    uniforms = sorted([(), *(u for row in grid for u in row)], key=canonical_key)
     ids = {v: i for i, v in enumerate(vectors)}
     step_lower, step_upper, step_position = array("i"), array("i"), array("b" if spec.n_max < 128 else "i")
     if exhaustive:
@@ -255,7 +256,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
                     step_upper.append(ids[x[: k - 1] + (c + 1,) + x[k:]])
                     step_position.append(k)
                 before = c
-    return Domain(spec, vectors, exhaustive, uniforms, ids, step_lower, step_upper, step_position, {})
+    return Domain(spec, vectors, exhaustive, grid, uniforms, ids, step_lower, step_upper, step_position, {})
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +267,19 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
 class _Session:
     """The checks of one index over one domain, reading shared value tables.
 
-    ``values[i]`` is f of the vector with id i, ``uniform_rows[j - 1][c - 1]``
-    is f of ``(c,) * j``, and a scaled table, kept per factor, lists f of
-    every vector scaled by it, by id.  Each table is built on first use: a
-    vector of the domain reads ``values`` by id, any other is evaluated
-    into the table that needs it and never kept as a key.  A session is
-    opened for one index and dropped with it, so no f value is shared
-    between indices; only the domain's image ids are.
+    ``values[i]`` is f of the vector with id i and ``uniform_rows[j - 1][c - 1]``
+    is f of ``(c,) * j``, each built on first use; a vector outside the
+    domain is evaluated where it is needed and never kept as a key.  The
+    image axioms keep no table: ``_walk`` leaves their first candidates in
+    ``walked``.  A session is opened for one index and dropped with it, so
+    no f value is shared between indices; only the domain and its images are.
     """
 
     def __init__(self, index: IndexUnderTest, domain: Domain) -> None:
         self.index, self.domain = index, domain
         # f runs once per candidate, and a NamedTuple field reads slower than an attribute.
         self._id, self._evaluate = domain.ids.get, index.evaluate
-        self._scaled: dict[int, list] = {}
+        self.walked: dict[AxiomId, list[tuple]] = {}
 
     @cached_property
     def values(self) -> list:
@@ -292,47 +292,45 @@ class _Session:
 
     @cached_property
     def uniform_rows(self) -> list[list]:
-        spec = self.domain.spec
-        return [[self.f((c,) * j) for c in range(1, spec.c_max + 1)] for j in range(1, spec.n_max + 1)]
+        return [list(map(self.f, row)) for row in self.domain.grid]
 
     def uniform(self, u: Vector):
         """f of a uniform vector of the box."""
         return self.uniform_rows[len(u) - 1][u[0] - 1] if u else self.values[0]
 
-    def published(self, c: int) -> list:
-        """f, by id, of each vector with a c-cited publication added; evaluates only images outside the domain."""
-        domain, values, evaluate = self.domain, self.values, self._evaluate
-        ids = domain.image_ids(_publish_in_box, c, domain.spec.n_max)
-        return [values[j] if j >= 0 else evaluate(_add_publication(x, c)) for x, j in zip(domain.vectors, ids)]
+    def image_values(self, column: tuple[Iterable[int], list]) -> Iterator:
+        """f of each image of a ``_walk`` column, by id, each evaluated as it is read."""
+        values, evaluate = self.values, self._evaluate
+        return (values[j] if j >= 0 else evaluate(w) for j, w in zip(*column))
 
-    def _f_scaled(self, vectors: Iterable[Vector], factors: Iterable[int]) -> list:
-        """f of each vector scaled by its paired factor; only an image with x_1 * factor <= c_max is looked up by id."""
-        get, values, evaluate, c_max = self._id, self.values, self._evaluate, self.domain.spec.c_max
-        return [
-            evaluate(w) if x and x[0] * factor > c_max or (i := get(w)) is None else values[i]
-            for x, factor in zip(vectors, factors)
-            for w in (tuple(map(factor.__mul__, x)),)
-        ]
+    @cached_property
+    def blocks(self) -> tuple[list[array], bool]:
+        """The ids in f order, cut into blocks within TOLERANCE of their first
+        value, and whether f keeps the blocks apart.  Every session of a walk
+        holds its blocks, so ids are kept as machine ints."""
+        values, blocks = self.values, []
+        for i in sorted(range(len(values)), key=values.__getitem__):
+            if blocks and at_most(values[i], values[blocks[-1][0]]):
+                blocks[-1].append(i)
+            else:
+                blocks.append(array("i", [i]))
+        return blocks, _blocks_stay_apart(blocks, values)
 
-    def scaled(self, factor: int) -> list:
-        """The scaled table of one factor that SI left, else one built whole and not kept."""
-        return self._scaled.get(factor) or self._f_scaled(self.domain.vectors, repeat(factor))
+    def flips(self, axiom: AxiomId, param: int, after: list) -> bool:
+        """Whether some id pair compares with another sign in ``after``, f of each
+        image under ``param``; the first such pair goes to ``walked``.
 
-    def scaled_rows(self, factors: range):
-        """Yield ``(x, f(x), row)`` by id, ``row[k]`` being f of x scaled by
-        ``factors[k]``.
-
-        The scaled tables are filled as the walk goes and kept for
-        ``scaled`` only when it ends, so a scan that stops at an early
-        witness evaluates no image past it.
-        """
-        tables: list[list] = [[] for _ in factors]
-        for x, fx in zip(self.domain.vectors, self.values):
-            row = self._f_scaled(repeat(x), factors)
-            for table, value in zip(tables, row):
-                table.append(value)
-            yield x, fx, row
-        self._scaled.update(zip(factors, tables))
+        If f keeps its blocks apart, pairs tie exactly within a block, so no pair
+        flips exactly when ``after`` keeps them apart too; if not, ties chain
+        (a ~ b ~ c, a !~ c), or a table is not finite and its order means
+        nothing, and the pairs are compared one by one."""
+        blocks, separated = self.blocks
+        if separated and _blocks_stay_apart(blocks, after):
+            return False
+        pair = next(_flipped_pairs(self.values, after), None)
+        if pair is not None:
+            self.walked[axiom] = [(self.domain.vectors[pair[0]], self.domain.vectors[pair[1]], param)]
+        return pair is not None
 
 
 class Axiom(NamedTuple):
@@ -341,8 +339,9 @@ class Axiom(NamedTuple):
     ``candidates(session)`` yields, in the domain's order, tuples of the
     witness values named by ``keys``; it may skip candidates that cannot
     violate the property, which it decides from the session's tables by
-    the relation that the predicate reads.  ``violates(f, *candidate)``
-    returns the witness a violating candidate makes, else None.
+    the relation that the predicate reads (an image axiom's tables are
+    ``_walk``'s).  ``violates(f, *candidate)`` returns the witness a
+    violating candidate makes, else None.
     """
 
     description: str
@@ -451,17 +450,7 @@ def _step_axiom(description: str, relation, bound, witness) -> Axiom:
     return Axiom(description, ("x", "position"), candidates, violates)
 
 
-def _scale_candidates(s: _Session):
-    factors = range(2, s.domain.spec.c_max + 1)  # scale(x, 1) is x, so factor 1 reads f(x) itself
-    return (
-        (x, factor)
-        for x, fx, scaled in s.scaled_rows(factors)
-        for factor, fs in enumerate((fx, *scaled), 1)
-        if not close(fs, factor * fx)
-    )
-
-
-def _blocks_stay_apart(blocks: list[list[int]], table: list) -> bool:
+def _blocks_stay_apart(blocks: list[array], table: list) -> bool:
     """True when the table is finite, spans at most TOLERANCE on each block
     of ids and each block lies more than TOLERANCE below the next."""
     if not _finite(table):
@@ -501,7 +490,7 @@ def _image_axiom(description: str, transform: Callable[[Vector], Vector], label:
     return Axiom(description, ("x",), candidates, violates)
 
 
-def _rank_axiom(key: str, first: int, transform, table: Callable[[_Session, int], list], description: str) -> Axiom:
+def _rank_axiom(key: str, transform, axiom: AxiomId, description: str) -> Axiom:
     def violates(f, x, y, param):
         before = [f(x), f(y)]
         after = [f(transform(x, param)), f(transform(y, param))]
@@ -509,27 +498,7 @@ def _rank_axiom(key: str, first: int, transform, table: Callable[[_Session, int]
             return {"x": x, "y": y, key: param, "before": before, "after": after}
         return None
 
-    def candidates(s: _Session):
-        # Cut the f order into blocks within TOLERANCE of their first value.
-        # If f keeps the blocks apart, pairs tie exactly within a block, so
-        # no pair flips exactly when the transformed f keeps them apart too;
-        # if not, ties chain (a ~ b ~ c, a !~ c), or a table is not finite
-        # and its order means nothing, and the pairs whose signs differ in
-        # the tables go to the predicate.
-        vectors, values = s.domain.vectors, s.values
-        blocks: list[list[int]] = []
-        for i in sorted(range(len(values)), key=values.__getitem__):
-            if blocks and at_most(values[i], values[blocks[-1][0]]):
-                blocks[-1].append(i)
-            else:
-                blocks.append([i])
-        separated = _blocks_stay_apart(blocks, values)
-        for param in range(first, s.domain.spec.c_max + 1):
-            after = table(s, param)
-            if not (separated and _blocks_stay_apart(blocks, after)):
-                yield from ((vectors[i], vectors[j], param) for i, j in _flipped_pairs(values, after))
-
-    return Axiom(description, ("x", "y", key), candidates, violates)
+    return Axiom(description, ("x", "y", key), partial(_walked, axiom), violates)
 
 
 def _citation_count_axiom(description: str, uniforms: Callable[[_Session], Iterable[Vector]]) -> Axiom:
@@ -541,7 +510,11 @@ def _citation_count_axiom(description: str, uniforms: Callable[[_Session], Itera
             return {"x": x, "f_x": fx, "citation_count": count}
         return None
 
-    return Axiom(description, ("x",), lambda s: ((u,) for u in uniforms(s) if violates(s.uniform, u)), violates)
+    def candidates(s: _Session):
+        # (c,) * j cites j * c times, so the uniform table is compared with len(u) * u[0].
+        return ((u,) for u in uniforms(s) if not close(s.uniform(u), len(u) * u[0] if u else 0))
+
+    return Axiom(description, ("x",), candidates, violates)
 
 
 def _uniform_equivalence_candidates(s: _Session):
@@ -589,6 +562,86 @@ def _publish_in_box(x: Vector, citations: int, n_max: int) -> Vector | None:
     return None if len(x) == n_max else _add_publication(x, citations)
 
 
+def _scaled_column(domain: Domain, factor: int, lo: int, hi: int) -> tuple[array, list]:
+    """The vectors of ids lo to hi - 1 scaled by ``factor``, as the id of each
+    image (-1 outside the domain) and the images, plain tuples; scaling keeps x
+    in the box exactly when x_1 * factor <= c_max, so only such an image is looked up."""
+    get, top, vectors = domain.ids.get, domain.spec.c_max // factor, domain.vectors[lo:hi]
+    images = [tuple(map(factor.__mul__, x)) for x in vectors]
+    return array("i", (get(w, -1) if not x or x[0] <= top else -1 for x, w in zip(vectors, images))), images
+
+
+def _published_column(domain: Domain, c: int, lo: int, hi: int) -> tuple[array, list]:
+    """The vectors of ids lo to hi - 1 with a c-cited publication added, as the
+    id of each image (-1 outside the domain) and, only where it is -1, the
+    image.  Unlike ``image_ids``, the ids are not kept: one walk reads them."""
+    vectors = domain.vectors[lo:hi]
+    in_box = map(_publish_in_box, vectors, repeat(c), repeat(domain.spec.n_max))
+    ids = array("i", map(domain.ids.get, in_box, repeat(-1)))
+    return ids, [None if j >= 0 else _add_publication(x, c) for x, j in zip(vectors, ids)]
+
+
+#: Ids per slice of a parameter's images; the walk holds one slice at a time.
+_SLICE = 1 << 14
+
+
+def _walk(domain: Domain, sessions: list[_Session], axioms: Iterable[AxiomId]) -> None:
+    """Leave in each session's ``walked`` the first candidate, if any, of each image axiom in ``axioms``.
+
+    Parameters go in order: c = 1 ... c_max added citations for RANK_IND,
+    then factors 2 ... c_max for SI and RANK_SI.  A parameter's images are
+    built once, slice by slice up to the last id that a session still reads,
+    and each slice is evaluated into one table per session and dropped.  A
+    rank axiom decides each parameter from its table, which is dropped
+    then.  SI keeps its least (id, factor) witness: a factor reads only the
+    ids below the best so far, and stops at the first that breaks SI.
+    """
+    vectors, n, params = domain.vectors, len(domain.vectors), range(1, domain.spec.c_max + 1)
+    added, scaled, si = AxiomId.RANK_INDEPENDENCE, AxiomId.RANK_SCALE_INVARIANCE, AxiomId.SCALE_INVARIANCE
+    ranked = list(sessions) if added in axioms else []
+    for c in params:
+        if not ranked:
+            break
+        tables: dict[_Session, list] = {s: [] for s in ranked}
+        for lo in range(0, n, _SLICE):
+            column = _published_column(domain, c, lo, lo + _SLICE)
+            for s, table in tables.items():
+                table += s.image_values(column)
+        ranked = [s for s in ranked if not s.flips(added, c, tables.pop(s))]
+    ranked = list(sessions) if scaled in axioms else []
+    # scale(x, 1) is x, so factor 1 compares f(x) with itself and fails only where f(x) is not finite
+    best = {s: (next((i for i, v in enumerate(s.values) if not close(v, v)), n), 1) for s in sessions if si in axioms}
+    for factor in params[1:]:
+        tables = {s: [] for s in ranked}
+        stop = n if ranked else max((i for i, _ in best.values()), default=0)
+        for lo in range(0, stop, _SLICE):
+            hi = min(stop, lo + _SLICE)
+            column = _scaled_column(domain, factor, lo, hi)
+            for s in sessions:
+                table = s.image_values(column)
+                if s in tables:
+                    table = list(table)
+                    tables[s] += table
+                if s in best and lo < best[s][0]:
+                    scan = zip(range(lo, min(best[s][0], hi)), s.values[lo:hi], table)
+                    hit = next((i for i, fx, fs in scan if not close(fs, factor * fx)), None)
+                    best[s] = best[s] if hit is None else (hit, factor)
+        ranked = [s for s in ranked if not s.flips(scaled, factor, tables.pop(s))]
+    for s, (i, factor) in best.items():
+        if i < n:
+            s.walked[si] = [(vectors[i], factor)]
+    for s in sessions:
+        for axiom in set(axioms) & {added, scaled, si}:
+            s.walked.setdefault(axiom, [])
+
+
+def _walked(axiom: AxiomId, s: _Session) -> list[tuple]:
+    """An image axiom's candidates: those a walk over many sessions left, else those of a walk over this one."""
+    if axiom not in s.walked:
+        _walk(s.domain, [s], (axiom,))
+    return s.walked[axiom]
+
+
 def _unreachable_targets(s: _Session):
     domain = s.domain
     if not domain.exhaustive:
@@ -623,7 +676,10 @@ AXIOMS: dict[AxiomId, Axiom] = {
     AxiomId.MONOTONICITY: _domination_axiom("f never decreases along domination", lambda fv, fw: fw - fv >= 0, at_most),
     AxiomId.STRICT_MONOTONICITY: _domination_axiom("f strictly increases along strict domination", rises, rises),
     AxiomId.SCALE_INVARIANCE: Axiom(
-        "scaling citations by C scales f by C", ("x", "factor"), _scale_candidates, _violates_si
+        "scaling citations by C scales f by C",
+        ("x", "factor"),
+        partial(_walked, AxiomId.SCALE_INVARIANCE),
+        _violates_si,
     ),
     # conjugate is looked up at each call, so perfbench's tracer can count its calls
     AxiomId.SELF_CONJUGACY: _image_axiom(
@@ -658,10 +714,13 @@ AXIOMS: dict[AxiomId, Axiom] = {
         "an f-incremental constructive sequence exists", ("target",), _unreachable_targets, _violates_ui
     ),
     AxiomId.RANK_INDEPENDENCE: _rank_axiom(
-        "added_citations", 1, _add_publication, _Session.published, "adding the same new publication preserves ranking"
+        "added_citations",
+        _add_publication,
+        AxiomId.RANK_INDEPENDENCE,
+        "adding the same new publication preserves ranking",
     ),
     AxiomId.RANK_SCALE_INVARIANCE: _rank_axiom(
-        "factor", 2, scale, _Session.scaled, "scaling both records preserves ranking"
+        "factor", scale, AxiomId.RANK_SCALE_INVARIANCE, "scaling both records preserves ranking"
     ),
 }
 
@@ -692,21 +751,33 @@ def check_axiom(
     return _verdict(index.name, axiom.value, session.domain, _first_witness(AXIOMS[axiom], session))
 
 
-def check_index(index: IndexUnderTest, domain: Domain) -> dict[str, AxiomVerdict | None]:
-    """Check every axiom for one index, evaluating the index once per vector.
+def check_registry(
+    indices: Iterable[IndexUnderTest], domain: Domain, axioms: Iterable[AxiomId] = AxiomId
+) -> dict[str, dict[str, AxiomVerdict | None]]:
+    """Check each axiom for every index, evaluating each index once per vector and building each image once.
 
-    Every check reads one session's value tables, which are dropped on
-    return.  An axiom that needs an exhaustive domain maps to None on a
-    sampled one.
+    One ``_walk`` over the image axioms' parameters serves every index; then
+    each index's cells go through ``check_axiom``, and its session is dropped
+    before the next index's.  Rows map an axiom that needs an exhaustive
+    domain to None on a sampled one.
     """
-    session = _Session(index, domain)
-    row: dict[str, AxiomVerdict | None] = {}
-    for axiom in AxiomId:
-        try:
-            row[axiom.value] = check_axiom(index, axiom, domain, session=session)
-        except DomainBudgetError:
-            row[axiom.value] = None
-    return row
+    axioms, sessions = list(axioms), [_Session(index, domain) for index in indices]
+    _walk(domain, sessions, axioms)
+    rows: dict[str, dict[str, AxiomVerdict | None]] = {}
+    while sessions:
+        session = sessions.pop(0)
+        row = rows[session.index.name] = {}
+        for axiom in axioms:
+            try:
+                row[axiom.value] = check_axiom(session.index, axiom, domain, session=session)
+            except DomainBudgetError:
+                row[axiom.value] = None
+    return rows
+
+
+def check_index(index: IndexUnderTest, domain: Domain) -> dict[str, AxiomVerdict | None]:
+    """``check_registry`` over this one index: its row of every axiom."""
+    return check_registry([index], domain)[index.name]
 
 
 def replay_counterexample(verdict: AxiomVerdict, index: IndexUnderTest) -> bool:
@@ -758,11 +829,7 @@ def expected_independence_pattern() -> dict[str, dict[str, str]]:
 
 def independence_matrix(domain: Domain) -> dict[str, dict[str, AxiomVerdict]]:
     """Check M, UC and UE for every registry index over one domain, evaluating each index once per vector."""
-    return {
-        index.name: {axiom.value: check_axiom(index, axiom, domain, session=session) for axiom in INDEPENDENCE_AXIOMS}
-        for index in counterexample_registry()
-        for session in (_Session(index, domain),)
-    }
+    return check_registry(counterexample_registry(), domain, INDEPENDENCE_AXIOMS)
 
 
 def pattern_mismatches(

@@ -28,8 +28,11 @@ from recindex.axioms import (
     _Session,
     _add_publication,
     _publish_in_box,
+    _published_column,
+    _scaled_column,
     check_axiom,
     check_index,
+    check_registry,
     chi_increment_bound,
     counterexample_registry,
     expected_independence_pattern,
@@ -51,7 +54,7 @@ from recindex.core import (
     scale,
     valid_positions,
 )
-from recindex.enumeration import DomainBudgetError, DomainSpec, enumerate_vectors
+from recindex.enumeration import DomainBudgetError, DomainSpec, canonical_key, enumerate_vectors
 
 #: Every box up to 4x4, each built once and passed to every check over it.
 SMALL_BOXES = {(n, c): build_domain(DomainSpec(n, c)) for n in range(1, 5) for c in range(1, 5)}
@@ -623,6 +626,78 @@ def test_one_session_evaluates_each_domain_vector_once(domain_name):
         row = check_index(IndexUnderTest(index.name, counted), domain)
         assert set(row) == {a.value for a in AxiomId} and None not in row.values()
         assert all(calls[v] == 1 for v in domain.vectors), index.name
+
+
+#: The oracle domains, boxes with one citation count, which have no scale factor
+#: past 1, and one more seeded sample, where almost every image leaves the domain.
+REGISTRY_DOMAINS = {
+    **ORACLE_DOMAINS,
+    **{f"{n}x1": SMALL_BOXES[n, 1] for n in (1, 4)},
+    "30x30_seed5": build_domain(DomainSpec(30, 30, seed=5), sample_size=60),
+}
+
+
+def _single_cell_row(index, domain) -> dict:
+    row = {}
+    for axiom in AxiomId:
+        try:
+            row[axiom.value] = check_axiom(index, axiom, domain)
+        except DomainBudgetError:
+            row[axiom.value] = None
+    return row
+
+
+@pytest.mark.parametrize("domain_name", list(REGISTRY_DOMAINS))
+def test_the_registry_call_gives_each_index_its_single_cell_row(domain_name):
+    # One walk serves indices whose SI and rank scans stop at different ids
+    # and parameters, or never, with values that are not finite among them.
+    domain = REGISTRY_DOMAINS[domain_name]
+    indices = counterexample_registry() + ADVERSARIAL + NON_FINITE + [CHI]
+    rows = check_registry(indices, domain)
+    assert list(rows) == [index.name for index in indices]
+    for index in indices:
+        assert rows[index.name] == _single_cell_row(index, domain), index.name
+
+
+@pytest.mark.parametrize("domain_name", ["5x5", "3x7", "7x3", "14x14_seed1"])
+def test_each_image_is_built_once_per_registry_pass(domain_name, monkeypatch):
+    domain = ORACLE_DOMAINS[domain_name]
+    built: Counter = Counter()
+
+    def counted(kind, build):
+        def column(domain, param, lo, hi):
+            ids, images = build(domain, param, lo, hi)
+            built.update((kind, param, i) for i in range(lo, lo + len(ids)))
+            return ids, images
+
+        return column
+
+    monkeypatch.setattr("recindex.axioms._scaled_column", counted("scaled", _scaled_column))
+    monkeypatch.setattr("recindex.axioms._published_column", counted("published", _published_column))
+    registry = counterexample_registry()
+    # publication_count keeps both rank properties, so the registry pass needs every image
+    ids, params = range(len(domain.vectors)), range(1, domain.spec.c_max + 1)
+    every = {("published", c, i) for c in params for i in ids} | {("scaled", c, i) for c in params[1:] for i in ids}
+    for indices in [registry, *([index] for index in registry)]:
+        built.clear()
+        check_registry(indices, domain)
+        assert max(built.values()) == 1, [index.name for index in indices]
+        assert set(built) == every or len(indices) == 1
+
+
+def test_scale_invariance_reports_the_least_vector_before_the_least_factor():
+    # f breaks SI at (3,) by factor 2 and at (1,), an earlier vector, only by
+    # factor 3, so a later factor's scan finds the witness.
+    index = make_index("rec_99_at_3", lambda v: 99 if v == (3,) else rec(v))
+    verdict = check_axiom(index, "SI", ORACLE_DOMAINS["5x5"])
+    assert verdict.counterexample == {"x": (1,), "factor": 3, "f_x": 1, "f_scaled": 99}
+
+
+@pytest.mark.parametrize("domain", MAPPED_DOMAINS, ids=lambda d: f"{d.spec.n_max}x{d.spec.c_max}")
+def test_the_uniform_grid_holds_every_uniform_vector_of_the_box(domain):
+    n_max, c_max = domain.spec.n_max, domain.spec.c_max
+    assert domain.grid == [[(c,) * j for c in range(1, c_max + 1)] for j in range(1, n_max + 1)]
+    assert domain.uniforms == sorted([(), *(u for row in domain.grid for u in row)], key=canonical_key)
 
 
 def test_the_independence_matrix_evaluates_each_index_once_per_vector(monkeypatch):
