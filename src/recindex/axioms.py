@@ -187,7 +187,8 @@ class Domain(NamedTuple):
     ``(step_lower[s], step_upper[s])``: the upper vector adds one citation
     to the lower one at rank ``step_position[s]`` and stays in the box.
     They are listed by ascending lower id, then rank; a sampled domain has
-    none.  ``id_maps`` caches ``image_ids``.
+    none.  A domain keeps no image of its vectors: each ``_walk`` builds the
+    images it reads.
     """
 
     spec: DomainSpec
@@ -199,15 +200,6 @@ class Domain(NamedTuple):
     step_lower: array
     step_upper: array
     step_position: array
-    id_maps: dict
-
-    def image_ids(self, transform: Callable[..., Vector], *params: int) -> array:
-        """By id, the id of ``transform(v, *params)``, -1 outside the domain; kept, as it holds no f value."""
-        key, maps = (transform, params), self.id_maps
-        if key not in maps:
-            images = map(transform, self.vectors, *map(repeat, params))
-            maps[key] = array("i", map(self.ids.get, images, repeat(-1)))
-        return maps[key]
 
 
 def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Domain:
@@ -256,7 +248,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
                     step_upper.append(ids[x[: k - 1] + (c + 1,) + x[k:]])
                     step_position.append(k)
                 before = c
-    return Domain(spec, vectors, exhaustive, grid, uniforms, ids, step_lower, step_upper, step_position, {})
+    return Domain(spec, vectors, exhaustive, grid, uniforms, ids, step_lower, step_upper, step_position)
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +262,17 @@ class _Session:
     ``values[i]`` is f of the vector with id i and ``uniform_rows[j - 1][c - 1]``
     is f of ``(c,) * j``, each built on first use; a vector outside the
     domain is evaluated where it is needed and never kept as a key.  The
-    image axioms keep no table: ``_walk`` leaves their first candidates in
-    ``walked``.  A session is opened for one index and dropped with it, so
-    no f value is shared between indices; only the domain and its images are.
+    image axioms keep no table: ``_walk`` leaves the first candidate of
+    each, by its ``_Image``, in ``walked``.  A session is opened for one
+    index and dropped with it, so no f value is shared between indices;
+    only the domain and a walk's images are.
     """
 
     def __init__(self, index: IndexUnderTest, domain: Domain) -> None:
         self.index, self.domain = index, domain
         # f runs once per candidate, and a NamedTuple field reads slower than an attribute.
         self._id, self._evaluate = domain.ids.get, index.evaluate
-        self.walked: dict[AxiomId, list[tuple]] = {}
+        self.walked: dict[_Image, list[tuple]] = {}
 
     @cached_property
     def values(self) -> list:
@@ -316,9 +309,9 @@ class _Session:
                 blocks.append(array("i", [i]))
         return blocks, _blocks_stay_apart(blocks, values)
 
-    def flips(self, axiom: AxiomId, param: int, after: list) -> bool:
+    def flips(self, image: _Image, param: tuple, after: list) -> bool:
         """Whether some id pair compares with another sign in ``after``, f of each
-        image under ``param``; the first such pair goes to ``walked``.
+        image under ``param``; the first such pair goes to ``walked[image]``.
 
         If f keeps its blocks apart, pairs tie exactly within a block, so no pair
         flips exactly when ``after`` keeps them apart too; if not, ties chain
@@ -329,7 +322,7 @@ class _Session:
             return False
         pair = next(_flipped_pairs(self.values, after), None)
         if pair is not None:
-            self.walked[axiom] = [(self.domain.vectors[pair[0]], self.domain.vectors[pair[1]], param)]
+            self.walked[image] = [(self.domain.vectors[pair[0]], self.domain.vectors[pair[1]], *param)]
         return pair is not None
 
 
@@ -339,15 +332,33 @@ class Axiom(NamedTuple):
     ``candidates(session)`` yields, in the domain's order, tuples of the
     witness values named by ``keys``; it may skip candidates that cannot
     violate the property, which it decides from the session's tables by
-    the relation that the predicate reads (an image axiom's tables are
-    ``_walk``'s).  ``violates(f, *candidate)`` returns the witness a
-    violating candidate makes, else None.
+    the relation that the predicate reads.  An image axiom's ``image``
+    tells ``_walk`` how to find its candidates, which ``candidates`` reads.
+    ``violates(f, *candidate)`` returns the witness a violating candidate
+    makes, else None.
     """
 
     description: str
     keys: tuple[str, ...]
     candidates: Callable[[_Session], Iterable[tuple]]
     violates: Callable[..., dict | None]
+    image: _Image | None = None
+
+
+class _Image(NamedTuple):
+    """An image axiom as ``_walk`` reads it: f of ``transform(x, *p)`` for
+    each parameter tuple p, (least,) to (c_max,), or () alone when ``least``
+    is None.  A rank axiom (``relation`` None) is decided for each p by
+    ``_Session.flips``.  A pointwise one breaks at an x of id ``first`` or
+    more where ``relation(C * f(x), f(image))`` fails, for p = (C,) or C = 1."""
+
+    transform: Callable[..., Vector]
+    least: int | None
+    relation: Callable[[float, float], bool] | None = None
+    first: int = 0
+
+    def params(self, c_max: int) -> list[tuple]:
+        return [()] if self.least is None else [(c,) for c in range(self.least, c_max + 1)]
 
 
 def _sign(a: float, b: float) -> float:
@@ -372,13 +383,6 @@ def _first_witness(axiom: Axiom, session: _Session) -> dict | None:
 
 def _violates_um(f, x, y):
     return AXIOMS[AxiomId.MONOTONICITY].violates(f, x, y) if is_uniform(x) else None
-
-
-def _violates_si(f, x, factor):
-    fx, scaled = f(x), f(scale(x, factor))
-    if not close(scaled, factor * fx):
-        return {"x": x, "factor": factor, "f_x": fx, "f_scaled": scaled}
-    return None
 
 
 def _violates_ue(f, x):
@@ -472,25 +476,28 @@ def _flipped_pairs(before: list, after: list):
                 yield i, j
 
 
-def _image_axiom(description: str, transform: Callable[[Vector], Vector], label: str, holds) -> Axiom:
-    """An axiom broken by a non-empty x when ``holds(f(x), f(transform(x)))``
-    fails; the witness names the image ``label``."""
+def _pointwise_axiom(description: str, transform, label: str, relation, key: str = "", walk=None, first=0) -> Axiom:
+    """An axiom broken by x where ``relation(C * f(x), f(transform(x, C)))``
+    fails for a parameter C named ``key``, or where ``relation(f(x),
+    f(transform(x)))`` fails when there is none; the witness names C, or else
+    the image as ``label``.  ``walk``, if given, builds the walk's images
+    in place of ``transform``, and ``first`` is the least id the walk reads."""
 
-    def violates(f, x):
-        image = transform(x)
+    def violates(f, x, *param):
+        image = transform(x, *param)
         fx, fi = f(x), f(image)
-        if not holds(fx, fi):
-            return {"x": x, label: image, "f_x": fx, f"f_{label}": fi}
-        return None
+        if relation((param[0] if param else 1) * fx, fi):
+            return None
+        return {"x": x, **({key: param[0]} if param else {label: image}), "f_x": fx, f"f_{label}": fi}
 
-    def candidates(s: _Session):
-        vectors, values, ids = s.domain.vectors, s.values, s.domain.image_ids(transform)
-        return ((vectors[i],) for i, j in enumerate(ids) if vectors[i] and (j < 0 or not holds(values[i], values[j])))
-
-    return Axiom(description, ("x",), candidates, violates)
+    image = _Image(walk or transform, 1 if key else None, relation, first)
+    return Axiom(description, ("x", key) if key else ("x",), partial(_walked, image), violates, image)
 
 
-def _rank_axiom(key: str, transform, axiom: AxiomId, description: str) -> Axiom:
+def _rank_axiom(description: str, key: str, transform, least: int, walk=None) -> Axiom:
+    """An axiom broken by x and y whose f values compare with another sign
+    after ``transform(., C)``, for a parameter C from ``least`` to c_max."""
+
     def violates(f, x, y, param):
         before = [f(x), f(y)]
         after = [f(transform(x, param)), f(transform(y, param))]
@@ -498,7 +505,8 @@ def _rank_axiom(key: str, transform, axiom: AxiomId, description: str) -> Axiom:
             return {"x": x, "y": y, key: param, "before": before, "after": after}
         return None
 
-    return Axiom(description, ("x", "y", key), partial(_walked, axiom), violates)
+    image = _Image(walk or transform, least)
+    return Axiom(description, ("x", "y", key), partial(_walked, image), violates, image)
 
 
 def _citation_count_axiom(description: str, uniforms: Callable[[_Session], Iterable[Vector]]) -> Axiom:
@@ -557,89 +565,82 @@ def _add_publication(x: Vector, citations: int) -> Vector:
     return tuple(sorted(x + (citations,), reverse=True))
 
 
-def _publish_in_box(x: Vector, citations: int, n_max: int) -> Vector | None:
-    """``_add_publication(x, citations)``, or None when x holds n_max entries, as the image then leaves the box."""
-    return None if len(x) == n_max else _add_publication(x, citations)
+def _times(x: Vector, factor: int) -> Vector:
+    """``scale`` without its check of the factor, which is for outside input."""
+    return tuple(map(factor.__mul__, x))
 
 
-def _scaled_column(domain: Domain, factor: int, lo: int, hi: int) -> tuple[array, list]:
-    """The vectors of ids lo to hi - 1 scaled by ``factor``, as the id of each
-    image (-1 outside the domain) and the images, plain tuples; scaling keeps x
-    in the box exactly when x_1 * factor <= c_max, so only such an image is looked up."""
-    get, top, vectors = domain.ids.get, domain.spec.c_max // factor, domain.vectors[lo:hi]
-    images = [tuple(map(factor.__mul__, x)) for x in vectors]
-    return array("i", (get(w, -1) if not x or x[0] <= top else -1 for x, w in zip(vectors, images))), images
+def _column(domain: Domain, transform: Callable[..., Vector], param: tuple, lo: int, hi: int) -> tuple[array, list]:
+    """The id of each image ``transform(x, *param)`` of the vectors of ids lo
+    to hi - 1, -1 outside the domain, and, only where it is -1, the image.
+    Only an image that fits the box is looked up; scaling by 1 keeps each id."""
+    if transform is _times and param == (1,):
+        ids = array("i", range(lo, min(hi, len(domain.vectors))))
+        return ids, [None] * len(ids)
+    images = list(map(transform, domain.vectors[lo:hi], *map(repeat, param)))
+    n_max, c_max, get = domain.spec.n_max, domain.spec.c_max, domain.ids.get
+    ids = array("i", (get(w, -1) if not w or w[0] <= c_max and len(w) <= n_max else -1 for w in images))
+    return ids, [None if j >= 0 else w for j, w in zip(ids, images)]
 
 
-def _published_column(domain: Domain, c: int, lo: int, hi: int) -> tuple[array, list]:
-    """The vectors of ids lo to hi - 1 with a c-cited publication added, as the
-    id of each image (-1 outside the domain) and, only where it is -1, the
-    image.  Unlike ``image_ids``, the ids are not kept: one walk reads them."""
-    vectors = domain.vectors[lo:hi]
-    in_box = map(_publish_in_box, vectors, repeat(c), repeat(domain.spec.n_max))
-    ids = array("i", map(domain.ids.get, in_box, repeat(-1)))
-    return ids, [None if j >= 0 else _add_publication(x, c) for x, j in zip(vectors, ids)]
-
-
-#: Ids per slice of a parameter's images; the walk holds one slice at a time.
+#: Ids per slice of a column; the walk holds one slice at a time.
 _SLICE = 1 << 14
 
 
-def _walk(domain: Domain, sessions: list[_Session], axioms: Iterable[AxiomId]) -> None:
-    """Leave in each session's ``walked`` the first candidate, if any, of each image axiom in ``axioms``.
+def _walk(domain: Domain, sessions: list[_Session], images: list[_Image]) -> None:
+    """Leave in each session's ``walked`` the first candidate, if any, of each image axiom of ``images``.
 
-    Parameters go in order: c = 1 ... c_max added citations for RANK_IND,
-    then factors 2 ... c_max for SI and RANK_SI.  A parameter's images are
-    built once, slice by slice up to the last id that a session still reads,
-    and each slice is evaluated into one table per session and dropped.  A
-    rank axiom decides each parameter from its table, which is dropped
-    then.  SI keeps its least (id, factor) witness: a factor reads only the
-    ids below the best so far, and stops at the first that breaks SI.
+    A column holds the images under one transform and parameter tuple.  The
+    columns go by transform, in the order of ``images``, then by parameter.
+    A column is built once, slice by slice up to the last id that a session
+    still reads, and each slice is evaluated for each session that reads
+    it, into a table if a rank axiom reads it, else lazily, and dropped; no
+    two pointwise axioms read one transform.  A rank axiom decides each
+    parameter from its table and reads no later column once one flips.  A
+    pointwise axiom keeps its least (id, parameter) witness: a column reads
+    only the ids below the best so far, and stops at the first that breaks
+    the relation.
     """
-    vectors, n, params = domain.vectors, len(domain.vectors), range(1, domain.spec.c_max + 1)
-    added, scaled, si = AxiomId.RANK_INDEPENDENCE, AxiomId.RANK_SCALE_INVARIANCE, AxiomId.SCALE_INVARIANCE
-    ranked = list(sessions) if added in axioms else []
-    for c in params:
-        if not ranked:
-            break
-        tables: dict[_Session, list] = {s: [] for s in ranked}
-        for lo in range(0, n, _SLICE):
-            column = _published_column(domain, c, lo, lo + _SLICE)
-            for s, table in tables.items():
-                table += s.image_values(column)
-        ranked = [s for s in ranked if not s.flips(added, c, tables.pop(s))]
-    ranked = list(sessions) if scaled in axioms else []
-    # scale(x, 1) is x, so factor 1 compares f(x) with itself and fails only where f(x) is not finite
-    best = {s: (next((i for i, v in enumerate(s.values) if not close(v, v)), n), 1) for s in sessions if si in axioms}
-    for factor in params[1:]:
-        tables = {s: [] for s in ranked}
-        stop = n if ranked else max((i for i, _ in best.values()), default=0)
+    vectors, n, c_max = domain.vectors, len(domain.vectors), domain.spec.c_max
+    best = {(s, im): (n, ()) for s in sessions for im in images if im.relation}
+    ranked = {(s, im) for s in sessions for im in images if not im.relation}
+    readers: dict[tuple, list[_Image]] = {}
+    for im in images:
+        for param in im.params(c_max):
+            readers.setdefault((im.transform, param), []).append(im)
+    transforms = list(dict.fromkeys(im.transform for im in images))
+    for (transform, param), users in sorted(readers.items(), key=lambda r: (transforms.index(r[0][0]), r[0][1])):
+        rank = [(s, im) for s in sessions for im in users if (s, im) in ranked]
+        reach = [best[s, im][0] for s in sessions for im in users if (s, im) in best]
+        stop = n if rank else max(reach, default=0)
+        tables = {s: [] for s, _ in rank}
+        factor = param[0] if param else 1
         for lo in range(0, stop, _SLICE):
             hi = min(stop, lo + _SLICE)
-            column = _scaled_column(domain, factor, lo, hi)
+            column = _column(domain, transform, param, lo, hi)
             for s in sessions:
+                scans = [im for im in users if (s, im) in best and lo < best[s, im][0]]
                 table = s.image_values(column)
                 if s in tables:
                     table = list(table)
                     tables[s] += table
-                if s in best and lo < best[s][0]:
-                    scan = zip(range(lo, min(best[s][0], hi)), s.values[lo:hi], table)
-                    hit = next((i for i, fx, fs in scan if not close(fs, factor * fx)), None)
-                    best[s] = best[s] if hit is None else (hit, factor)
-        ranked = [s for s in ranked if not s.flips(scaled, factor, tables.pop(s))]
-    for s, (i, factor) in best.items():
-        if i < n:
-            s.walked[si] = [(vectors[i], factor)]
-    for s in sessions:
-        for axiom in set(axioms) & {added, scaled, si}:
-            s.walked.setdefault(axiom, [])
+                for im in scans:
+                    first, relation = im.first, im.relation
+                    scan = zip(range(lo, min(best[s, im][0], hi)), s.values[lo:hi], table)
+                    hit = next((i for i, fx, fi in scan if i >= first and not relation(factor * fx, fi)), None)
+                    best[s, im] = best[s, im] if hit is None else (hit, param)
+        ranked -= {(s, im) for s, im in rank if s.flips(im, param, tables[s])}
+    for (s, im), (i, param) in best.items():
+        s.walked[im] = [(vectors[i], *param)] if i < n else []
+    for s, im in ranked:
+        s.walked[im] = []
 
 
-def _walked(axiom: AxiomId, s: _Session) -> list[tuple]:
+def _walked(image: _Image, s: _Session) -> list[tuple]:
     """An image axiom's candidates: those a walk over many sessions left, else those of a walk over this one."""
-    if axiom not in s.walked:
-        _walk(s.domain, [s], (axiom,))
-    return s.walked[axiom]
+    if image not in s.walked:
+        _walk(s.domain, [s], [image])
+    return s.walked[image]
 
 
 def _unreachable_targets(s: _Session):
@@ -675,14 +676,11 @@ AXIOMS: dict[AxiomId, Axiom] = {
     # difference is NaN, does not; SM's margin adds up.
     AxiomId.MONOTONICITY: _domination_axiom("f never decreases along domination", lambda fv, fw: fw - fv >= 0, at_most),
     AxiomId.STRICT_MONOTONICITY: _domination_axiom("f strictly increases along strict domination", rises, rises),
-    AxiomId.SCALE_INVARIANCE: Axiom(
-        "scaling citations by C scales f by C",
-        ("x", "factor"),
-        partial(_walked, AxiomId.SCALE_INVARIANCE),
-        _violates_si,
+    AxiomId.SCALE_INVARIANCE: _pointwise_axiom(
+        "scaling citations by C scales f by C", scale, "scaled", close, key="factor", walk=_times
     ),
     # conjugate is looked up at each call, so perfbench's tracer can count its calls
-    AxiomId.SELF_CONJUGACY: _image_axiom(
+    AxiomId.SELF_CONJUGACY: _pointwise_axiom(
         "f is unchanged by conjugation", lambda x: conjugate(x), "conjugate", close
     ),
     AxiomId.RECTANGLE_COMPLETION: _step_axiom(
@@ -697,9 +695,9 @@ AXIOMS: dict[AxiomId, Axiom] = {
     AxiomId.UNIFORM_EQUIVALENCE: Axiom(
         "some dominated uniform vector has the same f", ("x",), _uniform_equivalence_candidates, _violates_ue
     ),
-    # no publications means nothing receives a citation
-    AxiomId.CITATION_INCREASE: _image_axiom(
-        "one citation to every publication raises f", add_one_to_all, "incremented", rises
+    # no publications means nothing receives a citation, so the walk skips (), of id 0
+    AxiomId.CITATION_INCREASE: _pointwise_axiom(
+        "one citation to every publication raises f", add_one_to_all, "incremented", rises, first=1
     ),
     AxiomId.UNIFORM_MONOTONICITY: Axiom(
         "monotone when the dominated side is uniform",
@@ -714,13 +712,11 @@ AXIOMS: dict[AxiomId, Axiom] = {
         "an f-incremental constructive sequence exists", ("target",), _unreachable_targets, _violates_ui
     ),
     AxiomId.RANK_INDEPENDENCE: _rank_axiom(
-        "added_citations",
-        _add_publication,
-        AxiomId.RANK_INDEPENDENCE,
-        "adding the same new publication preserves ranking",
+        "adding the same new publication preserves ranking", "added_citations", _add_publication, 1
     ),
+    # scaling by 1 changes no ranking, though a NaN, which has no sign, would seem to change one
     AxiomId.RANK_SCALE_INVARIANCE: _rank_axiom(
-        "factor", scale, AxiomId.RANK_SCALE_INVARIANCE, "scaling both records preserves ranking"
+        "scaling both records preserves ranking", "factor", scale, 2, walk=_times
     ),
 }
 
@@ -752,17 +748,19 @@ def check_axiom(
 
 
 def check_registry(
-    indices: Iterable[IndexUnderTest], domain: Domain, axioms: Iterable[AxiomId] = AxiomId
+    indices: Iterable[IndexUnderTest], domain: Domain, axioms: Iterable[AxiomId | str] = AxiomId
 ) -> dict[str, dict[str, AxiomVerdict | None]]:
     """Check each axiom for every index, evaluating each index once per vector and building each image once.
 
-    One ``_walk`` over the image axioms' parameters serves every index; then
-    each index's cells go through ``check_axiom``, and its session is dropped
-    before the next index's.  Rows map an axiom that needs an exhaustive
-    domain to None on a sampled one.
+    The axiom ids are read first, so an unknown one is refused before
+    anything is built.  One ``_walk`` over the image axioms' columns serves
+    every index; then each index's cells go through ``check_axiom``, and its
+    session is dropped before the next index's.  Rows map an axiom that
+    needs an exhaustive domain to None on a sampled one.
     """
-    axioms, sessions = list(axioms), [_Session(index, domain) for index in indices]
-    _walk(domain, sessions, axioms)
+    axioms = [AxiomId(axiom) for axiom in axioms]
+    sessions = [_Session(index, domain) for index in indices]
+    _walk(domain, sessions, [AXIOMS[axiom].image for axiom in axioms if AXIOMS[axiom].image])
     rows: dict[str, dict[str, AxiomVerdict | None]] = {}
     while sessions:
         session = sessions.pop(0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from array import array
 from collections import Counter
 from itertools import combinations, product
 
@@ -27,9 +28,8 @@ from recindex.axioms import (
     _CHI_STEP,
     _Session,
     _add_publication,
-    _publish_in_box,
-    _published_column,
-    _scaled_column,
+    _column,
+    _times,
     check_axiom,
     check_index,
     check_registry,
@@ -99,6 +99,19 @@ def test_check_axiom_accepts_string_ids():
     assert verdict.ok
     assert verdict.status == SATISFIED
     assert (verdict.n_max, verdict.c_max, verdict.exhaustive) == (4, 4, True)
+
+
+def test_the_registry_call_accepts_string_ids_and_refuses_an_unknown_one_first():
+    assert check_registry([REC], DOMAIN, ["M", "SI"]) == {
+        "rec": {"M": check_axiom(REC, "M", DOMAIN), "SI": check_axiom(REC, "SI", DOMAIN)}
+    }
+
+    def unevaluated(v):
+        raise AssertionError(f"evaluated {v}")
+
+    # SI's walk would evaluate the index, so a refusal after it would not be the ValueError
+    with pytest.raises(ValueError, match="XX"):
+        check_registry([IndexUnderTest("never", unevaluated)], DOMAIN, ["SI", "XX"])
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +491,18 @@ def test_a_nan_value_breaks_every_property_that_compares_it():
     assert [axiom for axiom, verdict in row.items() if verdict.ok] == ["UI"]
 
 
+def test_the_pointwise_image_scans_read_the_empty_vector_except_ci():
+    # () is its own image under every transform; a NaN there breaks SI and SC,
+    # while CI reads only vectors with a publication to cite.
+    nan_at_empty = IndexUnderTest("nan_at_empty", lambda v: rec(v) if v else NAN)
+    for axiom in ("SI", "SC"):
+        assert check_axiom(nan_at_empty, axiom, SMALL_BOXES[3, 3]).counterexample["x"] == (), axiom
+    assert check_axiom(nan_at_empty, "CI", SMALL_BOXES[3, 3]).ok
+    # every factor breaks SI at (), and the least is reported whatever order the axioms are listed in
+    row = check_registry([nan_at_empty], SMALL_BOXES[3, 3], ["RANK_SI", "SI"])["nan_at_empty"]
+    assert row["SI"] == check_axiom(nan_at_empty, "SI", SMALL_BOXES[3, 3]) and row["SI"].counterexample["factor"] == 1
+
+
 def _moved(base, moves: dict) -> IndexUnderTest:
     """``base`` with the values of ``moves`` put in."""
     return make_index("moved", lambda v: moves.get(v, base(v)))
@@ -553,23 +578,46 @@ MAPPED_DOMAINS = [
 ]
 
 
-@pytest.mark.parametrize("domain", MAPPED_DOMAINS, ids=lambda d: f"{d.spec.n_max}x{d.spec.c_max}")
-def test_image_ids_match_the_dict_lookup(domain):
-    maps = [(conjugate, ()), (add_one_to_all, ())]
-    maps += [(_add_publication, (c,)) for c in range(1, domain.spec.c_max + 1)]
-    for transform, params in maps:
-        expected = [domain.ids.get(transform(v, *params), -1) for v in domain.vectors]
-        assert list(domain.image_ids(transform, *params)) == expected, (transform.__name__, params)
-        assert domain.image_ids(transform, *params) is domain.image_ids(transform, *params)
+def _walked_columns(domain) -> list[tuple]:
+    """Every (transform, parameter tuple) whose images a registry walk over the domain builds."""
+    factors = [(c,) for c in range(1, domain.spec.c_max + 1)]
+    conjugates = AXIOMS[AxiomId.SELF_CONJUGACY].image.transform
+    return [(conjugates, ()), (add_one_to_all, ()), *((t, p) for t in (_times, _add_publication) for p in factors)]
 
 
 @pytest.mark.parametrize("domain", MAPPED_DOMAINS, ids=lambda d: f"{d.spec.n_max}x{d.spec.c_max}")
-def test_the_in_box_publication_map_equals_the_full_one(domain):
-    n_max = domain.spec.n_max
-    for c in range(1, domain.spec.c_max + 1):
-        full = domain.image_ids(_add_publication, c)
-        assert domain.image_ids(_publish_in_box, c, n_max) == full
-        assert all(j == -1 for v, j in zip(domain.vectors, full) if len(v) == n_max)
+def test_each_column_matches_the_dict_lookup(domain):
+    images = [axiom.image for axiom in AXIOMS.values() if axiom.image]
+    columns = _walked_columns(domain)
+    assert set(columns) == {(im.transform, p) for im in images for p in im.params(domain.spec.c_max)}
+    for transform, param in columns:
+        expected = [transform(v, *param) for v in domain.vectors]
+        ids, kept = _column(domain, transform, param, 0, len(domain.vectors))
+        assert list(ids) == [domain.ids.get(w, -1) for w in expected], (transform.__name__, param)
+        # an image in the domain is read by its id, so only the others are kept
+        assert kept == [None if j >= 0 else w for j, w in zip(ids, expected)], (transform.__name__, param)
+
+
+@pytest.mark.parametrize("domain", MAPPED_DOMAINS, ids=lambda d: f"{d.spec.n_max}x{d.spec.c_max}")
+def test_columns_built_in_slices_look_up_only_what_fits_the_box(domain):
+    n, n_max, c_max = len(domain.vectors), domain.spec.n_max, domain.spec.c_max
+    for transform, param in _walked_columns(domain):
+        ids, images = array("i"), []
+        for lo in range(0, n, 7):
+            sliced = _column(domain, transform, param, lo, lo + 7)
+            ids, images = ids + sliced[0], images + list(sliced[1])
+        assert (ids, images) == _column(domain, transform, param, 0, n), (transform.__name__, param)
+        for w, j in zip([transform(v, *param) for v in domain.vectors], ids):
+            # only an image that fits the box is looked up; on a box, each that fits is found
+            fits = not w or (w[0] <= c_max and len(w) <= n_max)
+            assert j == domain.ids.get(w, -1) and (j >= 0 or not fits or not domain.exhaustive), (param, w)
+    # the walk's images are the predicates' own
+    conjugates = AXIOMS[AxiomId.SELF_CONJUGACY].image.transform
+    assert [conjugates(v) for v in domain.vectors] == [conjugate(v) for v in domain.vectors]
+    for c in range(1, c_max + 1):
+        assert [_times(v, c) for v in domain.vectors] == [scale(v, c) for v in domain.vectors]
+        published = _column(domain, _add_publication, (c,), 0, n)[0]
+        assert all(j == -1 for v, j in zip(domain.vectors, published) if len(v) == n_max)
 
 
 def test_result_records_are_immutable():
@@ -610,6 +658,22 @@ def test_a_failing_scale_scan_stops_at_its_witness():
     verdict = check_axiom(IndexUnderTest("h", counted), "SI", domain)
     assert not verdict.ok
     images = (domain.spec.c_max - 1) * (domain.ids[verdict.counterexample["x"]] + 1)
+    assert sum(calls.values()) <= len(domain.vectors) + images + 1
+
+
+@pytest.mark.parametrize("axiom, domain_name", [("SC", "3x7"), ("CI", "7x3")])
+def test_a_failing_conjugate_or_increment_scan_stops_at_its_witness(axiom, domain_name):
+    # Only the images of vectors up to the witness's are evaluated, though many later images leave the box.
+    domain = ORACLE_DOMAINS[domain_name]
+    calls: Counter = Counter()
+
+    def counted(v):
+        calls[v] += 1
+        return len(v)
+
+    verdict = check_axiom(IndexUnderTest("publication_count", counted), axiom, domain)
+    assert not verdict.ok
+    images = domain.ids[verdict.counterexample["x"]] + 1
     assert sum(calls.values()) <= len(domain.vectors) + images + 1
 
 
@@ -664,20 +728,16 @@ def test_each_image_is_built_once_per_registry_pass(domain_name, monkeypatch):
     domain = ORACLE_DOMAINS[domain_name]
     built: Counter = Counter()
 
-    def counted(kind, build):
-        def column(domain, param, lo, hi):
-            ids, images = build(domain, param, lo, hi)
-            built.update((kind, param, i) for i in range(lo, lo + len(ids)))
-            return ids, images
+    def counted(domain, transform, param, lo, hi):
+        ids, images = _column(domain, transform, param, lo, hi)
+        built.update((transform, param, i) for i in range(lo, lo + len(ids)))
+        return ids, images
 
-        return column
-
-    monkeypatch.setattr("recindex.axioms._scaled_column", counted("scaled", _scaled_column))
-    monkeypatch.setattr("recindex.axioms._published_column", counted("published", _published_column))
+    monkeypatch.setattr("recindex.axioms._column", counted)
     registry = counterexample_registry()
-    # publication_count keeps both rank properties, so the registry pass needs every image
-    ids, params = range(len(domain.vectors)), range(1, domain.spec.c_max + 1)
-    every = {("published", c, i) for c in params for i in ids} | {("scaled", c, i) for c in params[1:] for i in ids}
+    # publication_count keeps both rank properties and rec keeps SI, SC and CI, so the registry pass needs every
+    # image: the conjugates, the add_one_to_all images, each factor's and each added publication's
+    every = {(t, p, i) for t, p in _walked_columns(domain) for i in range(len(domain.vectors))}
     for indices in [registry, *([index] for index in registry)]:
         built.clear()
         check_registry(indices, domain)
