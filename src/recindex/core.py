@@ -47,9 +47,11 @@ def make_vector(raw: Iterable[int]) -> Vector:
     the offending position named.
     """
     values = list(raw)
-    # Plain non-negative ints skip the loop, which names a bad count's position.
-    if set(map(type, values)) <= {int} and min(values, default=0) >= 0:
-        return tuple(sorted(filter(None, values), reverse=True))
+    # Plain ints whose least non-zero value is positive skip the loop, which names a bad count's position.
+    if set(map(type, values)) <= {int}:
+        vector = sorted(filter(None, values), reverse=True)
+        if not vector or vector[-1] > 0:
+            return tuple(vector)
     for pos, value in enumerate(values):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"citation count at position {pos} is not an integer: {value!r}")
@@ -137,6 +139,20 @@ def h_index(x: Vector) -> int:
             break
         h = i
     return h
+
+
+def w_index(x: Vector) -> int:
+    """Largest w such that the top w publications have at least w, w-1, ..., 1
+    citations, the w field of ``report_indices`` without the rest of its pass."""
+    # For positive counts w = min(n, min over i of x_i + i - 1); as x_i + i - 1 >= i, no rank past
+    # the least value so far can lower it.
+    lowest = len(x)
+    for k, c in enumerate(x, 1):
+        if k > lowest:
+            break
+        if c + k - 1 < lowest:
+            lowest = c + k - 1
+    return lowest
 
 
 class ReportIndices(NamedTuple):

@@ -36,6 +36,7 @@ from .core import (
     rec_index,
     rec_variants,
     report_indices,
+    w_index,
 )
 
 CLASSIFICATIONS = (INFLUENTIAL, PROLIFIC, BALANCED, EMPTY)
@@ -58,6 +59,7 @@ RANKABLE_INDICES: dict[str, Callable[[Vector], float]] = {
     "h": h_index,
     "rec": rec,
     "chi": chi_index,
+    "w": w_index,
 }
 
 

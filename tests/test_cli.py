@@ -168,10 +168,10 @@ def test_rank_unknown_column_is_refused_before_the_dataset_is_read(tmp_path, cap
 @pytest.mark.parametrize(
     "command, passes_per_row",
     [
-        *((f"rank --by {by}", 0) for by in ("chi", "rec", "h", "n", "citations")),
+        *((f"rank --by {by}", 0) for by in ("chi", "rec", "h", "n", "citations", "w")),
         ("classify", 0),
         ("compute", 1),
-        ("rank --by w", 1),
+        ("rank --by g", 1),
     ],
 )
 def test_report_commands_run_the_full_pass_only_for_the_columns_that_need_it(

@@ -36,6 +36,7 @@ from recindex.core import (
     report_indices,
     scale,
     valid_positions,
+    w_index,
 )
 from recindex.enumeration import brute_force_rec
 from recindex.ingest import ResearcherRecord, report_row
@@ -335,6 +336,8 @@ def test_w_index_matches_naive_oracle(x):
 @example((12, 6, 4, 3, 2, 2, 1))
 @example((10,) + (1,) * 30)  # g and w stop early, then the tail runs on
 @example((40, 3, 3, 3, 3, 3, 3, 3, 3))
+@example((3,) * 40)  # w stops at 3, before the long tail
+@example(tuple(range(40, 0, -1)))  # w = n, so w never stops early
 def test_report_indices_match_naive_oracles(x):
     """Every field of the one pass, and each function and report row that
     reads it, against oracles that share none of its code."""
@@ -366,6 +369,7 @@ def test_report_indices_match_naive_oracles(x):
     assert aux_indices(x) == AuxIndices(want.n, want.max, want.euclidean, want.g, want.w)
     assert rec_variants(x) == RecVariants(want.rec_i, want.rec_p)
     assert (h_index(x), citation_count(x), chi_index(x)) == (want.h, want.citations, want.chi)
+    assert w_index(x) == want.w
     assert report_row(ResearcherRecord("r", x)) == ("r", x, *want)
 
 
