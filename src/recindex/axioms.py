@@ -86,30 +86,22 @@ def make_index(name: str, evaluate: Callable[[Vector], float]) -> IndexUnderTest
 
 
 class AxiomVerdict(NamedTuple):
-    """Outcome of one (index, axiom, domain) check."""
+    """Outcome of one (index, axiom, domain) check; the fields are in the order of its JSON keys."""
 
     index: str
     axiom: str
     n_max: int
     c_max: int
+    exhaustive: bool
     status: str
     counterexample: dict | None = None
-    exhaustive: bool = True
 
     @property
     def ok(self) -> bool:
         return self.status == SATISFIED
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "axiom": self.axiom,
-            "n_max": self.n_max,
-            "c_max": self.c_max,
-            "exhaustive": self.exhaustive,
-            "status": self.status,
-            "counterexample": self.counterexample,
-        }
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +115,6 @@ def _avg_rec_citation(x: Vector) -> float:
 
 def _h_squared(x: Vector) -> int:
     return h_index(x) ** 2
-
-
-def _publication_count(x: Vector) -> int:
-    return len(x)
 
 
 def _max_citation(x: Vector) -> int:
@@ -161,7 +149,7 @@ def counterexample_registry() -> list[IndexUnderTest]:
     return [
         make_index("avg_rec_citation", _avg_rec_citation),
         make_index("h_squared", _h_squared),
-        make_index("publication_count", _publication_count),
+        make_index("publication_count", len),
         make_index("max_citation", _max_citation),
         make_index("max_n_x1", _max_n_x1),
         make_index("min_n_x1", _min_n_x1),
@@ -476,12 +464,12 @@ def _flipped_pairs(before: list, after: list):
                 yield i, j
 
 
-def _pointwise_axiom(description: str, transform, label: str, relation, key: str = "", walk=None, first=0) -> Axiom:
+def _pointwise_axiom(description: str, transform, label: str, relation, key: str = "", first=0) -> Axiom:
     """An axiom broken by x where ``relation(C * f(x), f(transform(x, C)))``
     fails for a parameter C named ``key``, or where ``relation(f(x),
     f(transform(x)))`` fails when there is none; the witness names C, or else
-    the image as ``label``.  ``walk``, if given, builds the walk's images
-    in place of ``transform``, and ``first`` is the least id the walk reads."""
+    the image as ``label``.  The walk builds its images with ``transform``
+    too, and ``first`` is the least id it reads."""
 
     def violates(f, x, *param):
         image = transform(x, *param)
@@ -490,13 +478,13 @@ def _pointwise_axiom(description: str, transform, label: str, relation, key: str
             return None
         return {"x": x, **({key: param[0]} if param else {label: image}), "f_x": fx, f"f_{label}": fi}
 
-    image = _Image(walk or transform, 1 if key else None, relation, first)
+    image = _Image(transform, 1 if key else None, relation, first)
     return Axiom(description, ("x", key) if key else ("x",), partial(_walked, image), violates, image)
 
 
-def _rank_axiom(description: str, key: str, transform, least: int, walk=None) -> Axiom:
+def _rank_axiom(description: str, key: str, transform, least: int) -> Axiom:
     """An axiom broken by x and y whose f values compare with another sign
-    after ``transform(., C)``, for a parameter C from ``least`` to c_max."""
+    after ``transform(., C)``, for C from ``least`` to c_max; the walk reads the same images."""
 
     def violates(f, x, y, param):
         before = [f(x), f(y)]
@@ -505,7 +493,7 @@ def _rank_axiom(description: str, key: str, transform, least: int, walk=None) ->
             return {"x": x, "y": y, key: param, "before": before, "after": after}
         return None
 
-    image = _Image(walk or transform, least)
+    image = _Image(transform, least)
     return Axiom(description, ("x", "y", key), partial(_walked, image), violates, image)
 
 
@@ -565,18 +553,10 @@ def _add_publication(x: Vector, citations: int) -> Vector:
     return tuple(sorted(x + (citations,), reverse=True))
 
 
-def _times(x: Vector, factor: int) -> Vector:
-    """``scale`` without its check of the factor, which is for outside input."""
-    return tuple(map(factor.__mul__, x))
-
-
 def _column(domain: Domain, transform: Callable[..., Vector], param: tuple, lo: int, hi: int) -> tuple[array, list]:
     """The id of each image ``transform(x, *param)`` of the vectors of ids lo
     to hi - 1, -1 outside the domain, and, only where it is -1, the image.
-    Only an image that fits the box is looked up; scaling by 1 keeps each id."""
-    if transform is _times and param == (1,):
-        ids = array("i", range(lo, min(hi, len(domain.vectors))))
-        return ids, [None] * len(ids)
+    Only an image that fits the box is looked up; factor 1 gives x itself, found by id."""
     images = list(map(transform, domain.vectors[lo:hi], *map(repeat, param)))
     n_max, c_max, get = domain.spec.n_max, domain.spec.c_max, domain.ids.get
     ids = array("i", (get(w, -1) if not w or w[0] <= c_max and len(w) <= n_max else -1 for w in images))
@@ -677,7 +657,7 @@ AXIOMS: dict[AxiomId, Axiom] = {
     AxiomId.MONOTONICITY: _domination_axiom("f never decreases along domination", lambda fv, fw: fw - fv >= 0, at_most),
     AxiomId.STRICT_MONOTONICITY: _domination_axiom("f strictly increases along strict domination", rises, rises),
     AxiomId.SCALE_INVARIANCE: _pointwise_axiom(
-        "scaling citations by C scales f by C", scale, "scaled", close, key="factor", walk=_times
+        "scaling citations by C scales f by C", scale, "scaled", close, key="factor"
     ),
     # conjugate is looked up at each call, so perfbench's tracer can count its calls
     AxiomId.SELF_CONJUGACY: _pointwise_axiom(
@@ -716,7 +696,7 @@ AXIOMS: dict[AxiomId, Axiom] = {
     ),
     # scaling by 1 changes no ranking, though a NaN, which has no sign, would seem to change one
     AxiomId.RANK_SCALE_INVARIANCE: _rank_axiom(
-        "scaling both records preserves ranking", "factor", scale, 2, walk=_times
+        "scaling both records preserves ranking", "factor", scale, 2
     ),
 }
 
@@ -730,7 +710,7 @@ _CHI_STEP = _step_axiom(
 
 def _verdict(index: str, axiom: str, domain: Domain, counterexample: dict | None) -> AxiomVerdict:
     status = VIOLATED if counterexample is not None else SATISFIED
-    return AxiomVerdict(index, axiom, domain.spec.n_max, domain.spec.c_max, status, counterexample, domain.exhaustive)
+    return AxiomVerdict(index, axiom, domain.spec.n_max, domain.spec.c_max, domain.exhaustive, status, counterexample)
 
 
 def check_axiom(

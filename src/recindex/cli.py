@@ -13,6 +13,7 @@ import json
 import operator
 import os
 import sys
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .core import Vector, citation_count, conjugate, make_vector, rec
@@ -63,15 +64,14 @@ def _parse_vector_literal(text: str) -> Vector:
     return make_vector(values)
 
 
-def _table(headers: list[str], rows: list[tuple[str, ...]]) -> str:
+def _table(out, headers: list[str], rows: list[tuple[str, ...]]) -> None:
+    """Write the headers and rows, each column padded to its widest cell, one line as it is rendered."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    for row in chain([headers], rows):
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip(), file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def _emit(out, fmt: str, columns: list[str], rows: Iterable[Sequence]) -> None:
         writer.writerow(columns)
         writer.writerows(cells)
     else:
-        print(_table(columns, list(cells)), file=out)
+        _table(out, columns, list(cells))
 
 
 # ---------------------------------------------------------------------------

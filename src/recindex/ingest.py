@@ -86,22 +86,6 @@ def short_repr(text: str) -> str:
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
-def _csv_rows(lines: Iterable[str]):
-    """(line number, row) pairs of the non-blank rows; every row must end on
-    its own line, so a quote left open cannot swallow the rows after it."""
-    reader = csv.reader(lines, strict=True)
-    line_no = 0
-    try:
-        for row in reader:
-            if reader.line_num != line_no + 1:
-                raise csv.Error("quote left open at the end of the line")
-            line_no += 1
-            if row and (len(row) > 1 or row[0].strip()):
-                yield line_no, row
-    except csv.Error as exc:
-        raise DatasetError(f"line {line_no + 1}: malformed CSV row: {exc}") from None
-
-
 class _CountCache(dict):
     # int() of each count cell, kept only for cells of at most 4 characters, so memory stays bounded.
     def __missing__(self, cell: str) -> int:
@@ -112,27 +96,40 @@ class _CountCache(dict):
 
 
 def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
+    """(line number, id, counts) of each row but blank ones and a header.  Every
+    row must end on its own line, so a quote left open cannot swallow the rows after it."""
     count_of = _CountCache().__getitem__
-    for i, (line_no, row) in enumerate(_csv_rows(lines)):
-        if i == 0 and row[0].strip().lower() == "id" and len(row) > 1:  # only the first non-blank row may be a header
-            continue
-        name = row[0].strip()
-        if not name:
-            raise DatasetError(f"line {line_no}: empty researcher id")
-        try:
-            # int() ignores surrounding blanks itself, and filter() drops the
-            # empty cells of padded rows; the loop below names a bad cell.
-            counts = list(map(count_of, filter(None, row[1:])))
-        except ValueError:
-            counts = []
-            for cell in filter(None, map(str.strip, row[1:])):  # exports pad short rows with blank cells
-                try:
-                    counts.append(count_of(cell))
-                except ValueError:
-                    raise DatasetError(
-                        f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"
-                    ) from None
-        yield line_no, name, counts
+    reader = csv.reader(lines, strict=True)
+    line_no = nonblank = 0
+    try:
+        for row in reader:
+            if reader.line_num != line_no + 1:
+                raise csv.Error("quote left open at the end of the line")
+            line_no += 1
+            if not row or len(row) == 1 and not row[0].strip():
+                continue
+            nonblank += 1
+            name = row[0].strip()
+            if nonblank == 1 and name.lower() == "id" and len(row) > 1:  # only the first non-blank row may be a header
+                continue
+            if not name:
+                raise DatasetError(f"line {line_no}: empty researcher id")
+            try:
+                # int() ignores surrounding blanks itself, and filter() drops the
+                # empty cells of padded rows; the loop below names a bad cell.
+                counts = list(map(count_of, filter(None, row[1:])))
+            except ValueError:
+                counts = []
+                for cell in filter(None, map(str.strip, row[1:])):  # exports pad short rows with blank cells
+                    try:
+                        counts.append(count_of(cell))
+                    except ValueError:
+                        raise DatasetError(
+                            f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"
+                        ) from None
+            yield line_no, name, counts
+    except csv.Error as exc:
+        raise DatasetError(f"line {line_no + 1}: malformed CSV row: {exc}") from None
 
 
 def _csv_vector(counts: list[int]) -> Vector:
