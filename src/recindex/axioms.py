@@ -375,8 +375,9 @@ def _violates_um(f, x, y):
 
 def _violates_ue(f, x):
     fx = f(x)
-    if not any(close(f(u), fx) for u in enumerate_uniform_dominated(x)):
-        return {"x": x, "f_x": fx, "candidates": [[u, f(u)] for u in enumerate_uniform_dominated(x)]}
+    candidates = [[u, f(u)] for u in enumerate_uniform_dominated(x)]
+    if not any(close(fu, fx) for _, fu in candidates):
+        return {"x": x, "f_x": fx, "candidates": candidates}
     return None
 
 

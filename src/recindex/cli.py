@@ -66,12 +66,10 @@ def _parse_vector_literal(text: str) -> Vector:
 
 def _table(out, headers: list[str], rows: list[tuple[str, ...]]) -> None:
     """Write the headers and rows, each column padded to its widest cell, one line as it is rendered."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    template = "  ".join(f"{{:<{w}}}" for w in widths)
     for row in chain([headers], rows):
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip(), file=out)
+        out.write(template.format(*row).rstrip() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +98,7 @@ def _emit(out, fmt: str, columns: list[str], rows: Iterable[Sequence]) -> None:
     if fmt == "jsonl":
         for row in rows:
             record = {c: round(v, 4) if type(v) is float else v for c, v in zip(columns, row)}
-            print(json.dumps(record), file=out)
+            out.write(json.dumps(record) + "\n")
         return
     cells = (tuple(map(_text, row)) for row in rows)
     if fmt == "csv":

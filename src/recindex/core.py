@@ -185,12 +185,13 @@ def report_indices(x: Vector) -> tuple:
     """Every report index of x from a single pass, as a plain tuple in the
     order of ``ReportIndices``, whose ``_make`` names the fields.
 
-    h, g and w hold on a prefix of a descending vector, so their tests need no ``break``.
+    h, g and w hold on a prefix of a descending vector, so the pass stops testing them once all three fail.
     """
     total = squares = best = h = g = w = influence = wide = 0
     maximizers: list[int] = []
     lowest = x[0] if x else 0
-    for k, c in enumerate(x, 1):
+    ranks = enumerate(x, 1)
+    for k, c in ranks:
         total += c
         squares += c * c
         area = k * c
@@ -212,6 +213,20 @@ def report_indices(x: Vector) -> tuple:
             lowest = c + k - 1
         if lowest >= k:
             w = k
+        elif c < k and g < k:  # h, g and w all fail at k, so they fail at every later rank
+            break
+    # Past the break every rectangle is wider than tall, and rec >= wide, so an area below wide changes nothing.
+    for k, c in ranks:
+        total += c
+        squares += c * c
+        area = k * c
+        if area >= wide:
+            wide = area
+            if area > best:
+                best = area
+                maximizers = [k]
+            elif area == best:
+                maximizers.append(k)
     if x:
         width = maximizers[0]
         classification = classify(width, x[width - 1])
@@ -340,11 +355,11 @@ def max_uniform_dominated(x: Vector) -> Vector:
 
     For width k the best dominated uniform is x_k repeated k times, so the
     answer is the narrowest rectangle of area rec(x): the smallest k with
-    k * x_k = rec(x).  ``classify_row`` and ``build_rec_incremental`` read
-    that rectangle here.
+    k * x_k = rec(x), found in the same pass that finds rec(x).
+    ``classify_row`` and ``build_rec_incremental`` read that rectangle here.
     """
-    if not x:
-        return ()
-    best = rec(x)
-    width = next(k for k, c in enumerate(x, 1) if k * c == best)
-    return (x[width - 1],) * width
+    best = width = 0
+    for k, c in enumerate(x, 1):
+        if k * c > best:
+            best, width = k * c, k
+    return (x[width - 1],) * width if x else ()

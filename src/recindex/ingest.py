@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 # perfbench/tracing.py wraps rec_index, h_index, aux_indices and rec_variants here by name; only h_index is used.
@@ -266,13 +267,12 @@ def rank_rows(
     """
     index = rank_index(by)
     keyed = [(index(row.vector), row.id) for row in rows]
-    keyed.sort(key=lambda kv: (kv[0] if ascending else -kv[0], kv[1]))
+    keyed.sort(key=itemgetter(1))  # the sort by value is stable, with ``reverse`` too, so ties keep this order
+    keyed.sort(key=itemgetter(0), reverse=not ascending)
     ranked: list[tuple[int, str, float]] = []
-    rank = 0
-    previous: float | None = None
+    rank, previous = 0, None
     for position, (value, name) in enumerate(keyed, 1):
-        if previous is None or value != previous:
-            rank = position
-            previous = value
+        if value != previous:
+            rank, previous = position, value
         ranked.append((rank, name, value))
     return ranked

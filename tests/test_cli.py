@@ -248,6 +248,31 @@ def test_a_bad_last_line_writes_no_rows(tmp_path, capsys, argv, fmt):
     assert "line 4: invalid citation count 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "headers, rows, want",
+    [
+        (["id", "rec"], [], "id  rec\n"),
+        # A cell is a value of the line's template, never part of it; widths count characters, not bytes.
+        (
+            ["id", "note", "n"],
+            [("Żółć-Ω", "{}", "7"), ("b", "{0}", "12")],
+            "id      note  n\nŻółć-Ω  {}    7\nb       {0}   12\n",
+        ),
+    ],
+    ids=["no-rows", "braces-and-non-ascii"],
+)
+def test_table_pads_each_column_to_its_widest_cell(headers, rows, want):
+    out = io.StringIO()
+    cli._table(out, headers, rows)
+    assert out.getvalue() == want
+
+
+def test_table_widens_a_column_past_a_missing_first_value():
+    out = io.StringIO()
+    cli._emit(out, "table", ["id", "rect_width", "classification"], [("a", None, "empty"), ("b", 12, "prolific")])
+    assert out.getvalue() == "id  rect_width  classification\na   -           empty\nb   12          prolific\n"
+
+
 # ---------------------------------------------------------------------------
 # sequence and conjugate
 # ---------------------------------------------------------------------------

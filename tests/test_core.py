@@ -338,6 +338,9 @@ def test_w_index_matches_naive_oracle(x):
 @example((40, 3, 3, 3, 3, 3, 3, 3, 3))
 @example((3,) * 40)  # w stops at 3, before the long tail
 @example(tuple(range(40, 0, -1)))  # w = n, so w never stops early
+@example((5, 1, 1, 1, 1))  # maximizers (1, 5) straddle the break after rank 3
+@example((6, 2, 2, 2, 2, 2))  # the tail sets rec = 12 and rec_p
+@example((4, 4, 4, 4) + (1,) * 12)  # maximizers (4, 16), the second in the tail
 def test_report_indices_match_naive_oracles(x):
     """Every field of the one pass, and each function and report row that
     reads it, against oracles that share none of its code."""

@@ -416,6 +416,24 @@ def test_rank_rows_rejects_unknown_column(csv_file):
         rank_rows(report, column)  # all advertised columns really work
 
 
+# Short vectors of small counts, so that h ties often and chi, a float, ties whenever rec does.
+@settings(max_examples=200)
+@given(
+    st.lists(st.lists(st.integers(1, 4), max_size=4), max_size=12),
+    st.sampled_from(["h", "chi"]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_rank_rows_match_a_naive_sort(counts, by, ascending, rng):
+    records = [ResearcherRecord(f"r{i:02d}", make_vector(c)) for i, c in enumerate(counts)]
+    rng.shuffle(records)
+    sign = 1 if ascending else -1
+    keyed = sorted(((RANKABLE_INDICES[by](r.vector), r.id) for r in records), key=lambda kv: (sign * kv[0], kv[1]))
+    # Competition style: one more than the number of rows strictly ahead.
+    want = [(1 + sum(sign * other < sign * value for other, _ in keyed), name, value) for value, name in keyed]
+    assert rank_rows(records, by, ascending=ascending) == want
+
+
 @pytest.mark.parametrize(
     "name, body",
     [
