@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import operator
 import os
@@ -270,6 +271,7 @@ def _add_format_option(p: _Parser, choices=("table", "csv", "jsonl")) -> None:
     p.add_argument("--format", choices=choices, default="table", help="output format")
 
 
+@functools.cache  # built on the first main() call, not at import, then reused
 def build_parser() -> _Parser:
     parser = _Parser(prog="recindex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

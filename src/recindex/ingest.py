@@ -3,7 +3,7 @@
 Two input shapes are accepted: CSV rows ``id,c1,c2,...`` (an optional
 header line starting ``id,`` in any case is skipped) and JSON lines holding
 ``{"id": ..., "citations": [...]}`` with a string or integer id.  Both
-readers yield ``(line, id, counts)`` to one record loop in
+readers yield ``(line, id, vector)`` to one record loop in
 ``parse_dataset``.  Zero-cited researchers are kept; their report rows
 are all zeros with classification ``empty``.
 """
@@ -96,12 +96,21 @@ class _CountCache(dict):
         return count
 
 
-def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
-    """(line number, id, counts) of each row but blank ones and a header.  Every
+def _vector(line_no: int, name: str, counts: list) -> Vector:
+    """``make_vector`` of one researcher's counts; its error names the line and the researcher."""
+    try:
+        return make_vector(counts)
+    except ValueError as exc:
+        raise DatasetError(f"line {line_no}: researcher {name!r}: {exc}") from None
+
+
+def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Vector]]:
+    """(line number, id, vector) of each row but blank ones and a header.  Every
     row must end on its own line, so a quote left open cannot swallow the rows after it."""
-    count_of = _CountCache().__getitem__
+    count_of = _CountCache({"": 0}).__getitem__  # an empty padding cell reads 0 and is dropped with the zeros
     reader = csv.reader(lines, strict=True)
-    line_no = nonblank = 0
+    line_no = 0
+    maybe_header = True  # only the first non-blank row may be a header
     try:
         for row in reader:
             if reader.line_num != line_no + 1:
@@ -109,16 +118,16 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
             line_no += 1
             if not row or len(row) == 1 and not row[0].strip():
                 continue
-            nonblank += 1
             name = row[0].strip()
-            if nonblank == 1 and name.lower() == "id" and len(row) > 1:  # only the first non-blank row may be a header
-                continue
+            if maybe_header:
+                maybe_header = False
+                if name.lower() == "id" and len(row) > 1:
+                    continue
             if not name:
                 raise DatasetError(f"line {line_no}: empty researcher id")
             try:
-                # int() ignores surrounding blanks itself, and filter() drops the
-                # empty cells of padded rows; the loop below names a bad cell.
-                counts = list(map(count_of, filter(None, row[1:])))
+                # int() ignores surrounding blanks itself; a blank-only cell fails it.
+                vector = sorted(filter(None, map(count_of, row[1:])), reverse=True)
             except ValueError:
                 counts = []
                 for cell in filter(None, map(str.strip, row[1:])):  # exports pad short rows with blank cells
@@ -128,18 +137,15 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
                         raise DatasetError(
                             f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"
                         ) from None
-            yield line_no, name, counts
+                vector = sorted(filter(None, counts), reverse=True)
+            if vector and vector[-1] < 0:  # make_vector names a negative count's position among the non-blank cells
+                vector = _vector(line_no, name, list(map(count_of, filter(None, map(str.strip, row[1:])))))
+            yield line_no, name, tuple(vector)
     except csv.Error as exc:
         raise DatasetError(f"line {line_no + 1}: malformed CSV row: {exc}") from None
 
 
-def _csv_vector(counts: list[int]) -> Vector:
-    """The vector of counts that ``int()`` made; only a negative one needs ``make_vector`` to name it."""
-    vector = tuple(sorted(filter(None, counts), reverse=True))
-    return make_vector(counts) if vector and vector[-1] < 0 else vector
-
-
-def _parse_jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
+def _parse_jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Vector]]:
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -160,7 +166,7 @@ def _parse_jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, list]]:
         counts = obj["citations"]
         if not isinstance(counts, list):
             raise DatasetError(f"line {line_no}: citations of researcher {name!r} must be a list")
-        yield line_no, name, counts
+        yield line_no, name, _vector(line_no, name, counts)
 
 
 def parse_dataset(path: str | os.PathLike, fmt: str = "auto") -> list[ResearcherRecord]:
@@ -188,21 +194,16 @@ def parse_dataset(path: str | os.PathLike, fmt: str = "auto") -> list[Researcher
         else:
             stripped = text.lstrip()
             fmt = "jsonl" if stripped.startswith("{") else "csv"
-    readers = {"csv": (_parse_csv_lines, _csv_vector), "jsonl": (_parse_jsonl_lines, make_vector)}
+    readers = {"csv": _parse_csv_lines, "jsonl": _parse_jsonl_lines}
     if fmt not in readers:
         raise DatasetError(f"unknown dataset format {fmt!r}")
-    read, normalise = readers[fmt]
     records: list[ResearcherRecord] = []
     seen: dict[str, int] = {}
     # Text mode made every line end "\n"; splitlines() would also break at U+2028, "\x1c" and the like.
-    for line_no, name, raw in read(text.split("\n")):
-        if name in seen:
-            raise DatasetError(f"duplicate researcher id {name!r} on lines {seen[name]} and {line_no}")
-        seen[name] = line_no
-        try:
-            vector = normalise(raw)
-        except ValueError as exc:
-            raise DatasetError(f"line {line_no}: researcher {name!r}: {exc}") from None
+    for line_no, name, vector in readers[fmt](text.split("\n")):
+        first = seen.setdefault(name, line_no)
+        if first != line_no:
+            raise DatasetError(f"duplicate researcher id {name!r} on lines {first} and {line_no}")
         # n * x_1^2 bounds the sum in O(1); the exact sum runs only past it.
         if vector and len(vector) * vector[0] ** 2 > _FLOAT_MAX and sum(c * c for c in vector) > _FLOAT_MAX:
             raise DatasetError(

@@ -549,6 +549,19 @@ def test_help_exits_0(capsys):
     assert code == 0
 
 
+def test_one_parser_serves_every_call_without_carrying_options_over(trio_csv, capsys):
+    # main() builds the parser on its first call and reuses it for the life of the process.
+    assert cli.build_parser() is cli.build_parser()
+    descending = (0, "rank,id,n\n1,flat,100\n2,grace,10\n3,solo,1\n")
+    assert run_cli("rank", trio_csv, "--by", "n", "--ascending", "--format", "csv") == (
+        0, "rank,id,n\n1,solo,1\n2,grace,10\n3,flat,100\n"
+    )
+    assert run_cli("rank", trio_csv, "--by", "n", "--format", "csv") == descending
+    assert run_cli("rank", trio_csv, "--by", "n", "--format", "xml") == (1, "")
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert run_cli("rank", trio_csv, "--by", "n", "--format", "csv") == descending
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -18,7 +18,6 @@ from recindex.ingest import (
     RANKABLE_INDICES,
     ResearcherRecord,
     _CountCache,
-    _csv_vector,
     _parse_csv_lines,
     build_report,
     ceil_chi,
@@ -129,6 +128,18 @@ def test_csv_rejects_duplicate_ids_naming_both_lines(tmp_path):
         parse_dataset(path)
 
 
+def test_a_repeated_id_with_a_bad_count_reports_the_count(tmp_path):
+    # Each reader checks a row's own counts before parse_dataset compares its id with earlier rows.
+    path = tmp_path / "dup.csv"
+    path.write_text("ada,1\nada,-3\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"^line 2: researcher 'ada': negative citation count -3 at position 0$"):
+        parse_dataset(path)
+    path = tmp_path / "dup.jsonl"
+    path.write_text('{"id": "ada", "citations": [1]}\n{"id": "ada", "citations": [true]}\n', encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"^line 2: researcher 'ada': citation count at position 0 is not"):
+        parse_dataset(path)
+
+
 def test_csv_rejects_blank_id(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text(" ,1,2\n", encoding="utf-8")
@@ -153,6 +164,15 @@ def loop_counts(cells, line_no, name):
     return counts
 
 
+def loop_vector(cells, line_no, name):
+    """make_vector of ``loop_counts``, its error named as parse_dataset names it."""
+    counts = loop_counts(cells, line_no, name)
+    try:
+        return make_vector(counts)
+    except ValueError as exc:
+        raise DatasetError(f"line {line_no}: researcher {name!r}: {exc}") from None
+
+
 def outcome(parse):
     try:
         return parse()
@@ -163,14 +183,18 @@ def outcome(parse):
 CELL = st.lists(st.sampled_from([*"0123456789", "", " ", "\x1c", "\xa0", "_", "+", "-", "x"]), max_size=6).map("".join)
 
 
-@given(st.lists(CELL, max_size=8))
+@given(st.lists(CELL | st.integers(-3, 5).map(str), max_size=8))
 @example(["3", " 2", "\x1c1\x1c", ""])
 @example(["1", "9" * 5000])
 @example(["1_0", "+4", "\xa05\xa0", " "])
+@example(["3", "0", "-2", "-1"])  # make_vector names the position of the first negative count
+@example(["1", "", "0", "2", ""])
+@example([" ", "-1"])
+@example(["0", " ", "2"])  # a blank cell sends the row through the loop, which drops its zeros too
 def test_csv_counts_match_the_per_cell_loop(cells):
     line = ",".join(["r", *cells])
     got = outcome(lambda: list(_parse_csv_lines([line])))
-    expected = outcome(lambda: [(1, "r", loop_counts(cells, 1, "r"))])
+    expected = outcome(lambda: [(1, "r", loop_vector(cells, 1, "r"))])
     assert got == expected
 
 
@@ -183,7 +207,7 @@ def test_csv_counts_match_the_per_cell_loop_across_rows(pool, picks):
     rows = [[pool[i % len(pool)] for i in picked] for picked in picks]
     lines = [",".join([f"r{k}", *cells]) for k, cells in enumerate(rows, 1)]
     got = outcome(lambda: list(_parse_csv_lines(lines)))
-    expected = outcome(lambda: [(k, f"r{k}", loop_counts(cells, k, f"r{k}")) for k, cells in enumerate(rows, 1)])
+    expected = outcome(lambda: [(k, f"r{k}", loop_vector(cells, k, f"r{k}")) for k, cells in enumerate(rows, 1)])
     assert got == expected
 
 
@@ -195,20 +219,6 @@ def test_the_count_cache_keeps_only_short_cells_that_convert():
         cache["x"]
     assert "12345" not in cache and "x" not in cache
     assert cache == {"\xa07 ": 7}
-
-
-def _vector_or_error(normalise, counts):
-    try:
-        return normalise(list(counts))
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-@given(st.lists(st.integers(-3, 5), max_size=8))
-@example([3, 0, -2, -1])
-def test_csv_vector_matches_make_vector(counts):
-    # The CSV shortcut gives make_vector's vector, and its error word for word.
-    assert _vector_or_error(_csv_vector, counts) == _vector_or_error(make_vector, counts)
 
 
 def test_jsonl_parsing(jsonl_file):
