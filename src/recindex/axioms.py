@@ -14,6 +14,7 @@ from array import array
 from enum import Enum
 from functools import cached_property, partial
 from itertools import accumulate, repeat
+from operator import getitem
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import sequences
@@ -29,6 +30,7 @@ from .core import (
     dominates,
     h_index,
     is_uniform,
+    is_valid_vector,
     rec,
     rises,
     scale,
@@ -248,10 +250,12 @@ class _Session:
     """The checks of one index over one domain, reading shared value tables.
 
     ``values[i]`` is f of the vector with id i and ``uniform_rows[j - 1][c - 1]``
-    is f of ``(c,) * j``, each built on first use; a vector outside the
-    domain is evaluated where it is needed and never kept as a key.  The
-    image axioms keep no table: ``_walk`` leaves the first candidate of
-    each, by its ``_Image``, in ``walked``.  A session is opened for one
+    is f of ``(c,) * j``, each built on first use; the uniform rows read a
+    grid vector that the domain holds from ``values`` by its id and
+    evaluate only the others, so a box evaluates none of them again.  A
+    vector outside the domain is evaluated where it is needed and never
+    kept as a key.  The image axioms keep no table: ``_walk`` leaves the
+    first candidate of each, by its ``_Image``, in ``walked``.  A session is opened for one
     index and dropped with it, so no f value is shared between indices;
     only the domain and a walk's images are.
     """
@@ -273,7 +277,8 @@ class _Session:
 
     @cached_property
     def uniform_rows(self) -> list[list]:
-        return [list(map(self.f, row)) for row in self.domain.grid]
+        values, get, evaluate = self.values, self._id, self._evaluate
+        return [[evaluate(u) if (i := get(u)) is None else values[i] for u in row] for row in self.domain.grid]
 
     def uniform(self, u: Vector):
         """f of a uniform vector of the box."""
@@ -450,10 +455,11 @@ def _blocks_stay_apart(blocks: list[array], table: list) -> bool:
         return False
     previous_hi = float("-inf")
     for block in blocks:
-        values = [table[i] for i in block]
-        if not close(max(values), min(values)) or not rises(previous_hi, min(values)):
+        values = list(map(table.__getitem__, block))
+        lo, hi = min(values), max(values)
+        if not close(hi, lo) or not rises(previous_hi, lo):
             return False
-        previous_hi = max(values)
+        previous_hi = hi
     return True
 
 
@@ -470,9 +476,12 @@ def _pointwise_axiom(description: str, transform, label: str, relation, key: str
     fails for a parameter C named ``key``, or where ``relation(f(x),
     f(transform(x)))`` fails when there is none; the witness names C, or else
     the image as ``label``.  The walk builds its images with ``transform``
-    too, and ``first`` is the least id it reads."""
+    too, and ``first`` is the least id it reads: 1 leaves out (), of id 0,
+    which the predicate then refuses as well."""
 
     def violates(f, x, *param):
+        if first and not x:
+            return None
         image = transform(x, *param)
         fx, fi = f(x), f(image)
         if relation((param[0] if param else 1) * fx, fi):
@@ -498,10 +507,15 @@ def _rank_axiom(description: str, key: str, transform, least: int) -> Axiom:
     return Axiom(description, ("x", "y", key), partial(_walked, image), violates, image)
 
 
-def _citation_count_axiom(description: str, uniforms: Callable[[_Session], Iterable[Vector]]) -> Axiom:
-    """f must equal the citation count on each vector of ``uniforms(session)``."""
+def _citation_count_axiom(
+    description: str, uniforms: Callable[[_Session], Iterable[Vector]], premise: Callable[[Vector], bool]
+) -> Axiom:
+    """f must equal the citation count on each vector of ``uniforms(session)``,
+    each of which meets ``premise``, as a witness must."""
 
     def violates(f, x):
+        if not premise(x):
+            return None
         fx, count = f(x), citation_count(x)
         if not close(fx, count):
             return {"x": x, "f_x": fx, "citation_count": count}
@@ -517,9 +531,15 @@ def _citation_count_axiom(description: str, uniforms: Callable[[_Session], Itera
 def _uniform_equivalence_candidates(s: _Session):
     # The uniforms under x are () and (c,)*j for j <= len(x) and c <= x_j.  firsts[j - 1] maps each value of row
     # j to its first c, so an exact match takes one lookup per j; a value that is not close to itself, NaN or an
-    # infinity, matches nothing and is left out.  Only an x without an exact match gets the tolerant scan.
+    # infinity, matches nothing and is left out, so only a row that is not finite filters its values one by one.
+    # Only an x without an exact match gets the tolerant scan.
     base, rows = s.values[0], s.uniform_rows
-    firsts = [{fu: c for c, fu in reversed(list(enumerate(row, 1))) if close(fu, fu)} for row in rows]
+    firsts = [
+        dict(zip(reversed(row), range(len(row), 0, -1)))
+        if _finite(row)
+        else {fu: c for c, fu in reversed(list(enumerate(row, 1))) if close(fu, fu)}
+        for row in rows
+    ]
 
     def matched(x, fx) -> bool:
         return any(first.get(fx, c + 1) <= c for first, c in zip(firsts, x)) or close(base, fx) or any(
@@ -541,8 +561,10 @@ def _uniform_monotonicity_candidates(s: _Session):
     suspects = [
         (y, fy)
         for y, fy in zip(s.domain.vectors, s.values)
-        if not (finite and at_most(max((row[c] for row, c in zip(top, y)), default=base), fy))
+        if not (finite and at_most(max(map(getitem, top, y), default=base), fy))
     ]
+    if not suspects:
+        return
     for u in s.domain.uniforms:
         fu, j = s.uniform(u), len(u)
         for y, fy in suspects:
@@ -671,7 +693,7 @@ AXIOMS: dict[AxiomId, Axiom] = {
         lambda x, k, grown, fx, fg, b: {"x": x, "position": k, "extended": grown, "f_extended": fg, "expected": b},
     ),
     AxiomId.UNIFORM_CITATION: _citation_count_axiom(
-        "on uniform vectors f equals the citation count", lambda s: s.domain.uniforms
+        "on uniform vectors f equals the citation count", lambda s: s.domain.uniforms, is_uniform
     ),
     AxiomId.UNIFORM_EQUIVALENCE: Axiom(
         "some dominated uniform vector has the same f", ("x",), _uniform_equivalence_candidates, _violates_ue
@@ -687,7 +709,9 @@ AXIOMS: dict[AxiomId, Axiom] = {
         _violates_um,
     ),
     AxiomId.UNIFORM_SINGLE_CITATION: _citation_count_axiom(
-        "f of n singly-cited publications is n", lambda s: ((1,) * j for j in range(s.domain.spec.n_max + 1))
+        "f of n singly-cited publications is n",
+        lambda s: ((1,) * j for j in range(s.domain.spec.n_max + 1)),
+        lambda x: set(x) <= {1},
     ),
     AxiomId.UNIFORM_INCREMENT: Axiom(
         "an f-incremental constructive sequence exists", ("target",), _unreachable_targets, _violates_ui
@@ -759,18 +783,26 @@ def check_index(index: IndexUnderTest, domain: Domain) -> dict[str, AxiomVerdict
     return check_registry([index], domain)[index.name]
 
 
+#: The witness keys that hold a vector; the others hold a rank, a factor or a count.
+_VECTOR_KEYS = frozenset({"x", "y", "target"})
+
+
 def replay_counterexample(verdict: AxiomVerdict, index: IndexUnderTest) -> bool:
     """Re-derive a stored counterexample from scratch.
 
     True when the stored data still exhibits a genuine violation of the
     axiom for the given index, independent of the scan that found it.
-    Witnesses read back from JSON, with lists for vectors, replay too.
+    Witnesses read back from JSON, with lists for vectors, replay too; a
+    vector that is not a citation vector raises ``ValueError``.
     """
     if verdict.counterexample is None:
         return False
     axiom = AXIOMS[AxiomId(verdict.axiom)]
     ce = verdict.counterexample
     candidate = [tuple(ce[k]) if isinstance(ce[k], list) else ce[k] for k in axiom.keys]
+    for key, value in zip(axiom.keys, candidate):
+        if key in _VECTOR_KEYS and not is_valid_vector(value):
+            raise ValueError(f"witness key {key!r} is not a citation vector: {ce[key]!r}")
     return axiom.violates(index.evaluate, *candidate) is not None
 
 

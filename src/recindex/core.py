@@ -306,7 +306,7 @@ def scale(x: Vector, factor: int) -> Vector:
     """Multiply every citation count by a positive integer factor."""
     if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
         raise ValueError(f"scale factor must be a positive integer, got {factor!r}")
-    return tuple(c * factor for c in x)
+    return tuple([c * factor for c in x])
 
 
 def valid_positions(x: Vector) -> list[int]:
@@ -347,7 +347,7 @@ def add_citation_at(x: Vector, k: int) -> Vector:
 
 def add_one_to_all(x: Vector) -> Vector:
     """Give every existing publication one extra citation."""
-    return tuple(c + 1 for c in x)
+    return tuple([c + 1 for c in x])
 
 
 def max_uniform_dominated(x: Vector) -> Vector:

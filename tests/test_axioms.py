@@ -5,11 +5,13 @@ import json
 import random
 from array import array
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+
+from conftest import citation_vectors
 
 from recindex import sequences
 from recindex.axioms import (
@@ -28,7 +30,12 @@ from recindex.axioms import (
     _CHI_STEP,
     _Session,
     _add_publication,
+    _blocks_stay_apart,
     _column,
+    _flipped_pairs,
+    _uniform_equivalence_candidates,
+    _violates_ue,
+    _violates_um,
     check_axiom,
     check_index,
     check_registry,
@@ -235,6 +242,133 @@ def test_witnesses_read_back_from_json_replay_only_for_their_index():
 def test_replay_returns_false_for_clean_verdicts():
     verdict = check_axiom(REC, "M", DOMAIN)
     assert replay_counterexample(verdict, REC) is False
+
+
+#: Candidates outside their axiom's premise, each of which some registry
+#: index would break if the predicate left the premise to the scan's filters:
+#: M and SM need x under y and x != y, UM and UC a uniform x, USC an x of
+#: ones and CI a publication to cite.
+NON_WITNESSES = [
+    ("M", {"x": (3,), "y": (1, 1)}),
+    ("SM", {"x": (2, 1), "y": (2, 1)}),
+    ("UM", {"x": (3, 2), "y": (3, 2, 1)}),
+    ("UC", {"x": (2, 1)}),
+    ("USC", {"x": (2, 1)}),
+    ("USC", {"x": (2, 2)}),
+    ("CI", {"x": ()}),
+]
+
+
+@pytest.mark.parametrize("axiom, counterexample", NON_WITNESSES, ids=[f"{a}-{c['x']}" for a, c in NON_WITNESSES])
+def test_a_candidate_outside_the_premise_replays_for_no_index(axiom, counterexample):
+    for index in counterexample_registry():
+        verdict = AxiomVerdict(index.name, axiom, 4, 4, True, VIOLATED, counterexample)
+        assert replay_counterexample(verdict, index) is False, index.name
+        parsed = AxiomVerdict(**json.loads(json.dumps(verdict.to_json())))
+        assert replay_counterexample(parsed, index) is False, index.name
+
+
+@pytest.mark.parametrize(
+    "axiom, counterexample",
+    [
+        pytest.param("UC", {"x": [1, 2]}, id="ascending"),
+        pytest.param("M", {"x": [1], "y": [1, 0]}, id="zero"),
+        pytest.param("CI", {"x": [True]}, id="bool"),
+        pytest.param("SI", {"x": 3, "factor": 2}, id="int"),
+        pytest.param("RANK_IND", {"x": [1], "y": [2.0], "added_citations": 1}, id="float"),
+        pytest.param("UI", {"target": [-1]}, id="negative"),
+    ],
+)
+def test_replay_refuses_a_vector_that_is_not_a_citation_vector(axiom, counterexample):
+    verdict = AxiomVerdict("rec", axiom, 4, 4, True, VIOLATED, counterexample)
+    with pytest.raises(ValueError, match="not a citation vector"):
+        replay_counterexample(verdict, REC)
+
+
+def _naive_dominated(x, y) -> bool:
+    return len(x) <= len(y) and all(x[i] <= y[i] for i in range(len(x)))
+
+
+def _naive_sign(a, b):
+    diff = a - b
+    return 0 if abs(diff) <= TOLERANCE else 1 if diff > 0 else -1 if diff < 0 else "no sign"
+
+
+def _naive_flip(before, after) -> bool:
+    signs = _naive_sign(*before), _naive_sign(*after)
+    return signs[0] != signs[1] or "no sign" in signs
+
+
+def _off(a, b) -> bool:
+    return not abs(a - b) <= TOLERANCE
+
+
+def _naive_scale(v, factor):
+    return tuple(e * factor for e in v)
+
+
+def _naive_breaks(axiom: str, f, x, *rest) -> bool:
+    """Whether the candidate breaks the axiom, from its description in ``AXIOMS``, with nothing of the scan."""
+    uniform = len(set(x)) <= 1
+    if axiom in ("M", "UM"):  # f never decreases along domination, for UM from a uniform vector
+        (y,) = rest
+        return (axiom == "M" or uniform) and x != y and _naive_dominated(x, y) and f(x) - f(y) > TOLERANCE
+    if axiom == "SM":  # f strictly increases along strict domination
+        (y,) = rest
+        return x != y and _naive_dominated(x, y) and not f(y) - f(x) > TOLERANCE
+    if axiom == "SI":  # scaling citations by C scales f by C
+        (factor,) = rest
+        return _off(f(_naive_scale(x, factor)), factor * f(x))
+    if axiom == "SC":  # f is unchanged by conjugation
+        return _off(f(tuple(sum(1 for e in x if e >= i) for i in range(1, (x[0] if x else 0) + 1))), f(x))
+    if axiom == "RC":  # f(x + citation at k) = max(f(x), k * (x_k + 1))
+        (k,) = rest
+        grown = list(x) + [0]
+        grown[k - 1] += 1
+        return _off(f(tuple(e for e in grown if e)), max(f(x), k * grown[k - 1]))
+    if axiom == "UC":  # on uniform vectors f equals the citation count
+        return uniform and _off(f(x), sum(x))
+    if axiom == "USC":  # f of n singly-cited publications is n
+        return all(e == 1 for e in x) and _off(f(x), len(x))
+    if axiom == "UE":  # some dominated uniform vector has the same f
+        under = [()] + [(c,) * j for j in range(1, len(x) + 1) for c in range(1, x[j - 1] + 1)]
+        return all(_off(f(u), f(x)) for u in under)
+    if axiom == "CI":  # one citation to every publication raises f
+        return len(x) > 0 and not f(tuple(e + 1 for e in x)) - f(x) > TOLERANCE
+    y, param = rest
+    if axiom == "RANK_IND":  # adding the same new publication preserves ranking
+        after = [f(tuple(sorted(v + (param,), reverse=True))) for v in (x, y)]
+    else:  # RANK_SI: scaling both records preserves ranking
+        after = [f(_naive_scale(v, param)) for v in (x, y)]
+    return _naive_flip((f(x), f(y)), after)
+
+
+_SMALL_VECTORS = st.one_of(
+    citation_vectors(max_len=4, max_cite=5),
+    st.builds(lambda c, j: (c,) * j, st.integers(1, 5), st.integers(0, 4)),
+)
+
+
+@st.composite
+def candidates_of_every_axiom(draw):
+    """One candidate for each axiom but UI, whose predicate is the sequence search itself; y is
+    drawn above x, which it then dominates, as often as apart from it."""
+    x, other = draw(_SMALL_VECTORS), draw(_SMALL_VECTORS)
+    if draw(st.booleans()):
+        other = tuple(max(a, b) for a, b in zip_longest(x, other, fillvalue=0))
+    k = draw(st.sampled_from(valid_positions(x)))
+    factor, added = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    params = {"x": x, "y": other, "position": k, "factor": factor, "added_citations": added}
+    return {a: tuple(params[key] for key in AXIOMS[a].keys) for a in AxiomId if a is not AxiomId.UNIFORM_INCREMENT}
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates_of_every_axiom())
+def test_a_predicate_accepts_exactly_the_candidates_that_break_its_axiom(candidates):
+    for index in counterexample_registry() + [CHI, H, CITATION_COUNT]:
+        for axiom, candidate in candidates.items():
+            accepted = AXIOMS[axiom].violates(index.evaluate, *candidate) is not None
+            assert accepted == _naive_breaks(axiom.value, index.evaluate, *candidate), (index.name, axiom, candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +1028,89 @@ def test_m_uc_and_ue_pin_an_index_to_rec_on_the_box(chain):
 def test_rec_read_from_its_box_passes_m_uc_and_ue(bounds):
     domain = SMALL_BOXES[bounds]
     assert all(_core_verdicts(_box_table_index(domain, list(map(rec, domain.vectors))), domain))
+
+
+# ---------------------------------------------------------------------------
+# the uniform table, UE's exact maps, UM's suspects and the rank blocks
+# against their naive forms
+# ---------------------------------------------------------------------------
+
+#: Values whose exact and tolerant matches differ: NaN and the infinities
+#: match nothing, not even themselves; -0.0 and 0.0, and an int and the
+#: float equal to it, match exactly; 1e308 twice overflows a sum of finite values.
+_AWKWARD = [NAN, float("inf"), float("-inf"), -0.0, 0.0, 0, 1, 1.0, 2, 2.0, 1e308, -1e308, 1 + 0.6 * TOLERANCE]
+
+#: A box, which holds its uniform vectors, and a sample, which holds few of them.
+_TABLE_DOMAINS = {"3x3": SMALL_BOXES[3, 3], "14x14_seed1": ORACLE_DOMAINS["14x14_seed1"]}
+
+
+def _hashed_index(table: list) -> IndexUnderTest:
+    """f drawn from a table by the vector's hash, so vectors inside and outside a domain share its values."""
+    return IndexUnderTest("hashed", lambda v: table[hash(v) % len(table)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_TABLE_DOMAINS)), st.lists(st.sampled_from(_AWKWARD), min_size=1, max_size=12))
+def test_ue_exact_maps_give_the_tolerant_scan_on_awkward_values(domain_name, table):
+    domain, index = _TABLE_DOMAINS[domain_name], _hashed_index(table)
+    naive = [(x,) for x in domain.vectors if _violates_ue(index.evaluate, x) is not None]
+    assert list(_uniform_equivalence_candidates(_Session(index, domain))) == naive
+
+
+_LEVELS = [0.0, 0.6 * TOLERANCE, 1.2 * TOLERANCE, 1.0, 1.0 + 0.6 * TOLERANCE, 2.0, 5.0, -0.0, NAN, float("inf")]
+_NUDGES = [0.0, 0.3 * TOLERANCE, -0.3 * TOLERANCE, 0.6 * TOLERANCE]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_blocks_kept_apart_after_a_transform_flip_no_pair(data):
+    domain = SMALL_BOXES[2, 3]
+    n = len(domain.vectors)
+    values = data.draw(st.lists(st.sampled_from(_LEVELS), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        after = data.draw(st.lists(st.sampled_from(_LEVELS), min_size=n, max_size=n))
+    else:  # one rising map for every value, and a nudge of its own within TOLERANCE
+        factor = data.draw(st.sampled_from([1, 2, 3]))
+        nudges = data.draw(st.lists(st.sampled_from(_NUDGES), min_size=n, max_size=n))
+        after = [factor * v + d for v, d in zip(values, nudges)]
+    session = _Session(IndexUnderTest("table", dict(zip(domain.vectors, values)).__getitem__), domain)
+    blocks, separated = session.blocks
+    if separated and _blocks_stay_apart(blocks, after):
+        assert next(_flipped_pairs(session.values, after), None) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(_TABLE_DOMAINS)),
+    st.sampled_from([0.5, 1, 2]),
+    st.lists(st.sampled_from(_FINE), min_size=1, max_size=4),
+    st.integers(0, 9),
+)
+def test_a_um_verdict_without_suspects_gives_the_naive_pair_scan(domain_name, factor, nudges, seed):
+    # rec nudged by less than TOLERANCE leaves no suspect y; a nudge past it may make some
+    domain = _TABLE_DOMAINS[domain_name]
+    index = IndexUnderTest("nudged_rec", lambda v: factor * rec(v) + random.Random(f"{seed}:{v}").choice(nudges))
+    f = functools.cache(index.evaluate)
+    naive = next((w for c in _naive_candidates("UM", domain) if (w := _violates_um(f, *c)) is not None), None)
+    verdict = check_axiom(index, "UM", domain)
+    assert (verdict.status, verdict.counterexample) == (VIOLATED if naive is not None else SATISFIED, naive)
+
+
+@pytest.mark.parametrize("domain_name", ["5x5", "3x7", "14x14_seed1", "14x14_seed2", "30x30_seed5"])
+def test_the_uniform_table_evaluates_each_grid_vector_once(domain_name):
+    # a box reads every grid vector from its values; a sample evaluates nearly all of them
+    domain = REGISTRY_DOMAINS[domain_name]
+    grid = [u for row in domain.grid for u in row]
+    for index in counterexample_registry() + ADVERSARIAL + NON_FINITE:
+        calls: Counter = Counter()
+
+        def counted(v, evaluate=index.evaluate):
+            calls[v] += 1
+            return evaluate(v)
+
+        rows = _Session(IndexUnderTest(index.name, counted), domain).uniform_rows
+        assert rows == [[index.evaluate(u) for u in row] for row in domain.grid], index.name
+        assert all(calls[u] == 1 for u in grid) and max(calls.values()) == 1, index.name
 
 
 # ---------------------------------------------------------------------------

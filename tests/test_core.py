@@ -453,6 +453,16 @@ def test_blanket_citation_strictly_raises_rec(x):
     assert rec(add_one_to_all(x)) > rec(x)
 
 
+@given(st.one_of(citation_vectors(), wide_citation_vectors()), st.integers(1, 1000))
+def test_scale_and_add_one_to_all_match_their_loops(x, factor):
+    scaled, incremented = [], []
+    for c in x:
+        scaled.append(c * factor)
+        incremented.append(c + 1)
+    assert scale(x, factor) == tuple(scaled) and type(scale(x, factor)) is tuple
+    assert add_one_to_all(x) == tuple(incremented) and type(add_one_to_all(x)) is tuple
+
+
 def test_max_uniform_dominated():
     assert max_uniform_dominated(STAIRCASE) == (3, 3, 3)
     assert max_uniform_dominated(SQUARE) == SQUARE
