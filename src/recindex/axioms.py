@@ -778,11 +778,6 @@ def check_registry(
     return rows
 
 
-def check_index(index: IndexUnderTest, domain: Domain) -> dict[str, AxiomVerdict | None]:
-    """``check_registry`` over this one index: its row of every axiom."""
-    return check_registry([index], domain)[index.name]
-
-
 #: The witness keys that hold a vector; the others hold a rank, a factor or a count.
 _VECTOR_KEYS = frozenset({"x", "y", "target"})
 
@@ -848,7 +843,7 @@ def pattern_mismatches(
 ) -> list[tuple[str, str, str, AxiomVerdict]]:
     """Cells where the computed matrix disagrees with the documented pattern.
 
-    Only the pattern's cells are read, so the full rows of ``check_index``
+    Only the pattern's cells are read, so the full rows of ``check_registry``
     serve as they are.
     """
     return [

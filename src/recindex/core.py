@@ -9,6 +9,7 @@ Everything in this module is a pure function over plain tuples.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, NamedTuple
 
 Vector = tuple[int, ...]
@@ -61,13 +62,14 @@ def make_vector(raw: Iterable[int]) -> Vector:
 
 
 def is_valid_vector(x: object) -> bool:
-    """True for a tuple of positive integers in descending order."""
-    if not isinstance(x, tuple):
-        return False
-    for v in x:
-        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-            return False
-    return all(x[i] >= x[i + 1] for i in range(len(x) - 1))
+    """True for a tuple of positive integers (any int subclass but bool) in descending order.
+
+    Each entry type is tested once, and a descending tuple is positive when its last entry is.
+    """
+    return (
+        isinstance(x, tuple) and all(issubclass(t, int) and t is not bool for t in set(map(type, x)))
+        and all(map(operator.ge, x, x[1:])) and (not x or x[-1] > 0)
+    )
 
 
 def is_uniform(x: Vector) -> bool:
@@ -299,7 +301,7 @@ def rec_variants(x: Vector) -> RecVariants:
 def dominates(x: Vector, y: Vector) -> bool:
     """True when x is dominated by y: y has at least as many publications
     and at least as many citations at every rank."""
-    return len(x) <= len(y) and all(a <= b for a, b in zip(x, y))
+    return len(x) <= len(y) and all(map(operator.le, x, y))
 
 
 def scale(x: Vector, factor: int) -> Vector:

@@ -58,19 +58,18 @@ class SearchOutcome(NamedTuple):
 
 
 def is_constructive(steps: Sequence[Iterable[int]], target: Iterable[int]) -> bool:
-    """Verify every structural requirement of a constructive sequence."""
-    seq = [tuple(s) for s in steps]
-    goal = tuple(target)
-    if not seq or any(not is_valid_vector(s) for s in seq) or not is_valid_vector(goal):
-        return False
-    if seq[0] != () or seq[-1] != goal:
-        return False
-    if len(seq) != citation_count(goal) + 1:
-        return False
-    for a, b in zip(seq, seq[1:]):
-        if not dominates(a, b) or citation_count(b) != citation_count(a) + 1:
-            return False
-    return True
+    """True for a chain of valid vectors from () to the target, one step per
+    citation, each strictly dominating the step before it.
+
+    Strict domination between valid vectors adds at least one citation, and
+    there are exactly ``citation_count(target)`` steps, so each adds exactly one.
+    """
+    seq, goal = [tuple(s) for s in steps], tuple(target)
+    return (
+        all(map(is_valid_vector, seq)) and seq[:1] == [()] and seq[-1] == goal
+        and len(seq) == citation_count(goal) + 1
+        and all(a != b and dominates(a, b) for a, b in zip(seq, seq[1:]))
+    )
 
 
 def is_incremental_step(fv: float, fw: float, w: Vector) -> bool:
@@ -111,8 +110,11 @@ def build_rec_incremental(target: Vector) -> ConstructiveSequence:
     complete.  Under those conditions rec only moves when a rectangle is
     completed, which is always a uniform step.  The remaining citations
     cannot change rec at all, so they are filled in leftmost-deficient
-    order.  The output is re-verified before being returned.
+    order.  The output is re-verified before being returned; a target that
+    is not a citation vector is refused with a ``ValueError``.
     """
+    if not is_valid_vector(target):
+        raise ValueError(f"target {target!r} is not a citation vector")
     steps: list[Vector] = [()]
     if target:
         rectangle = max_uniform_dominated(target)

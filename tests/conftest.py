@@ -3,6 +3,16 @@ from __future__ import annotations
 import hypothesis.strategies as st
 
 
+def naive_is_valid_vector(x):
+    """A tuple whose entries are each an int but not a bool, positive, and no
+    smaller than the entry after them."""
+    if not isinstance(x, tuple):
+        return False
+    if any(not isinstance(v, int) or isinstance(v, bool) or v <= 0 for v in x):
+        return False
+    return all(x[i] >= x[i + 1] for i in range(len(x) - 1))
+
+
 @st.composite
 def citation_vectors(draw, max_len: int = 8, max_cite: int = 12):
     """Random valid citation vectors, possibly empty."""

@@ -37,7 +37,6 @@ from recindex.axioms import (
     _violates_ue,
     _violates_um,
     check_axiom,
-    check_index,
     check_registry,
     chi_increment_bound,
     counterexample_registry,
@@ -620,7 +619,7 @@ def test_the_chi_bound_gives_the_naive_first_witness(domain_name, monkeypatch):
 def test_a_nan_value_breaks_every_property_that_compares_it():
     # f((1,)) = NaN.  UI lets f rise onto any uniform vector, and every
     # step out of (1,) lands on one, so UI alone still holds.
-    row = check_index(NON_FINITE[0], SMALL_BOXES[3, 3])
+    row = check_registry([NON_FINITE[0]], SMALL_BOXES[3, 3])[NON_FINITE[0].name]
     assert [axiom for axiom, verdict in row.items() if verdict.ok] == ["UI"]
 
 
@@ -774,7 +773,7 @@ def test_one_session_gives_the_single_cell_verdicts(domain_name):
                 continue
             shared = check_axiom(index, axiom, domain, session=session)
             assert shared == check_axiom(index, axiom, domain), (index.name, axiom)
-    row = check_index(REC, domain)
+    row = check_registry([REC], domain)[REC.name]
     assert row == {a.value: None if row[a.value] is None else check_axiom(REC, a, domain) for a in AxiomId}
 
 
@@ -819,7 +818,7 @@ def test_one_session_evaluates_each_domain_vector_once(domain_name):
             calls[v] += 1
             return evaluate(v)
 
-        row = check_index(IndexUnderTest(index.name, counted), domain)
+        row = check_registry([IndexUnderTest(index.name, counted)], domain)[index.name]
         assert set(row) == {a.value for a in AxiomId} and None not in row.values()
         assert all(calls[v] == 1 for v in domain.vectors), index.name
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import citation_vectors, nonempty_citation_vectors, wide_citation_vectors
+from conftest import citation_vectors, naive_is_valid_vector, nonempty_citation_vectors, wide_citation_vectors
 from recindex.core import (
     BALANCED,
     EMPTY,
@@ -387,6 +387,65 @@ def test_dominates():
     assert dominates(STAIRCASE, STAIRCASE)
     assert not dominates((1, 1), (3,))
     assert not dominates((7,), (6, 4))
+
+
+def naive_dominates(x, y):
+    """y is at least as long as x and at least as large at each of x's ranks."""
+    return len(x) <= len(y) and all(x[i] <= y[i] for i in range(len(x)))
+
+
+#: Entries a citation vector must refuse, or, for Level, accept as an int.
+ODD_ENTRIES = [True, False, 0, -1, 1.0, 2.5, Level.ONE, Level.MANY, Level.NONE, "1", None]
+
+
+@st.composite
+def vector_candidates(draw):
+    """Tuples of counts, sorted or not, some with one entry swapped for an odd
+    one, some given as lists."""
+    counts = draw(st.lists(st.integers(1, 12), max_size=8))
+    if draw(st.booleans()):
+        counts.sort(reverse=True)
+    if counts and draw(st.booleans()):
+        counts[draw(st.integers(0, len(counts) - 1))] = draw(st.sampled_from(ODD_ENTRIES))
+    return draw(st.sampled_from([tuple, tuple, tuple, list]))(counts)
+
+
+@given(vector_candidates())
+def test_is_valid_vector_matches_the_naive_definition(x):
+    assert is_valid_vector(x) == naive_is_valid_vector(x)
+
+
+@pytest.mark.parametrize(
+    "x, valid",
+    [
+        ((), True),
+        ((Level.MANY, Level.ONE), True),  # an int subclass other than bool
+        ((3, Level.ONE), True),
+        ((True,), False),
+        ((2, True), False),
+        ((1.0,), False),
+        ((2, 1.0), False),
+        ((2, 0), False),
+        ((0,), False),
+        ((2, -1), False),
+        ((1, 2), False),  # unsorted
+        ((3, 1, 2), False),
+        ([3, 1], False),  # a list is not a tuple
+        (("2", "1"), False),
+        ((2, None), False),
+    ],
+)
+def test_is_valid_vector_edge_cases(x, valid):
+    assert is_valid_vector(x) is valid
+    assert naive_is_valid_vector(x) is valid
+
+
+@given(citation_vectors(max_len=5, max_cite=4), citation_vectors(max_len=5, max_cite=4))
+def test_dominates_matches_the_naive_definition(x, y):
+    assert dominates(x, y) == naive_dominates(x, y)
+    assert dominates(x, x) and naive_dominates(y, y)
+    grown = tuple(c + 1 for c in x) + y[len(x):]
+    assert dominates(x, grown) and naive_dominates(x, grown)
 
 
 def test_scale():

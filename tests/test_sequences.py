@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import re
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import citation_vectors
+from conftest import citation_vectors, naive_is_valid_vector
 from recindex.axioms import CHI, H, counterexample_registry
 from recindex.core import (
     TOLERANCE,
@@ -45,6 +49,90 @@ def test_is_constructive_rejections():
     assert not is_constructive([(), (1,), (1, 2)], (1, 2))  # invalid vector
     # one citation per step, but (1,1,1) does not dominate (2,)
     assert not is_constructive([(), (1,), (2,), (1, 1, 1)], (1, 1, 1))
+
+
+def naive_is_constructive(steps, target):
+    """Each rule of a constructive sequence written out on its own: at least
+    one step, every step and the target a valid vector, () first, the target
+    last, one step per citation, and each step dominated by the next with
+    exactly one citation more."""
+    seq, goal = [tuple(s) for s in steps], tuple(target)
+    if not seq or not all(naive_is_valid_vector(s) for s in seq) or not naive_is_valid_vector(goal):
+        return False
+    if seq[0] != () or seq[-1] != goal or len(seq) != sum(goal) + 1:
+        return False
+    for a, b in zip(seq, seq[1:]):
+        if len(a) > len(b) or any(a[i] > b[i] for i in range(len(a))) or sum(b) != sum(a) + 1:
+            return False
+    return True
+
+
+class Cites(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+@st.composite
+def step_chains(draw):
+    """A constructive sequence grown by random single citations, then possibly
+    broken by one edit, with its target."""
+    steps = [()]
+    for _ in range(draw(st.integers(0, 7))):
+        steps.append(add_citation_at(steps[-1], draw(st.sampled_from(valid_positions(steps[-1])))))
+    target = steps[-1]
+    i = draw(st.integers(0, len(steps) - 1))
+    edit = draw(st.sampled_from(["none", "drop", "repeat", "swap", "grow", "target", "lists", "entry"]))
+    if edit == "drop":
+        del steps[i]
+    elif edit == "repeat":
+        steps.insert(i, steps[i])
+    elif edit == "swap" and i:
+        steps[i - 1], steps[i] = steps[i], steps[i - 1]
+    elif edit == "grow":
+        steps[i] = steps[i] + (1,)
+    elif edit == "target":
+        target = draw(st.sampled_from([target + (1,), target[:-1], (target[0] + 1,) + target[1:] if target else (1,)]))
+    elif edit == "lists":
+        steps = [list(s) for s in steps]
+    elif edit == "entry" and target:
+        steps[-1] = steps[-1][:-1] + (draw(st.sampled_from([True, 1.0, Cites.ONE, 0, -1])),)
+    return steps, target
+
+
+@given(step_chains())
+@settings(max_examples=300)
+def test_is_constructive_matches_the_naive_rules(chain):
+    steps, target = chain
+    assert is_constructive(steps, target) == naive_is_constructive(steps, target)
+
+
+@pytest.mark.parametrize(
+    "steps, target, constructive",
+    [
+        ([(), (Cites.ONE,), (Cites.TWO,)], (2,), True),  # an int subclass other than bool
+        ([(), (1,), (Cites.TWO,)], (Cites.TWO,), True),
+        ([(), (True,)], (1,), False),  # (True,) == (1,), but a bool is not a count
+        ([(), (1.0,)], (1,), False),
+        ([(), (1,), (1, 0)], (1, 0), False),
+        ([(), (1,), (1, -1)], (1, -1), False),
+        ([(), (1,), (1, 1), (1, 2)], (1, 2), False),  # unsorted
+        ([[], [1], [1, 1]], [1, 1], True),  # steps given as lists
+        ([(), [1], (1, 1)], (1, 1), True),
+        (GOOD_STEPS, lambda: (c for c in (2, 2)), True),  # a generator target
+        (GOOD_STEPS, lambda: iter([2, 1]), False),
+        ([], (), False),  # an empty step list
+        ([(), (1,), (1,), (1, 1)], (1, 1), False),  # a repeated step
+        ([(), (1,), (1, 1), (3, 1)], (3, 1), False),  # a step that adds two citations
+        # Domination alone accepts these two; strict domination and the step count refuse them.
+        ([(), (1,), (1,), (3,)], (3,), False),  # a repeated step padded to the right length
+        ([(), (1,), (2, 1), (2, 2)], (2, 2), False),  # one step short
+        ([(), (1,), (1, 1), (2, 1), (2, 2), (2, 2)], (2, 2), False),  # one step too many
+    ],
+)
+def test_is_constructive_edge_cases(steps, target, constructive):
+    fresh = target if callable(target) else lambda: target  # a generator target is read once
+    assert is_constructive(steps, fresh()) is constructive
+    assert naive_is_constructive(steps, fresh()) is constructive
 
 
 def test_is_f_incremental_on_uniform_landings():
@@ -124,6 +212,18 @@ def test_a_build_that_fails_its_check_raises_runtime_error(monkeypatch, attr, br
     monkeypatch.setattr(f"recindex.sequences.{attr}", broken)
     with pytest.raises(RuntimeError, match="invalid sequence for"):
         build_rec_incremental((3, 1))
+
+
+@pytest.mark.parametrize("target", [(1, 2), (2, 0), (2, -1), [2, 1], (True,), (2.0, 1)])
+def test_the_builder_refuses_a_target_that_is_not_a_citation_vector(target):
+    with pytest.raises(ValueError, match=rf"target {re.escape(repr(target))} is not a citation vector"):
+        build_rec_incremental(target)
+
+
+def test_a_refused_target_stops_a_map_over_targets():
+    # A StopIteration leaking out of the builder would end the map early and silently.
+    with pytest.raises(ValueError, match="not a citation vector"):
+        list(map(build_rec_incremental, [(2, 1), (1, 2)]))
 
 
 def _assert_builder_contract(target):
