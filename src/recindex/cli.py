@@ -37,9 +37,11 @@ EXIT_VALIDATION = 1
 EXIT_PATTERN_MISMATCH = 2
 EXIT_BUDGET = 3
 
-#: Most vector entries one command builds: the conjugate has x_1 of them,
-#: a sequence up to (citation_count(x) + 1) * len(x).
+#: Most vector entries one command builds: the conjugate has x_1 of them.
 ENTRY_LIMIT = 10**7
+#: A sequence is charged (citation_count(x) + 1) * (len(x) + 6): its steps, each
+#: of up to len(x) entries and about 6 more for its tuple, its rec and their JSON.
+SEQUENCE_LIMIT = 105 * 10**5
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; 2 is reserved here, so remap.
@@ -176,8 +178,8 @@ def _cmd_sequence(args, out) -> int:
     from . import sequences as seq
 
     target = _parse_vector_literal(args.vector)
-    if (citation_count(target) + 1) * len(target) > ENTRY_LIMIT:
-        raise ValueError(f"a sequence to this target exceeds the limit of {ENTRY_LIMIT} entries")
+    if (citation_count(target) + 1) * (len(target) + 6) > SEQUENCE_LIMIT:
+        raise ValueError(f"a sequence to this target exceeds the limit of {SEQUENCE_LIMIT} entries")
     steps = seq.build_rec_incremental(target).steps
     rec_values = [rec(step) for step in steps]
     if args.format == "jsonl":

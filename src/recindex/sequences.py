@@ -9,6 +9,7 @@ of f lands on a uniform vector.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -99,62 +100,44 @@ def is_f_incremental(seq: ConstructiveSequence, f: Callable[[Vector], float]) ->
 # ---------------------------------------------------------------------------
 
 
+def _rec_incremental_ranks(target: Vector) -> Iterator[int]:
+    """The rank that each step of ``build_rec_incremental(target)`` cites."""
+    if not target:
+        return
+    rectangle = max_uniform_dominated(target)
+    width, height = len(rectangle), rectangle[0]
+    yield 1
+    j = c = 1  # the rectangle so far: j publications, c citations each
+    while (j, c) != (width, height):
+        if j < width and (j <= c or c == height):  # no wider than tall, or at full height
+            assert c <= j + 1, "unsafe publication addition"
+            yield from repeat(j + 1, c)  # a new publication, cited c times
+            j += 1
+        else:  # one more citation to every publication
+            assert j <= c + 1, "unsafe citation row"
+            yield from range(1, j + 1)
+            c += 1
+    for k, want in enumerate(target, 1):
+        yield from repeat(k, want - (height if k <= width else 0))
+
+
 def build_rec_incremental(target: Vector) -> ConstructiveSequence:
     """Build a rec-incremental constructive sequence for any target.
 
-    The maximizing rectangle (width k, height x_k) is grown first: a
-    near-square staircase 1x1 -> mxm with m = min(k, x_k), alternating a
-    new publication (safe while the height is at most width + 1) with one
-    citation to every publication (safe while the width is at most
-    height + 1), then the long dimension alone until the rectangle is
-    complete.  Under those conditions rec only moves when a rectangle is
-    completed, which is always a uniform step.  The remaining citations
-    cannot change rec at all, so they are filled in leftmost-deficient
-    order.  The output is re-verified before being returned; a target that
-    is not a citation vector is refused with a ``ValueError``.
+    Each step is one ``add_citation_at`` from the last, at a planned rank.
+    The maximizing rectangle (width k, height x_k) is grown first: rank 1,
+    then a near-square staircase that alternates a new publication (rank
+    j + 1, c times; safe while c <= j + 1) with a citation to each of the j
+    publications (ranks 1..j; safe while j <= c + 1), then the long side
+    alone.  So rec only moves when a rectangle is completed, a uniform step.
+    The other citations cannot change rec: each rank, leftmost first, is
+    cited until it reaches the target.  The output is re-verified before it
+    is returned; a target that is not a citation vector is refused with a
+    ``ValueError``.
     """
     if not is_valid_vector(target):
         raise ValueError(f"target {target!r} is not a citation vector")
-    steps: list[Vector] = [()]
-    if target:
-        rectangle = max_uniform_dominated(target)
-        width, height = len(rectangle), rectangle[0]
-        side = min(width, height)
-
-        current = (1,)
-        steps.append(current)
-        j, c = 1, 1  # current rectangle: j publications, c citations each
-
-        def add_publication() -> None:
-            nonlocal current, j
-            assert c <= j + 1, "unsafe publication addition"
-            for d in range(1, c + 1):
-                current = current[:j] + (d,)
-                steps.append(current)
-            j += 1
-
-        def add_citation_row() -> None:
-            nonlocal current, c
-            assert j <= c + 1, "unsafe citation row"
-            for t in range(1, j + 1):
-                current = (c + 1,) * t + (c,) * (j - t)
-                steps.append(current)
-            c += 1
-
-        for _ in range(side - 1):
-            add_publication()
-            add_citation_row()
-        while j < width:
-            add_publication()
-        while c < height:
-            add_citation_row()
-
-        while current != target:
-            padded = current + (0,) * (len(target) - len(current))
-            k = next(i for i, (have, want) in enumerate(zip(padded, target), 1) if have < want)
-            current = add_citation_at(current, k)
-            steps.append(current)
-
+    steps = accumulate(_rec_incremental_ranks(target), add_citation_at, initial=())
     sequence = ConstructiveSequence(tuple(steps), target)
     try:
         if is_f_incremental(sequence, rec):

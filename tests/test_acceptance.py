@@ -7,6 +7,7 @@ use exact equality.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -192,6 +193,9 @@ def test_criterion_08_builder_is_sound_for_every_small_target():
         assert is_f_incremental(built, rec)
         terminal_uniform = [s for s in built.steps if is_uniform(s)][-1]
         assert citation_count(terminal_uniform) == rec(target)
+    # The exact steps of all 924 targets, pinned by their sha256.
+    steps = "\n".join(repr(build_rec_incremental(v).steps) for v in targets)
+    assert hashlib.sha256(steps.encode()).hexdigest() == "6e1087e96c9ca9a0752c8022816eb6e14ad86c3ce2d88ba2684f88f29238fb15"
 
 
 def test_criterion_09_rank_invariance_findings():

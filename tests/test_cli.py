@@ -356,12 +356,17 @@ def test_conjugate_refuses_vectors_past_the_size_limit(capsys, x1):
     assert f"x_1 = {x1}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("target", ["10000000", "4999999,1"])
+@pytest.mark.parametrize(
+    "target", ["10000000", "4999999,1", "9999999", ",".join(["99999"] * 10), "1500000", ",".join(["65625"] * 10)]
+)
 def test_sequence_refuses_targets_past_the_entry_limit(capsys, target):
-    # (citation_count + 1) * len is 10^7 + 1 and 10^7 + 2: just past the limit.
+    # Each step is charged len + 6 entries.  (citation_count + 1) * (len + 6) is
+    # 7.0e7, 4.0e7, 7.0e7 and 1.6e7 for the first four: 9999999 and 99999 x 10
+    # hold fewer than 10^7 entries, but would take about 1.6 GB and 381 MB.
+    # The last two, at 10,500,007 and 10,500,016, are just past the limit.
     code, text = run_cli("sequence", target)
     assert code == 1 and text == ""
-    assert capsys.readouterr().err == "error: a sequence to this target exceeds the limit of 10000000 entries\n"
+    assert capsys.readouterr().err == "error: a sequence to this target exceeds the limit of 10500000 entries\n"
 
 
 # ---------------------------------------------------------------------------
