@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
-from functools import cached_property, partial
-from itertools import accumulate, repeat
-from operator import getitem
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, compress, count, product, repeat
+from operator import and_, getitem, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import sequences
@@ -176,9 +176,11 @@ class Domain(NamedTuple):
     The one-citation steps of an exhaustive box are the id pairs
     ``(step_lower[s], step_upper[s])``: the upper vector adds one citation
     to the lower one at rank ``step_position[s]`` and stays in the box.
-    They are listed by ascending lower id, then rank; a sampled domain has
-    none.  A domain keeps no image of its vectors: each ``_walk`` builds the
-    images it reads.
+    They are listed by ascending lower id, then rank.  A sample has none;
+    it lists each pair of distinct ids ``(pair_lower[p], pair_upper[p])``
+    whose upper vector dominates the lower one, by lower id, then upper id.
+    A domain keeps no image of its vectors: each ``_walk`` builds the images
+    it reads.
     """
 
     spec: DomainSpec
@@ -190,6 +192,8 @@ class Domain(NamedTuple):
     step_lower: array
     step_upper: array
     step_position: array
+    pair_lower: array
+    pair_upper: array
 
 
 def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Domain:
@@ -227,7 +231,20 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     uniforms = sorted([(), *(u for row in grid for u in row)], key=canonical_key)
     ids = {v: i for i, v in enumerate(vectors)}
     step_lower, step_upper, step_position = array("i"), array("i"), array("b" if spec.n_max < 128 else "i")
-    if exhaustive:
+    pair_lower, pair_upper = array("i"), array("i")
+    if not exhaustive:
+        # Bit j of at_least[k][c] is set when vector j has at least c citations at rank k + 1, so the vectors
+        # that dominate x are the bits set in each at_least[k][x_{k+1}].
+        exact = [[0] * (spec.c_max + 1) for _ in range(spec.n_max)]
+        for j, v in enumerate(vectors):
+            for row, c in zip(exact, v):
+                row[c] |= 1 << j
+        at_least = [list(accumulate(reversed(row), or_))[::-1] for row in exact]
+        for i, x in enumerate(vectors):
+            above = reduce(and_, map(list.__getitem__, at_least, x), (1 << len(vectors)) - 1) & ~(1 << i)
+            pair_upper.extend(compress(count(), map("1".__eq__, bin(above)[:1:-1])))
+            pair_lower.extend(repeat(i, len(pair_upper) - len(pair_lower)))
+    else:
         for i, x in enumerate(vectors):
             # Rank k takes a citation when x_k differs from x_{k-1}; rank n + 1 reads a count of 0 and opens a
             # publication.  Reading c_max for x_0 and cutting at rank n_max drop the steps that leave the box.
@@ -238,7 +255,8 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
                     step_upper.append(ids[x[: k - 1] + (c + 1,) + x[k:]])
                     step_position.append(k)
                 before = c
-    return Domain(spec, vectors, exhaustive, grid, uniforms, ids, step_lower, step_upper, step_position)
+    steps = step_lower, step_upper, step_position
+    return Domain(spec, vectors, exhaustive, grid, uniforms, ids, *steps, pair_lower, pair_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +271,10 @@ class _Session:
     is f of ``(c,) * j``, each built on first use; the uniform rows read a
     grid vector that the domain holds from ``values`` by its id and
     evaluate only the others, so a box evaluates none of them again.  A
-    vector outside the domain is evaluated where it is needed and never
-    kept as a key.  The image axioms keep no table: ``_walk`` leaves the
-    first candidate of each, by its ``_Image``, in ``walked``.  A session is opened for one
+    vector outside the domain is evaluated where it is needed, unless the
+    uniform rows are built and hold it, and never kept as a key.  The image
+    axioms keep no table: ``_walk`` leaves the first candidate of each, by
+    its ``_Image``, in ``walked``.  A session is opened for one
     index and dropped with it, so no f value is shared between indices;
     only the domain and a walk's images are.
     """
@@ -271,9 +290,14 @@ class _Session:
         return list(map(self._evaluate, self.domain.vectors))
 
     def f(self, v: Vector):
-        """f of any vector; the predicates read it."""
+        """f of any vector; the predicates read it.  Once built, the uniform table gives the box's uniform vectors."""
         i = self._id(v)
-        return self._evaluate(v) if i is None else self.values[i]
+        if i is not None:
+            return self.values[i]
+        rows = self.__dict__.get("uniform_rows")
+        if rows and is_uniform(v) and len(v) <= len(rows) and v[0] <= len(rows[0]):
+            return rows[len(v) - 1][v[0] - 1]
+        return self._evaluate(v)
 
     @cached_property
     def uniform_rows(self) -> list[list]:
@@ -283,6 +307,13 @@ class _Session:
     def uniform(self, u: Vector):
         """f of a uniform vector of the box."""
         return self.uniform_rows[len(u) - 1][u[0] - 1] if u else self.values[0]
+
+    @cached_property
+    def uniforms_cite_their_counts(self) -> bool:
+        """Whether f of () and of each (c,) * j of the box is close to its j * c citations, in one pass in row order."""
+        n_max, c_max, _ = self.domain.spec
+        counts = chain((0,), *(range(j, j * c_max + 1, j) for j in range(1, n_max + 1)))
+        return all(map(close, chain((self.values[0],), *self.uniform_rows), counts))
 
     def image_values(self, column: tuple[Iterable[int], list]) -> Iterator:
         """f of each image of a ``_walk`` column, by id, each evaluated as it is read."""
@@ -409,13 +440,13 @@ def _domination_axiom(description: str, edge_holds, holds: Callable[[float, floa
         # Domination is generated by single-citation additions, so on a
         # closed domain edges that hold along every chain settle the
         # verdict; the pair scan only runs when a witness must be reported.
-        domain, values = s.domain, s.values
-        if domain.exhaustive and all(
-            map(edge_holds, map(values.__getitem__, domain.step_lower), map(values.__getitem__, domain.step_upper))
-        ):
+        # A sample lists its domination pairs; a box passes every pair on to the predicate.
+        domain, values, read = s.domain, s.values, s.values.__getitem__
+        if domain.exhaustive and all(map(edge_holds, map(read, domain.step_lower), map(read, domain.step_upper))):
             return ()
-        scored = list(zip(domain.vectors, values))
-        return ((x, y) for x, fx in scored for y, fy in scored if not holds(fx, fy))
+        vectors, ids = domain.vectors, range(len(values))
+        pairs = product(ids, repeat=2) if domain.exhaustive else zip(domain.pair_lower, domain.pair_upper)
+        return ((vectors[i], vectors[j]) for i, j in pairs if not holds(values[i], values[j]))
 
     return Axiom(description, ("x", "y"), candidates, violates)
 
@@ -522,7 +553,9 @@ def _citation_count_axiom(
         return None
 
     def candidates(s: _Session):
-        # (c,) * j cites j * c times, so the uniform table is compared with len(u) * u[0].
+        # Only when some entry of the whole table is off its count are ``uniforms`` compared one by one, in order.
+        if s.uniforms_cite_their_counts:
+            return ()
         return ((u,) for u in uniforms(s) if not close(s.uniform(u), len(u) * u[0] if u else 0))
 
     return Axiom(description, ("x",), candidates, violates)

@@ -1112,6 +1112,98 @@ def test_the_uniform_table_evaluates_each_grid_vector_once(domain_name):
         assert all(calls[u] == 1 for u in grid) and max(calls.values()) == 1, index.name
 
 
+@pytest.mark.parametrize("domain_name", ["14x14_seed1", "14x14_seed2", "14x14_seed3", "30x30_seed5"])
+def test_a_sample_tests_domination_only_to_confirm_a_reported_witness(domain_name, monkeypatch):
+    # the sample's pair list is built before dominates is counted; the scans then read it
+    domain = REGISTRY_DOMAINS[domain_name]
+    calls: Counter = Counter()
+
+    def counted(x, y):
+        calls[x, y] += 1
+        return dominates(x, y)
+
+    monkeypatch.setattr("recindex.axioms.dominates", counted)
+    rows = check_registry(counterexample_registry() + ADVERSARIAL + NON_FINITE, domain)
+    witnesses = Counter(
+        (v.counterexample["x"], v.counterexample["y"])
+        for row in rows.values()
+        for axiom, v in row.items()
+        if axiom in ("M", "SM", "UM") and not v.ok
+    )
+    assert witnesses and calls == witnesses
+
+
+def _uc_verdicts(index: IndexUnderTest, domain) -> list:
+    """The UC and USC verdicts of the scan and of the naive scan in canonical order."""
+    pairs = []
+    for axiom in ("UC", "USC"):
+        f = functools.cache(index.evaluate)
+        violates = AXIOMS[AxiomId(axiom)].violates
+        naive = next((w for c in _naive_candidates(axiom, domain) if (w := violates(f, *c)) is not None), None)
+        pairs.append(((VIOLATED if naive else SATISFIED, naive), check_axiom(index, axiom, domain)[5:]))
+    return pairs
+
+
+@pytest.mark.parametrize("domain_name", ["4x4", "14x14_seed1"])
+def test_the_uniform_table_pass_keeps_the_canonical_first_witness(domain_name):
+    # (3,) comes before (1, 1) in the table's row order, but (1, 1) cites fewer times, so it comes first canonically
+    domain = ORACLE_DOMAINS[domain_name]
+    index = make_index("rec_off_at_3_and_11", lambda v: rec(v) + 1 if v in ((3,), (1, 1)) else rec(v))
+    verdict = check_axiom(index, "UC", domain)
+    assert verdict.counterexample == {"x": (1, 1), "f_x": 3, "citation_count": 2}
+    assert check_axiom(index, "USC", domain).counterexample == verdict.counterexample
+    for naive, scanned in _uc_verdicts(index, domain):
+        assert naive == scanned
+
+
+@pytest.mark.parametrize("domain_name", ["4x4", "14x14_seed1"])
+def test_a_table_of_citation_counts_settles_uc_and_usc_in_one_pass(domain_name, monkeypatch):
+    domain = ORACLE_DOMAINS[domain_name]
+    read: Counter = Counter()
+    uniform = _Session.uniform
+    monkeypatch.setattr(_Session, "uniform", lambda self, u: read.update([u]) or uniform(self, u))
+    for index in (REC, CITATION_COUNT):
+        session = _Session(index, domain)
+        assert all(check_axiom(index, axiom, domain, session=session).ok for axiom in ("UC", "USC"))
+    assert not read
+
+
+@pytest.mark.parametrize("domain_name", ["4x4", "14x14_seed1"])
+@pytest.mark.parametrize("value", [NAN, float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [(), (1,), (3,), (2, 2), (1, 1, 1, 1), (4, 4, 4)])
+def test_a_uniform_table_with_one_value_that_is_not_finite_gives_the_naive_scan(domain_name, value, at):
+    # () is outside the table's rows; make_index would refuse a value there, so the index is built directly
+    domain = ORACLE_DOMAINS[domain_name]
+    for base in (rec, citation_count, len):
+        index = IndexUnderTest(f"{base.__name__}_{value}_at_{at}", lambda v, b=base: value if v == at else b(v))
+        for naive, scanned in _uc_verdicts(index, domain):
+            assert naive == scanned, index.name
+
+
+@pytest.mark.parametrize("domain_name", ["14x14_seed1", "30x30_seed5"])
+def test_a_sample_reads_the_ue_witness_uniforms_from_the_built_table(domain_name):
+    domain = REGISTRY_DOMAINS[domain_name]
+    for index in counterexample_registry():
+        calls: Counter = Counter()
+
+        def counted(v, evaluate=index.evaluate):
+            calls[v] += 1
+            return evaluate(v)
+
+        session = _Session(IndexUnderTest(index.name, counted), domain)
+        off_grid = (domain.spec.c_max + 1,) * 2
+        # before the table is built, f evaluates a uniform vector that the sample lacks and builds no table
+        absent = next(u for row in domain.grid for u in row if u not in domain.ids)
+        assert session.f(absent) == index.evaluate(absent) and "uniform_rows" not in session.__dict__
+        session.uniform_rows
+        calls.clear()
+        verdict = check_axiom(index, "UE", domain, session=session)
+        assert verdict == check_axiom(index, "UE", domain), index.name
+        assert session.f(absent) == index.evaluate(absent) and session.f(off_grid) == index.evaluate(off_grid)
+        # only the uniform vector outside the box was evaluated again
+        assert calls == Counter({off_grid: 1}), index.name
+
+
 # ---------------------------------------------------------------------------
 # sampled domains and serialisation
 # ---------------------------------------------------------------------------

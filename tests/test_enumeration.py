@@ -202,6 +202,27 @@ def test_sampled_domain_has_no_steps():
     assert len(domain.step_lower) == len(domain.step_upper) == len(domain.step_position) == 0
 
 
+# the 14x14 oracle samples, the 30x30 registry sample and a denser 12x12 one
+@pytest.mark.parametrize(
+    "bounds, seed, size", [(14, 1, 40), (14, 2, 40), (14, 3, 40), (30, 5, 60), (12, 1, 200), (14, 4, 1)]
+)
+def test_sampled_domain_lists_its_domination_pairs(bounds, seed, size):
+    domain = build_domain(DomainSpec(bounds, bounds, seed=seed), sample_size=size)
+    vectors = domain.vectors
+    assert len(set(vectors)) == len(vectors) and not domain.exhaustive
+    naive = [
+        (i, j) for i, x in enumerate(vectors) for j, y in enumerate(vectors) if i != j and dominates(x, y)
+    ]
+    assert list(zip(domain.pair_lower, domain.pair_upper)) == naive
+    assert domain.pair_lower.typecode == domain.pair_upper.typecode == "i"
+
+
+@pytest.mark.parametrize("bounds", [(1, 1), (2, 3), (4, 4), (5, 5), (130, 1)])
+def test_a_box_lists_no_domination_pairs(bounds):
+    domain = build_domain(DomainSpec(*bounds))
+    assert domain.exhaustive and len(domain.pair_lower) == len(domain.pair_upper) == 0
+
+
 def test_brute_force_rec_known_values():
     assert brute_force_rec(()) == 0
     assert brute_force_rec((6, 4, 3, 1)) == 9
