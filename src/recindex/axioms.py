@@ -173,12 +173,13 @@ class Domain(NamedTuple):
     there, and ``ids`` maps each vector to its id.  The empty vector has
     id 0.  ``grid[j - 1][c - 1]`` is the uniform vector ``(c,) * j`` of the
     box, and ``uniforms`` holds the same vectors and () in canonical order.
-    The one-citation steps of an exhaustive box are the id pairs
-    ``(step_lower[s], step_upper[s])``: the upper vector adds one citation
-    to the lower one at rank ``step_position[s]`` and stays in the box.
-    They are listed by ascending lower id, then rank.  A sample has none;
-    it lists each pair of distinct ids ``(pair_lower[p], pair_upper[p])``
-    whose upper vector dominates the lower one, by lower id, then upper id.
+    Every valid one-citation step (x, k) of every vector is listed once, by
+    ascending id of x, then rank k.  A step whose grown vector the domain
+    holds is the id pair ``(step_lower[s], step_upper[s])``, growing at rank
+    ``step_position[s]``; a step that leaves the domain is
+    ``(exit_lower[e], exit_position[e])``.  A sample also lists each pair of
+    distinct ids ``(pair_lower[p], pair_upper[p])`` whose upper vector
+    dominates the lower one, by lower id, then upper id; a box lists none.
     A domain keeps no image of its vectors: each ``_walk`` builds the images
     it reads.
     """
@@ -192,6 +193,8 @@ class Domain(NamedTuple):
     step_lower: array
     step_upper: array
     step_position: array
+    exit_lower: array
+    exit_position: array
     pair_lower: array
     pair_upper: array
 
@@ -230,7 +233,23 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     grid = [[(c,) * j for c in range(1, spec.c_max + 1)] for j in range(1, spec.n_max + 1)]
     uniforms = sorted([(), *(u for row in grid for u in row)], key=canonical_key)
     ids = {v: i for i, v in enumerate(vectors)}
-    step_lower, step_upper, step_position = array("i"), array("i"), array("b" if spec.n_max < 128 else "i")
+    # a step's rank reaches n_max + 1, past a signed byte from n_max = 127
+    step_lower, step_upper, step_position = array("i"), array("i"), array("b" if spec.n_max < 127 else "i")
+    exit_lower, exit_position = array("i"), array(step_position.typecode)
+    for i, x in enumerate(vectors):
+        # Rank k takes a citation when x_k differs from x_{k-1}; rank n + 1 reads a count of 0 and opens a publication.
+        before = None
+        for k, c in enumerate(x + (0,), 1):
+            if c != before:
+                j = ids.get(x[: k - 1] + (c + 1,) + x[k:])
+                if j is None:
+                    exit_lower.append(i)
+                    exit_position.append(k)
+                else:
+                    step_lower.append(i)
+                    step_upper.append(j)
+                    step_position.append(k)
+            before = c
     pair_lower, pair_upper = array("i"), array("i")
     if not exhaustive:
         # Bit j of at_least[k][c] is set when vector j has at least c citations at rank k + 1, so the vectors
@@ -244,18 +263,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
             above = reduce(and_, map(list.__getitem__, at_least, x), (1 << len(vectors)) - 1) & ~(1 << i)
             pair_upper.extend(compress(count(), map("1".__eq__, bin(above)[:1:-1])))
             pair_lower.extend(repeat(i, len(pair_upper) - len(pair_lower)))
-    else:
-        for i, x in enumerate(vectors):
-            # Rank k takes a citation when x_k differs from x_{k-1}; rank n + 1 reads a count of 0 and opens a
-            # publication.  Reading c_max for x_0 and cutting at rank n_max drop the steps that leave the box.
-            before = spec.c_max
-            for k, c in enumerate((x + (0,))[: spec.n_max], 1):
-                if c != before:
-                    step_lower.append(i)
-                    step_upper.append(ids[x[: k - 1] + (c + 1,) + x[k:]])
-                    step_position.append(k)
-                before = c
-    steps = step_lower, step_upper, step_position
+    steps = step_lower, step_upper, step_position, exit_lower, exit_position
     return Domain(spec, vectors, exhaustive, grid, uniforms, ids, *steps, pair_lower, pair_upper)
 
 
@@ -303,10 +311,6 @@ class _Session:
     def uniform_rows(self) -> list[list]:
         values, get, evaluate = self.values, self._id, self._evaluate
         return [[evaluate(u) if (i := get(u)) is None else values[i] for u in row] for row in self.domain.grid]
-
-    def uniform(self, u: Vector):
-        """f of a uniform vector of the box."""
-        return self.uniform_rows[len(u) - 1][u[0] - 1] if u else self.values[0]
 
     @cached_property
     def uniforms_cite_their_counts(self) -> bool:
@@ -463,17 +467,13 @@ def _step_axiom(description: str, relation, bound, witness) -> Axiom:
         return None if relation(fg, expected) else witness(x, position, grown, fx, fg, expected)
 
     def candidates(s: _Session):
-        # On a closed domain an in-box step is two table reads.  When all of them hold, only the steps that
-        # leave the box, in the same order, can give a witness; else every step goes to the predicate in order.
+        # A step inside the domain is two table reads.  When all of them hold, only the steps that leave it, in
+        # the same order, can give a witness; else every step goes to the predicate in order.
         domain, read = s.domain, s.values.__getitem__
         grown = map(domain.vectors.__getitem__, domain.step_upper)
         expected = map(bound, map(read, domain.step_lower), grown, domain.step_position)
-        if domain.exhaustive and all(map(relation, map(read, domain.step_upper), expected)):
-            # rank 1 leaves the box when x_1 = c_max; rank n_max + 1 is a step only when x has n_max entries
-            n_max, top = domain.spec.n_max, (domain.spec.c_max,)
-            return (
-                (x, k) for x in domain.vectors for k in (1, n_max + 1) if (x[:1] == top if k == 1 else len(x) == n_max)
-            )
+        if all(map(relation, map(read, domain.step_upper), expected)):
+            return zip(map(domain.vectors.__getitem__, domain.exit_lower), domain.exit_position)
         return ((x, k) for x in domain.vectors for k in valid_positions(x))
 
     return Axiom(description, ("x", "position"), candidates, violates)
@@ -553,10 +553,8 @@ def _citation_count_axiom(
         return None
 
     def candidates(s: _Session):
-        # Only when some entry of the whole table is off its count are ``uniforms`` compared one by one, in order.
-        if s.uniforms_cite_their_counts:
-            return ()
-        return ((u,) for u in uniforms(s) if not close(s.uniform(u), len(u) * u[0] if u else 0))
+        # Only when some entry of the whole table is off its count do ``uniforms`` go to the predicate, in order.
+        return () if s.uniforms_cite_their_counts else zip(uniforms(s))
 
     return Axiom(description, ("x",), candidates, violates)
 
@@ -599,7 +597,7 @@ def _uniform_monotonicity_candidates(s: _Session):
     if not suspects:
         return
     for u in s.domain.uniforms:
-        fu, j = s.uniform(u), len(u)
+        fu, j = rows[len(u) - 1][u[0] - 1] if u else base, len(u)
         for y, fy in suspects:
             if not at_most(fu, fy) and j <= len(y) and (not u or u[0] <= y[j - 1]):
                 yield u, y
@@ -611,11 +609,9 @@ def _add_publication(x: Vector, citations: int) -> Vector:
 
 def _column(domain: Domain, transform: Callable[..., Vector], param: tuple, lo: int, hi: int) -> tuple[array, list]:
     """The id of each image ``transform(x, *param)`` of the vectors of ids lo
-    to hi - 1, -1 outside the domain, and, only where it is -1, the image.
-    Only an image that fits the box is looked up; factor 1 gives x itself, found by id."""
+    to hi - 1, -1 outside the domain, and, only where it is -1, the image."""
     images = list(map(transform, domain.vectors[lo:hi], *map(repeat, param)))
-    n_max, c_max, get = domain.spec.n_max, domain.spec.c_max, domain.ids.get
-    ids = array("i", (get(w, -1) if not w or w[0] <= c_max and len(w) <= n_max else -1 for w in images))
+    ids = array("i", map(domain.ids.get, images, repeat(-1)))
     return ids, [None if j >= 0 else w for j, w in zip(ids, images)]
 
 

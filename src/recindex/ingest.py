@@ -127,8 +127,10 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Vector]]:
                 raise DatasetError(f"line {line_no}: empty researcher id")
             try:
                 # int() ignores surrounding blanks itself; a blank-only cell fails it.
-                vector = sorted(filter(None, map(count_of, row[1:])), reverse=True)
-            except ValueError:
+                vector = tuple(sorted(filter(None, map(count_of, row[1:])), reverse=True))
+                if vector and vector[-1] < 0:
+                    raise ValueError
+            except ValueError:  # a blank-only, bad or negative cell: the one per-cell loop
                 counts = []
                 for cell in filter(None, map(str.strip, row[1:])):  # exports pad short rows with blank cells
                     try:
@@ -137,10 +139,9 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Vector]]:
                         raise DatasetError(
                             f"line {line_no}: invalid citation count {short_repr(cell)} for researcher {name!r}"
                         ) from None
-                vector = sorted(filter(None, counts), reverse=True)
-            if vector and vector[-1] < 0:  # make_vector names a negative count's position among the non-blank cells
-                vector = _vector(line_no, name, list(map(count_of, filter(None, map(str.strip, row[1:])))))
-            yield line_no, name, tuple(vector)
+                # make_vector names a negative count's position among the non-blank cells
+                vector = _vector(line_no, name, counts)
+            yield line_no, name, vector
     except csv.Error as exc:
         raise DatasetError(f"line {line_no + 1}: malformed CSV row: {exc}") from None
 

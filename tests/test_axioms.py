@@ -48,6 +48,7 @@ from recindex.axioms import (
 )
 from recindex.core import (
     TOLERANCE,
+    add_citation_at,
     add_one_to_all,
     chi_index,
     citation_count,
@@ -616,6 +617,46 @@ def test_the_chi_bound_gives_the_naive_first_witness(domain_name, monkeypatch):
         ), index.name
 
 
+#: The 12x12 sample that CI pins.  Of its 4,216 valid steps only two grow
+#: into the sample; the rest leave it.
+SAMPLE_12 = build_domain(DomainSpec(12, 12, seed=1), sample_size=500)
+
+
+def _rc_off_at(y, offset):
+    """rec, but offset at y; at each vector one step above y, the value that RC expects from y."""
+    table = {y: rec(y) + offset}
+    for k in valid_positions(y):
+        grown = add_citation_at(y, k)
+        table[grown] = max(rec(y) + offset, k * grown[k - 1])
+    return make_index(f"rec_{offset:+}_at_{y}", lambda v: table.get(v, rec(v)))
+
+
+@pytest.mark.parametrize("step", [0, 1])
+def test_a_step_inside_a_sample_gives_the_naive_first_witness(step, monkeypatch):
+    # Each index breaks RC or the chi bound at one in-sample step and at no exit, so a scan that read only the
+    # exits once a step inside fails would report the sample as satisfied.
+    domain = SAMPLE_12
+    assert len(domain.step_lower) == 2
+    inside = (domain.vectors[domain.step_lower[step]], domain.step_position[step])
+    y = domain.vectors[domain.step_upper[step]]
+    steps = [(x, k) for x in domain.vectors for k in valid_positions(x)]
+    chi_off = [
+        make_index(f"chi_{value}_at_{y}", lambda v, value=value: value if v == y else chi_index(v))
+        for value in (chi_index(y) + 2, float("inf"))
+    ]
+    cases = [(AXIOMS[AxiomId.RECTANGLE_COMPLETION], _rc_off_at(y, offset)) for offset in (1, -1)]
+    for axiom, index in cases + [(_CHI_STEP, index) for index in chi_off]:
+        f = functools.cache(index.evaluate)
+        naive = [(c, w) for c in steps if (w := axiom.violates(f, *c)) is not None]
+        assert [c for c, _ in naive] == [inside], index.name
+        if axiom is _CHI_STEP:
+            monkeypatch.setattr("recindex.axioms.CHI", index)
+            verdict = chi_increment_bound(domain)
+        else:
+            verdict = check_axiom(index, "RC", domain)
+        assert (verdict.status, verdict.counterexample) == (VIOLATED, naive[0][1]), index.name
+
+
 def test_a_nan_value_breaks_every_property_that_compares_it():
     # f((1,)) = NaN.  UI lets f rise onto any uniform vector, and every
     # step out of (1,) lands on one, so UI alone still holds.
@@ -1160,8 +1201,8 @@ def test_the_uniform_table_pass_keeps_the_canonical_first_witness(domain_name):
 def test_a_table_of_citation_counts_settles_uc_and_usc_in_one_pass(domain_name, monkeypatch):
     domain = ORACLE_DOMAINS[domain_name]
     read: Counter = Counter()
-    uniform = _Session.uniform
-    monkeypatch.setattr(_Session, "uniform", lambda self, u: read.update([u]) or uniform(self, u))
+    f = _Session.f
+    monkeypatch.setattr(_Session, "f", lambda self, v: read.update([v]) or f(self, v))
     for index in (REC, CITATION_COUNT):
         session = _Session(index, domain)
         assert all(check_axiom(index, axiom, domain, session=session).ok for axiom in ("UC", "USC"))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -168,8 +169,8 @@ def test_domination_pairs_smallest_domains():
     assert sum(1 for _ in domination_pairs(DomainSpec(2, 2))) == 20
 
 
-# past 127 entries a step's rank no longer fits a signed byte
-@pytest.mark.parametrize("bounds", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 5), (130, 1)])
+# a step's rank reaches n_max + 1, so from 127 entries it no longer fits a signed byte
+@pytest.mark.parametrize("bounds", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 5), (126, 1), (127, 1), (130, 1)])
 def test_domain_steps_are_the_domination_pairs_one_citation_apart(bounds):
     domain = build_domain(DomainSpec(*bounds))
     ids = {v: i for i, v in enumerate(domain.vectors)}
@@ -183,23 +184,43 @@ def test_domain_steps_are_the_domination_pairs_one_citation_apart(bounds):
     assert len(steps) == len(oracle)
     assert set(steps) == oracle
     assert all(a <= b for a, b in zip(domain.step_lower, domain.step_lower[1:]))
-    # each step adds its citation at its recorded rank, and every valid
-    # step left out of the list leaves the box
+    # each step adds its citation at its recorded rank, and the exits are
+    # exactly the valid steps left out of the list, in (id, rank) order,
+    # each leaving the box
     vectors = domain.vectors
     positions = list(zip(domain.step_lower, domain.step_position))
     assert len(positions) == len(steps)
     for (i, j), (_, k) in zip(steps, positions):
         assert vectors[j] == add_citation_at(vectors[i], k)
     recorded = set(positions)
-    left_out = [(x, k) for i, x in enumerate(vectors) for k in valid_positions(x) if (i, k) not in recorded]
-    assert all(add_citation_at(x, k) not in ids for x, k in left_out)
+    left_out = [(i, k) for i, x in enumerate(vectors) for k in valid_positions(x) if (i, k) not in recorded]
+    assert list(zip(domain.exit_lower, domain.exit_position)) == left_out
+    assert all(add_citation_at(vectors[i], k) not in ids for i, k in left_out)
     assert sorted(positions) == positions
 
 
-def test_sampled_domain_has_no_steps():
-    domain = build_domain(DomainSpec(14, 14, seed=1), sample_size=40)
+# the first 14x14 oracle sample and the 12x12 sample that CI pins, with
+# their counts of in-sample steps and of exits
+@pytest.mark.parametrize("bounds, size, inside, exits", [(14, 40, 0, 399), (12, 500, 2, 4214)])
+def test_a_sample_lists_its_own_steps_and_the_rest_as_exits(bounds, size, inside, exits):
+    domain = build_domain(DomainSpec(bounds, bounds, seed=1), sample_size=size)
+    vectors, ids = domain.vectors, domain.ids
     assert not domain.exhaustive
-    assert len(domain.step_lower) == len(domain.step_upper) == len(domain.step_position) == 0
+    # its steps are exactly its own pairs one citation apart
+    apart = {
+        (i, j)
+        for (i, x), (j, y) in product(enumerate(vectors), repeat=2)
+        if citation_count(y) == citation_count(x) + 1 and dominates(x, y)
+    }
+    steps = list(zip(domain.step_lower, domain.step_upper))
+    assert len(steps) == len(apart) == inside and set(steps) == apart
+    valid = [(i, k) for i, x in enumerate(vectors) for k in valid_positions(x)]
+    grown = [ids.get(add_citation_at(vectors[i], k)) for i, k in valid]
+    assert list(zip(domain.step_lower, domain.step_upper, domain.step_position)) == [
+        (i, j, k) for (i, k), j in zip(valid, grown) if j is not None
+    ]
+    assert list(zip(domain.exit_lower, domain.exit_position)) == [s for s, j in zip(valid, grown) if j is None]
+    assert len(domain.exit_lower) == exits
 
 
 # the 14x14 oracle samples, the 30x30 registry sample and a denser 12x12 one
