@@ -13,8 +13,9 @@ from __future__ import annotations
 from array import array
 from enum import Enum
 from functools import cached_property, partial, reduce
+from heapq import merge
 from itertools import accumulate, chain, compress, count, product, repeat
-from operator import and_, getitem, or_
+from operator import and_, getitem, not_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import sequences
@@ -34,7 +35,6 @@ from .core import (
     rec,
     rises,
     scale,
-    valid_positions,
 )
 from .enumeration import (
     DEFAULT_SAMPLE_SIZE,
@@ -467,14 +467,14 @@ def _step_axiom(description: str, relation, bound, witness) -> Axiom:
         return None if relation(fg, expected) else witness(x, position, grown, fx, fg, expected)
 
     def candidates(s: _Session):
-        # A step inside the domain is two table reads.  When all of them hold, only the steps that leave it, in
-        # the same order, can give a witness; else every step goes to the predicate in order.
-        domain, read = s.domain, s.values.__getitem__
-        grown = map(domain.vectors.__getitem__, domain.step_upper)
-        expected = map(bound, map(read, domain.step_lower), grown, domain.step_position)
-        if all(map(relation, map(read, domain.step_upper), expected)):
-            return zip(map(domain.vectors.__getitem__, domain.exit_lower), domain.exit_position)
-        return ((x, k) for x in domain.vectors for k in valid_positions(x))
+        # A step inside the domain reads the predicate's two values from the table, so one that keeps the relation is
+        # no witness: only the steps that break it, merged by (id, rank) with every exit, reach the predicate.
+        domain, read, vector = s.domain, s.values.__getitem__, s.domain.vectors.__getitem__
+        expected = map(bound, map(read, domain.step_lower), map(vector, domain.step_upper), domain.step_position)
+        breaks = map(not_, map(relation, map(read, domain.step_upper), expected))
+        failing = compress(zip(domain.step_lower, domain.step_position), breaks)
+        steps = merge(failing, zip(domain.exit_lower, domain.exit_position))
+        return ((vector(i), k) for i, k in steps)
 
     return Axiom(description, ("x", "position"), candidates, violates)
 
@@ -814,19 +814,23 @@ _VECTOR_KEYS = frozenset({"x", "y", "target"})
 def replay_counterexample(verdict: AxiomVerdict, index: IndexUnderTest) -> bool:
     """Re-derive a stored counterexample from scratch.
 
-    True when the stored data still exhibits a genuine violation of the
-    axiom for the given index, independent of the scan that found it.
-    Witnesses read back from JSON, with lists for vectors, replay too; a
-    vector that is not a citation vector raises ``ValueError``.
+    True when the stored data still exhibits a genuine violation of the axiom for the given
+    index, independent of the scan that found it.  Witnesses read back from JSON, with lists for
+    vectors, replay too.  A witness that is not a dict of the axiom's keys, a vector that is not a
+    citation vector, or a rank, factor or count that is not an int of at least 1 raises ``ValueError``.
     """
     if verdict.counterexample is None:
         return False
     axiom = AXIOMS[AxiomId(verdict.axiom)]
     ce = verdict.counterexample
+    if not isinstance(ce, dict) or not ce.keys() >= set(axiom.keys):
+        raise ValueError(f"a witness of axiom {verdict.axiom} is a dict with the keys {', '.join(axiom.keys)}: {ce!r}")
     candidate = [tuple(ce[k]) if isinstance(ce[k], list) else ce[k] for k in axiom.keys]
     for key, value in zip(axiom.keys, candidate):
         if key in _VECTOR_KEYS and not is_valid_vector(value):
             raise ValueError(f"witness key {key!r} is not a citation vector: {ce[key]!r}")
+        if key not in _VECTOR_KEYS and (type(value) is not int or value < 1):
+            raise ValueError(f"witness key {key!r} is not an integer of at least 1: {ce[key]!r}")
     return axiom.violates(index.evaluate, *candidate) is not None
 
 

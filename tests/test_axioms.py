@@ -285,6 +285,40 @@ def test_replay_refuses_a_vector_that_is_not_a_citation_vector(axiom, counterexa
         replay_counterexample(verdict, REC)
 
 
+@pytest.mark.parametrize(
+    "axiom, key, value",
+    [
+        *(("RANK_IND", "added_citations", c) for c in (0, -2, 1.5, True)),
+        ("SI", "factor", 0),
+        ("RANK_SI", "factor", False),
+        ("RC", "position", 0),
+        ("RC", "position", "1"),
+    ],
+)
+def test_replay_refuses_an_integer_key_outside_its_premise(axiom, key, value):
+    # The scan reads factors, ranks and added citations from 1 up; an extra key is ignored.
+    counterexample = {"x": [1], "y": [2], key: value}
+    for index in counterexample_registry():
+        verdict = AxiomVerdict(index.name, axiom, 4, 4, True, VIOLATED, counterexample)
+        with pytest.raises(ValueError, match=f"witness key '{key}' is not an integer of at least 1"):
+            replay_counterexample(verdict, index)
+
+
+@pytest.mark.parametrize(
+    "axiom, counterexample, keys",
+    [
+        pytest.param("M", {"x": [2]}, "x, y", id="missing-key"),
+        pytest.param("RC", [[2], 1], "x, position", id="list"),
+        pytest.param("UI", "(2, 1)", "target", id="string"),
+        pytest.param("RANK_SI", {"x": [1], "y": [2]}, "x, y, factor", id="missing-param"),
+    ],
+)
+def test_replay_refuses_a_malformed_counterexample_naming_its_keys(axiom, counterexample, keys):
+    verdict = AxiomVerdict("rec", axiom, 4, 4, True, VIOLATED, counterexample)
+    with pytest.raises(ValueError, match=f"witness of axiom {axiom} is a dict with the keys {keys}:"):
+        replay_counterexample(verdict, REC)
+
+
 def _naive_dominated(x, y) -> bool:
     return len(x) <= len(y) and all(x[i] <= y[i] for i in range(len(x)))
 
@@ -1330,6 +1364,15 @@ def test_a_box_over_the_image_budget_is_refused_before_it_is_enumerated(calls):
     )
     assert not build_domain(DomainSpec(12, 12, seed=1), 30).exhaustive
     assert calls == [("sample", DomainSpec(12, 12, seed=1), 30)]
+
+
+def test_uniform_increment_reachability_is_cross_checked_by_the_search(monkeypatch):
+    # The reachability pass hands its first unreachable target to the search; should the search find a
+    # sequence there, the scan stops rather than move on to a later target.
+    found = sequences.SearchOutcome(sequences.FOUND)
+    monkeypatch.setattr("recindex.sequences.search_incremental", lambda target, f, budget=None: found)
+    with pytest.raises(RuntimeError, match=r"reachability scan disagrees with search at \(2, 1\)"):
+        check_axiom(_registry()["avg_rec_citation"], "UI", SMALL_BOXES[3, 3])
 
 
 def test_uniform_increment_refuses_sampled_domains():
