@@ -102,9 +102,6 @@ class AxiomVerdict(NamedTuple):
     def ok(self) -> bool:
         return self.status == SATISFIED
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 # ---------------------------------------------------------------------------
 # index registry
@@ -204,25 +201,26 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     is too large and ``spec`` has a seed; no other scan function reads a size.
 
     One rule admits a domain: SI, RANK_SI and RANK_IND keep c_max values for
-    each vector, so c_max times the vectors the domain can hold (``box_size``,
-    or ``sample_size + 1`` as a sample keeps the empty vector) must fit
-    EXHAUSTIVE_BUDGET.  So must the c_max * n_max * (n_max + 1) / 2 counts of
-    the uniform vectors a sample keeps.  Both refusals come before anything
-    is enumerated or drawn.
+    each vector of up to n_max entries, so max(n_max, c_max) times the vectors
+    the domain can hold (``box_size``, or ``sample_size + 1`` as a sample keeps
+    the empty vector) must fit EXHAUSTIVE_BUDGET.  So must the c_max * n_max *
+    (n_max + 1) / 2 counts of the uniform vectors a sample keeps.  Both
+    refusals come before anything is enumerated or drawn.
     """
+    charge = max(spec.n_max, spec.c_max)
     try:
-        exhaustive = box_size(spec) * spec.c_max <= EXHAUSTIVE_BUDGET
-    except DomainBudgetError:  # more vectors than the budget, so more image values too
+        exhaustive = box_size(spec) * charge <= EXHAUSTIVE_BUDGET
+    except DomainBudgetError:  # more vectors than the budget, so more values too
         exhaustive = False
-    if not exhaustive and (spec.seed is None or (sample_size + 1) * spec.c_max > EXHAUSTIVE_BUDGET):
+    if not exhaustive and (spec.seed is None or (sample_size + 1) * charge > EXHAUSTIVE_BUDGET):
         held = (
             "its box holds; supply a seed for a sampled (non-exhaustive) scan"
             if spec.seed is None
             else f"a sample of {sample_size} holds with the empty vector"
         )
         raise DomainBudgetError(
-            f"the image tables of domain {spec.n_max}x{spec.c_max} hold {spec.c_max} values for each vector, so at "
-            f"most {EXHAUSTIVE_BUDGET // spec.c_max} vectors fit the budget of {EXHAUSTIVE_BUDGET}, fewer than {held}"
+            f"the image tables of domain {spec.n_max}x{spec.c_max} hold {charge} values for each vector, so at "
+            f"most {EXHAUSTIVE_BUDGET // charge} vectors fit the budget of {EXHAUSTIVE_BUDGET}, fewer than {held}"
         )
     if not exhaustive and spec.c_max * spec.n_max * (spec.n_max + 1) // 2 > EXHAUSTIVE_BUDGET:
         raise DomainBudgetError(
@@ -754,6 +752,8 @@ AXIOMS: dict[AxiomId, Axiom] = {
     ),
 }
 
+#: The axiom name of the chi step bound's verdict, which replays through ``_CHI_STEP``.
+CHI_STEP_BOUND = "CHI_STEP_BOUND"
 _CHI_STEP = _step_axiom(
     "chi grows by at most 1 per added citation",
     at_most,
@@ -814,14 +814,14 @@ _VECTOR_KEYS = frozenset({"x", "y", "target"})
 def replay_counterexample(verdict: AxiomVerdict, index: IndexUnderTest) -> bool:
     """Re-derive a stored counterexample from scratch.
 
-    True when the stored data still exhibits a genuine violation of the axiom for the given
+    True when the stored witness still violates the axiom, or the chi step bound, for the given
     index, independent of the scan that found it.  Witnesses read back from JSON, with lists for
     vectors, replay too.  A witness that is not a dict of the axiom's keys, a vector that is not a
     citation vector, or a rank, factor or count that is not an int of at least 1 raises ``ValueError``.
     """
     if verdict.counterexample is None:
         return False
-    axiom = AXIOMS[AxiomId(verdict.axiom)]
+    axiom = _CHI_STEP if verdict.axiom == CHI_STEP_BOUND else AXIOMS[AxiomId(verdict.axiom)]
     ce = verdict.counterexample
     if not isinstance(ce, dict) or not ce.keys() >= set(axiom.keys):
         raise ValueError(f"a witness of axiom {verdict.axiom} is a dict with the keys {', '.join(axiom.keys)}: {ce!r}")
@@ -889,4 +889,4 @@ def pattern_mismatches(
 
 def chi_increment_bound(domain: Domain) -> AxiomVerdict:
     """Verify chi grows by at most 1 under any single added citation."""
-    return _verdict("chi", "CHI_STEP_BOUND", domain, _first_witness(_CHI_STEP, _Session(CHI, domain)))
+    return _verdict("chi", CHI_STEP_BOUND, domain, _first_witness(_CHI_STEP, _Session(CHI, domain)))

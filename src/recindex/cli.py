@@ -202,25 +202,19 @@ def _cmd_axioms(args, out) -> int:
     # One call for the registry, so each image is built once for every index;
     # None marks a check that needs an exhaustive domain.
     full = ax.check_registry(ax.counterexample_registry(), domain)
-    # Each cell's JSONL row; both formats and the mismatch list read these.
+    # Each cell's JSONL row, the dict that AxiomVerdict(**row) reads back; both formats read these.
     cells = {
         (name, axiom): {"index": name, "axiom": axiom, "status": "refused", "reason": "needs an exhaustive domain"}
         if verdict is None
-        else verdict.to_json()
+        else verdict._asdict()
         for name, row in full.items()
         for axiom, verdict in row.items()
     }
     mismatches = [
-        {
-            "index": name,
-            "axiom": axiom,
-            "claimed": want,
-            "computed": verdict.status,
-            "counterexample": cells[name, axiom]["counterexample"],
-        }
-        for name, axiom, want, verdict in ax.pattern_mismatches(full)
+        {"index": name, "axiom": axiom, "claimed": want, "computed": v.status, "counterexample": v.counterexample}
+        for name, axiom, want, v in ax.pattern_mismatches(full)
     ]
-    bound = ax.chi_increment_bound(domain).to_json()
+    bound = ax.chi_increment_bound(domain)._asdict()
     code = EXIT_PATTERN_MISMATCH if mismatches else EXIT_OK
 
     if args.format == "jsonl":

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 from .core import Vector, citation_count, make_vector
 
-#: Scans keep c_max image values per domain vector, at most this many; ``box_size`` refuses a box of more vectors.
+#: Scans keep max(n_max, c_max) values per domain vector, at most this many; ``box_size`` refuses a box of more vectors.
 EXHAUSTIVE_BUDGET = 10_000_000
 
 #: Number of vectors drawn in seeded (non-exhaustive) sampling mode.

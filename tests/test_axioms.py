@@ -24,6 +24,7 @@ from recindex.axioms import (
     build_domain,
     CITATION_COUNT,
     CHI,
+    CHI_STEP_BOUND,
     H,
     INDEPENDENCE_AXIOMS,
     REC,
@@ -60,7 +61,7 @@ from recindex.core import (
     scale,
     valid_positions,
 )
-from recindex.enumeration import DomainBudgetError, DomainSpec, canonical_key, enumerate_vectors
+from recindex.enumeration import DomainBudgetError, DomainSpec, box_size, canonical_key, enumerate_vectors
 
 #: Every box up to 4x4, each built once and passed to every check over it.
 SMALL_BOXES = {(n, c): build_domain(DomainSpec(n, c)) for n in range(1, 5) for c in range(1, 5)}
@@ -231,7 +232,7 @@ def test_witnesses_read_back_from_json_replay_only_for_their_index():
             verdict = check_axiom(index, axiom, SMALL_BOXES[3, 3])
             if verdict.ok:
                 continue
-            parsed = AxiomVerdict(**json.loads(json.dumps(verdict.to_json())))
+            parsed = AxiomVerdict(**json.loads(json.dumps(verdict._asdict())))
             assert replay_counterexample(parsed, index), (index.name, axiom)
             if axiom in rec_keeps:
                 assert not replay_counterexample(parsed, REC), (index.name, axiom)
@@ -264,7 +265,7 @@ def test_a_candidate_outside_the_premise_replays_for_no_index(axiom, counterexam
     for index in counterexample_registry():
         verdict = AxiomVerdict(index.name, axiom, 4, 4, True, VIOLATED, counterexample)
         assert replay_counterexample(verdict, index) is False, index.name
-        parsed = AxiomVerdict(**json.loads(json.dumps(verdict.to_json())))
+        parsed = AxiomVerdict(**json.loads(json.dumps(verdict._asdict())))
         assert replay_counterexample(parsed, index) is False, index.name
 
 
@@ -293,6 +294,7 @@ def test_replay_refuses_a_vector_that_is_not_a_citation_vector(axiom, counterexa
         ("RANK_SI", "factor", False),
         ("RC", "position", 0),
         ("RC", "position", "1"),
+        (CHI_STEP_BOUND, "position", 0),
     ],
 )
 def test_replay_refuses_an_integer_key_outside_its_premise(axiom, key, value):
@@ -311,12 +313,32 @@ def test_replay_refuses_an_integer_key_outside_its_premise(axiom, key, value):
         pytest.param("RC", [[2], 1], "x, position", id="list"),
         pytest.param("UI", "(2, 1)", "target", id="string"),
         pytest.param("RANK_SI", {"x": [1], "y": [2]}, "x, y, factor", id="missing-param"),
+        pytest.param(CHI_STEP_BOUND, {"x": [2]}, "x, position", id="chi-missing-position"),
     ],
 )
 def test_replay_refuses_a_malformed_counterexample_naming_its_keys(axiom, counterexample, keys):
     verdict = AxiomVerdict("rec", axiom, 4, 4, True, VIOLATED, counterexample)
     with pytest.raises(ValueError, match=f"witness of axiom {axiom} is a dict with the keys {keys}:"):
         replay_counterexample(verdict, REC)
+
+
+def test_replay_refuses_an_unknown_axiom_naming_it():
+    verdict = AxiomVerdict("rec", "XX", 4, 4, True, VIOLATED, {"x": [1]})
+    with pytest.raises(ValueError, match="XX"):
+        replay_counterexample(verdict, REC)
+
+
+def test_a_chi_bound_witness_replays_for_its_index_and_not_for_chi(monkeypatch):
+    # h_squared rises by 3 from <2,1> to <2,2>, so the chi bound's scan over it finds a witness.
+    h_squared = _registry()["h_squared"]
+    monkeypatch.setattr("recindex.axioms.CHI", h_squared)
+    verdict = chi_increment_bound(DOMAIN)
+    assert (verdict.axiom, verdict.status) == (CHI_STEP_BOUND, VIOLATED)
+    parsed = AxiomVerdict(**json.loads(json.dumps(verdict._asdict())))
+    assert replay_counterexample(parsed, h_squared)
+    assert replay_counterexample(parsed, CHI) is False
+    edited = parsed._replace(counterexample={**parsed.counterexample, "x": [2, 1], "position": 2})
+    assert replay_counterexample(edited, h_squared)
 
 
 def _naive_dominated(x, y) -> bool:
@@ -1307,11 +1329,16 @@ def test_sampled_domain_whose_uniforms_exceed_the_budget_is_refused():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Stand-ins for enumerate_vectors and sample_vectors that log each call; a sample is the empty vector alone."""
+    """Stand-ins for enumerate_vectors and sample_vectors that log each call; a sample is the empty vector alone.
+
+    A box of more than 100,000 vectors is logged and not listed, so a refusal that regressed into a build fails
+    on the log instead of building millions of vectors."""
     log = []
 
     def enumerate_box(spec):
         log.append(("enumerate", spec))
+        if box_size(spec) > 100_000:
+            pytest.fail(f"{spec} was enumerated")
         return enumerate_vectors(spec)
 
     def sample(spec, size):
@@ -1330,7 +1357,7 @@ def _refuse(spec, sample_size, calls, match):
 
 
 def test_a_domain_whose_image_tables_exceed_the_budget_is_refused(calls):
-    # SI, RANK_SI and RANK_IND keep c_max values for each vector the domain can hold.
+    # SI, RANK_SI and RANK_IND keep c_max values for each vector the domain can hold, charged max(n_max, c_max).
     # 1x3161 holds 3,162 vectors: 3,162 * 3,161 = 9,995,082 values fit the budget.
     assert build_domain(DomainSpec(1, 3161)).exhaustive and calls == [("enumerate", DomainSpec(1, 3161))]
     calls.clear()
@@ -1351,6 +1378,25 @@ def test_a_domain_whose_image_tables_exceed_the_budget_is_refused(calls):
         "of 10000000, fewer than a sample of 25000 holds with the empty vector",
     )
     _refuse(DomainSpec(1, 100000), 500, calls, "image tables of domain 1x100000 hold 100000 values")
+
+
+@pytest.mark.parametrize("n_max, c_max", [(2000, 2), (31, 5), (100, 3), (3162, 1), (5000, 1)])
+def test_a_domain_is_charged_the_entries_of_its_longest_vector(calls, n_max, c_max):
+    # 2000x2 holds 2,003,001 vectors of up to 2,000 entries: 2 image values each would fit the budget, their
+    # 2,670,668,000 entries would not.  Each vector is charged max(n_max, c_max) values.
+    _refuse(
+        DomainSpec(n_max, c_max),
+        500,
+        calls,
+        rf"^the image tables of domain {n_max}x{c_max} hold {n_max} values for each vector, so at most "
+        rf"{10_000_000 // n_max} vectors fit the budget of 10000000, fewer than its box holds; supply a seed",
+    )
+
+
+def test_a_box_refused_for_its_long_vectors_is_sampled_with_a_seed(calls):
+    # 501 vectors of up to 2,000 entries fit the budget; 5000x1 does not, as its uniforms hold 12,502,500 counts.
+    assert not build_domain(DomainSpec(2000, 2, seed=1)).exhaustive
+    assert calls == [("sample", DomainSpec(2000, 2, seed=1), 500)]
 
 
 def test_a_box_over_the_image_budget_is_refused_before_it_is_enumerated(calls):
@@ -1384,12 +1430,12 @@ def test_uniform_increment_refuses_sampled_domains():
 def test_verdict_to_json_is_plain_data():
     verdict = check_axiom(_registry()["n_times_min"], "M", DOMAIN)
     # json writes the witness's tuples as arrays, so the payload needs no copy
-    payload = json.loads(json.dumps(verdict.to_json()))
+    payload = json.loads(json.dumps(verdict._asdict()))
     assert payload["status"] == VIOLATED
     assert payload["counterexample"]["x"] == [3]
     assert payload["counterexample"]["y"] == [3, 1]
     assert payload["exhaustive"] is True
-    clean = check_axiom(REC, "UC", DOMAIN).to_json()
+    clean = check_axiom(REC, "UC", DOMAIN)._asdict()
     assert clean["counterexample"] is None
 
 

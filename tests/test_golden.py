@@ -12,10 +12,12 @@ indices to the old ones.
 from __future__ import annotations
 
 import io
+import json
 from pathlib import Path
 
 import pytest
 
+from recindex.axioms import CHI, VIOLATED, AxiomVerdict, counterexample_registry, replay_counterexample
 from recindex.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -40,6 +42,28 @@ def test_axioms_output_matches_recorded_run(recorded, argv, exit_code):
     out = io.StringIO()
     assert main(argv, out=out) == exit_code
     assert out.getvalue().encode("utf-8") == (DATA / recorded).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "recorded, witnesses",
+    [
+        ("axioms_4x4.jsonl", 49),
+        ("axioms_3x7.jsonl", 49),
+        ("axioms_7x3.jsonl", 49),
+        ("axioms_40x40_seed7_sample60.jsonl", 46),
+    ],
+)
+def test_every_recorded_witness_replays_for_the_index_it_names(recorded, witnesses):
+    indices = {index.name: index for index in [*counterexample_registry(), CHI]}
+    rows = [json.loads(line) for line in (DATA / recorded).read_text().splitlines()]
+    violated = [row for row in rows if row.get("status") == VIOLATED]
+    assert len(violated) == witnesses
+    assert [row for row in violated if not replay_counterexample(AxiomVerdict(**row), indices[row["index"]])] == []
+    # n_times_min drops from x to y along domination; with x and y swapped, x no longer lies under y.
+    row = next(row for row in violated if (row["index"], row["axiom"]) == ("n_times_min", "M"))
+    ce = row["counterexample"]
+    swapped = AxiomVerdict(**{**row, "counterexample": {**ce, "x": ce["y"], "y": ce["x"]}})
+    assert replay_counterexample(swapped, indices["n_times_min"]) is False
 
 
 REPORT = str(DATA / "report_mixed.csv")
