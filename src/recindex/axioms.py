@@ -273,16 +273,14 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
 class _Session:
     """The checks of one index over one domain, reading shared value tables.
 
-    ``values[i]`` is f of the vector with id i and ``uniform_rows[j - 1][c - 1]``
-    is f of ``(c,) * j``, each built on first use; the uniform rows read a
-    grid vector that the domain holds from ``values`` by its id and
-    evaluate only the others, so a box evaluates none of them again.  A
-    vector outside the domain is evaluated where it is needed, unless the
-    uniform rows are built and hold it, and never kept as a key.  The image
-    axioms keep no table: ``_walk`` leaves the first candidate of each, by
-    its ``_Image``, in ``walked``.  A session is opened for one
-    index and dropped with it, so no f value is shared between indices;
-    only the domain and a walk's images are.
+    ``values[i]`` is f of the vector with id i and ``uniform_rows[j - 1][c - 1]`` is f of ``(c,) * j``, each
+    built on first use; the uniform rows read a grid vector that the domain holds from ``values`` by its id
+    and evaluate only the others, so a box evaluates none of them again.  A vector outside the domain is
+    evaluated where it is needed, unless the uniform rows are built and hold it, and never kept as a key.
+    The image axioms keep no table: ``_walk`` leaves the first candidate of each, by its ``_Image``, in
+    ``walked``.  ``steps_keep`` decides each step relation once, so M and UM read one verdict.
+    A session is opened for one index and dropped with it, so no f value is shared between indices; only
+    the domain and a walk's images are.
     """
 
     def __init__(self, index: IndexUnderTest, domain: Domain) -> None:
@@ -290,6 +288,7 @@ class _Session:
         # f runs once per candidate, and a NamedTuple field reads slower than an attribute.
         self._id, self._evaluate = domain.ids.get, index.evaluate
         self.walked: dict[_Image, list[tuple]] = {}
+        self._kept: dict[Callable, bool] = {}
 
     @cached_property
     def values(self) -> list:
@@ -304,6 +303,13 @@ class _Session:
         if rows and is_uniform(v) and len(v) <= len(rows) and v[0] <= len(rows[0]):
             return rows[len(v) - 1][v[0] - 1]
         return self._evaluate(v)
+
+    def steps_keep(self, relation: Callable[[float, float], bool]) -> bool:
+        """Whether the domain is closed and every one-citation step v -> w inside it keeps ``relation(f(v), f(w))``."""
+        if relation not in self._kept:
+            d, read = self.domain, self.values.__getitem__
+            self._kept[relation] = d.exhaustive and all(map(relation, map(read, d.step_lower), map(read, d.step_upper)))
+        return self._kept[relation]
 
     @cached_property
     def uniform_rows(self) -> list[list]:
@@ -426,6 +432,10 @@ def _violates_ui(f, target):
     return None
 
 
+def _never_falls(fv, fw) -> bool:  # M's exact step rule, which NaN and inf -> inf (a NaN difference) break
+    return fw - fv >= 0
+
+
 def _domination_axiom(description: str, edge_holds, holds: Callable[[float, float], bool]) -> Axiom:
     """``edge_holds(f(v), f(w))`` tests a one-citation step v -> w; x under
     y is a witness when ``holds(f(x), f(y))`` fails."""
@@ -443,9 +453,9 @@ def _domination_axiom(description: str, edge_holds, holds: Callable[[float, floa
         # closed domain edges that hold along every chain settle the
         # verdict; the pair scan only runs when a witness must be reported.
         # A sample lists its domination pairs; a box passes every pair on to the predicate.
-        domain, values, read = s.domain, s.values, s.values.__getitem__
-        if domain.exhaustive and all(map(edge_holds, map(read, domain.step_lower), map(read, domain.step_upper))):
+        if s.steps_keep(edge_holds):
             return ()
+        domain, values = s.domain, s.values
         vectors, ids = domain.vectors, range(len(values))
         pairs = product(ids, repeat=2) if domain.exhaustive else zip(domain.pair_lower, domain.pair_upper)
         return ((vectors[i], vectors[j]) for i, j in pairs if not holds(values[i], values[j]))
@@ -579,11 +589,13 @@ def _uniform_equivalence_candidates(s: _Session):
 
 
 def _uniform_monotonicity_candidates(s: _Session):
-    # (c,)*j lies under y exactly when j <= len(y) and c <= y_j, so the
-    # largest f over the uniforms under y is the largest running maximum
-    # top[j][y_j]; only a y that this maximum exceeds can be in a witness,
-    # and only with a uniform under it that scores more than y.  A maximum
-    # over NaN means nothing, so a uniform table that is not finite makes every y a suspect.
+    # (c,)*j lies under y exactly when j <= len(y) and c <= y_j, so the largest f over the uniforms under y is the
+    # largest running maximum top[j][y_j]; only a y that this maximum exceeds can be in a witness, and only with a
+    # uniform under it that scores more than y.  A maximum over NaN means nothing, so a uniform table that is not
+    # finite makes every y a suspect.  On a closed domain whose steps all keep M's exact rule, steps inside the
+    # domain join each uniform u under y to y, so f(u) <= f(y) exactly and no y is a suspect.
+    if s.steps_keep(_never_falls):
+        return
     base, rows = s.values[0], s.uniform_rows
     top = [list(accumulate(row, max, initial=base)) for row in rows]
     finite = _finite([base, *map(sum, rows)])
@@ -702,9 +714,8 @@ def _unreachable_targets(s: _Session):
 
 AXIOMS: dict[AxiomId, Axiom] = {
     # M's tolerance does not add up along a chain (drops within it can
-    # chain past it), so its edges must hold exactly, and inf -> inf, whose
-    # difference is NaN, does not; SM's margin adds up.
-    AxiomId.MONOTONICITY: _domination_axiom("f never decreases along domination", lambda fv, fw: fw - fv >= 0, at_most),
+    # chain past it), so its edges must hold exactly; SM's margin adds up.
+    AxiomId.MONOTONICITY: _domination_axiom("f never decreases along domination", _never_falls, at_most),
     AxiomId.STRICT_MONOTONICITY: _domination_axiom("f strictly increases along strict domination", rises, rises),
     AxiomId.SCALE_INVARIANCE: _pointwise_axiom(
         "scaling citations by C scales f by C", scale, "scaled", close, key="factor"

@@ -642,6 +642,25 @@ def test_filtered_scans_give_the_naive_first_witness(axiom, domain_name):
         ), index.name
 
 
+def test_um_on_a_box_whose_steps_keep_m_reads_no_uniform_table():
+    # Every uniform under y joins y by steps inside the box, so once M's exact step rule holds, UM has no witness.
+    domain = ORACLE_DOMAINS["5x5"]
+    kept = []
+    for index in counterexample_registry():
+        f = functools.cache(index.evaluate)
+        steps = zip(domain.step_lower, domain.step_upper)
+        if not all(f(domain.vectors[j]) - f(domain.vectors[i]) >= 0 for i, j in steps):
+            continue
+        kept.append(index.name)
+        session = _Session(index, domain)
+        assert check_axiom(index, "M", domain, session=session).ok
+        verdict = check_axiom(index, "UM", domain, session=session)
+        assert "uniform_rows" not in vars(session), index.name
+        naive = next((w for c in _naive_candidates("UM", domain) if (w := _violates_um(f, *c)) is not None), None)
+        assert (verdict.status, verdict.counterexample) == (VIOLATED if naive else SATISFIED, naive), index.name
+    assert len(kept) == 7 and "n_times_min" not in kept
+
+
 #: chi with NaN, +inf or -inf at one vector.  (4,), (8,), (1, 1, 1, 1) and
 #: (1,) * 8 each lie outside some oracle box, where only a step that
 #: leaves the box reaches them.
