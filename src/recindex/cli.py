@@ -71,8 +71,7 @@ def _table(out, headers: list[str], rows: list[tuple[str, ...]]) -> None:
     """Write the headers and rows, each column padded to its widest cell, one line as it is rendered."""
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
     template = "  ".join(f"{{:<{w}}}" for w in widths)
-    for row in chain([headers], rows):
-        out.write(template.format(*row).rstrip() + "\n")
+    out.writelines(template.format(*row).rstrip() + "\n" for row in chain([headers], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -80,30 +79,30 @@ def _table(out, headers: list[str], rows: list[tuple[str, ...]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _text(value) -> str:
-    """A table or CSV cell: 4 decimals, ``-`` for missing, ``|`` between tuple items."""
-    kind = type(value)
-    if kind is float:
-        return f"{value:.4f}"
-    if value is None:
-        return "-"
-    if kind is tuple:
-        return "|".join(map(str, value))
-    return str(value)
+def _cells(row: Sequence) -> tuple[str, ...]:
+    """A table or CSV row's cells: floats with 4 decimals, ``-`` for missing, ``|`` between tuple items."""
+    cells = []
+    for v in row:
+        kind = type(v)
+        cells.append(
+            f"{v:.4f}" if kind is float else "-" if v is None else "|".join(map(str, v)) if kind is tuple else str(v)
+        )
+    return tuple(cells)
 
 
 def _emit(out, fmt: str, columns: list[str], rows: Iterable[Sequence]) -> None:
     """Write rows of values in ``columns`` order, every float with 4 decimals.
 
     jsonl writes each row as ``{column: value}`` with its floats rounded;
-    table and csv cells are rendered by ``_text``.
+    table and csv cells are rendered by ``_cells``.
     """
     if fmt == "jsonl":
-        for row in rows:
-            record = {c: round(v, 4) if type(v) is float else v for c, v in zip(columns, row)}
-            out.write(json.dumps(record) + "\n")
+        encode = json.JSONEncoder(check_circular=False).encode  # no row holds itself
+        out.writelines(
+            encode({c: round(v, 4) if type(v) is float else v for c, v in zip(columns, row)}) + "\n" for row in rows
+        )
         return
-    cells = (tuple(map(_text, row)) for row in rows)
+    cells = map(_cells, rows)
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)

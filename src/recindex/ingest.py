@@ -3,9 +3,10 @@
 Two input shapes are accepted: CSV rows ``id,c1,c2,...`` (an optional
 header line starting ``id,`` in any case is skipped) and JSON lines holding
 ``{"id": ..., "citations": [...]}`` with a string or integer id.  Both
-readers yield ``(line, id, vector)`` to one record loop in
-``parse_dataset``.  Zero-cited researchers are kept; their report rows
-are all zeros with classification ``empty``.
+readers yield ``(line, id, vector)`` from the open file to
+``parse_dataset``, which checks ids and sizes once over all rows.
+Zero-cited researchers are kept; their report rows are all zeros with
+classification ``empty``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -125,14 +127,15 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Vector]]:
                     continue
             if not name:
                 raise DatasetError(f"line {line_no}: empty researcher id")
+            del row[0]  # the counts are the rest of the row; dropping the id in place spares a copy
             try:
                 # int() ignores surrounding blanks itself; a blank-only cell fails it.
-                vector = tuple(sorted(filter(None, map(count_of, row[1:])), reverse=True))
+                vector = tuple(sorted(filter(None, map(count_of, row)), reverse=True))
                 if vector and vector[-1] < 0:
                     raise ValueError
             except ValueError:  # a blank-only, bad or negative cell: the one per-cell loop
                 counts = []
-                for cell in filter(None, map(str.strip, row[1:])):  # exports pad short rows with blank cells
+                for cell in filter(None, map(str.strip, row)):  # exports pad short rows with blank cells
                     try:
                         counts.append(count_of(cell))
                     except ValueError:
@@ -151,7 +154,7 @@ def _parse_jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Vector]
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line.removesuffix("\n"))  # a string left open must not run into the line end
         except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
             raise DatasetError(f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
         except RecursionError:
@@ -170,38 +173,10 @@ def _parse_jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Vector]
         yield line_no, name, _vector(line_no, name, counts)
 
 
-def parse_dataset(path: str | os.PathLike, fmt: str = "auto") -> list[ResearcherRecord]:
-    """Read a researcher dataset from disk.
-
-    ``fmt`` is ``csv``, ``jsonl`` or ``auto`` (decide by extension, then
-    by whether the first non-blank character is an opening brace).
-    """
-    try:
-        # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
-        with open(path, encoding="utf-8") as file:
-            text = file.read().removeprefix("\ufeff")
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DatasetError(
-            f"cannot read dataset {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
-        ) from None
-    if fmt == "auto":
-        suffix = os.path.splitext(path)[1].lower()
-        if suffix == ".csv":
-            fmt = "csv"
-        elif suffix in (".jsonl", ".ndjson", ".json"):
-            fmt = "jsonl"
-        else:
-            stripped = text.lstrip()
-            fmt = "jsonl" if stripped.startswith("{") else "csv"
-    readers = {"csv": _parse_csv_lines, "jsonl": _parse_jsonl_lines}
-    if fmt not in readers:
-        raise DatasetError(f"unknown dataset format {fmt!r}")
-    records: list[ResearcherRecord] = []
+def _check_rows(rows: Iterable[tuple[int, str, Vector]]) -> None:
+    """Raise on the first duplicate id or float overflow in ``rows``, in line order."""
     seen: dict[str, int] = {}
-    # Text mode made every line end "\n"; splitlines() would also break at U+2028, "\x1c" and the like.
-    for line_no, name, vector in readers[fmt](text.split("\n")):
+    for line_no, name, vector in rows:
         first = seen.setdefault(name, line_no)
         if first != line_no:
             raise DatasetError(f"duplicate researcher id {name!r} on lines {first} and {line_no}")
@@ -211,8 +186,64 @@ def parse_dataset(path: str | os.PathLike, fmt: str = "auto") -> list[Researcher
                 f"line {line_no}: researcher {name!r}: citation counts too large; "
                 "the sum of their squares exceeds the largest float"
             )
-        records.append(ResearcherRecord(name, vector))
-    return records
+
+
+def _read_records(file: Iterator[str], path: str | os.PathLike, fmt: str) -> list[ResearcherRecord]:
+    """The records of the lines of ``file``, the open dataset at ``path``."""
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    head = [next(file, "").removeprefix("\ufeff")]
+    if fmt == "auto":
+        suffix = os.path.splitext(path)[1].lower()
+        if suffix == ".csv":
+            fmt = "csv"
+        elif suffix in (".jsonl", ".ndjson", ".json"):
+            fmt = "jsonl"
+        else:
+            while not head[-1].strip() and (line := next(file, None)) is not None:
+                head.append(line)
+            fmt = "jsonl" if head[-1].lstrip().startswith("{") else "csv"
+    readers = {"csv": _parse_csv_lines, "jsonl": _parse_jsonl_lines}
+    if fmt not in readers:
+        raise DatasetError(f"unknown dataset format {fmt!r}")
+    rows: list[tuple[int, str, Vector]] = []
+    try:
+        # Text mode ends each line at "\n", "\r\n" or "\r" alone; str.splitlines() would also break at U+2028.
+        rows.extend(readers[fmt](chain(head, file)))
+    except DatasetError:
+        _check_rows(rows)  # extend kept the rows before the bad one, and an error on an earlier line wins
+        raise
+    # One pass over all rows for each check; the per-row loop runs only to name the line of an error.
+    vectors = list(map(itemgetter(2), rows))
+    top = max(vectors, default=())
+    if len(set(map(itemgetter(1), rows))) < len(rows) or top and max(map(len, vectors)) * top[0] ** 2 > _FLOAT_MAX:
+        _check_rows(rows)
+    return list(map(ResearcherRecord._make, map(itemgetter(1, 2), rows)))
+
+
+def parse_dataset(path: str | os.PathLike, fmt: str = "auto") -> list[ResearcherRecord]:
+    """Read a researcher dataset from disk, one line at a time.
+
+    ``fmt`` is ``csv``, ``jsonl`` or ``auto`` (decide by extension, then
+    by whether the first non-blank character is an opening brace).
+    """
+    try:
+        with open(path, encoding="utf-8") as file:
+            try:
+                return _read_records(file, path, fmt)
+            except DatasetError:
+                while file.read(1 << 16):  # a bad byte anywhere in the file wins over a bad row
+                    pass
+                raise
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        # The text layer decodes a chunk at a time; decoding the whole file gives the offset in the file.
+        with open(path, "rb") as file:
+            try:
+                file.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+        raise DatasetError(f"cannot read dataset {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------

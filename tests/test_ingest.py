@@ -231,6 +231,8 @@ def test_jsonl_parsing(jsonl_file):
 def test_jsonl_error_messages(tmp_path):
     cases = [
         ("{not json}\n", "line 1: invalid JSON"),
+        # a string left open ends at the end of its line, not at the line break
+        ('{"id": "a\n', "line 1: invalid JSON: Unterminated string starting at"),
         ("[1, 2]\n", 'expected an object with "id" and "citations"'),
         ('{"id": "a"}\n', 'expected an object with "id" and "citations"'),
         ('{"id": "  ", "citations": []}\n', "empty researcher id"),
@@ -505,3 +507,76 @@ def test_lines_end_only_at_line_breaks(tmp_path, name, body, ids, bad):
     path.write_bytes((body.replace("\n", "\r\n", 1) + " \x85\x1e\x0c\r" + bad + "\n").encode("utf-8"))
     with pytest.raises(DatasetError, match=f"^line {len(ids) + 2}: "):
         parse_dataset(path)
+
+
+def test_a_bad_byte_past_the_first_chunk_beats_an_earlier_bad_row(tmp_path):
+    # The file is read a chunk at a time: the bad row on line 2 is met long before the bad byte,
+    # whose offset is still counted from the start of the file, past the byte-order mark too.
+    padding = "".join(f"r{k},{k % 7},1\n" for k in range(3, 9000)).encode()
+    for mark in (b"", b"\xef\xbb\xbf"):
+        head = mark + b"id,c1\nbob,3,x\n" + padding
+        assert len(head) > 64 * 1024
+        path = tmp_path / "late.csv"
+        path.write_bytes(head + b"caf\xe9,1\n")
+        with pytest.raises(DatasetError) as info:
+            parse_dataset(path)
+        bad_byte = f"byte {len(head) + 3}: invalid continuation byte"
+        assert str(info.value) == f"cannot read dataset {path}: not UTF-8 text ({bad_byte})"
+
+
+@pytest.mark.parametrize(
+    "name, body, message",
+    [
+        # the duplicate on line 2 comes before the bad row on line 3
+        ("dup.csv", "a,1\na,2\nb,x\n", "duplicate researcher id 'a' on lines 1 and 2"),
+        (
+            "dup.jsonl",
+            '{"id": "a", "citations": [1]}\n{"id": "a", "citations": [2]}\n{"id": "b", "citations": 3}\n',
+            "duplicate researcher id 'a' on lines 1 and 2",
+        ),
+        # the overflow on line 2 comes before the duplicate on line 3
+        (
+            "big.csv",
+            f"a,1\nb,{10 ** 200},{10 ** 200}\na,3\n",
+            "line 2: researcher 'b': citation counts too large; the sum of their squares exceeds the largest float",
+        ),
+        (
+            "big.jsonl",
+            f'{{"id": "a", "citations": [1]}}\n{{"id": "b", "citations": [{10 ** 200}, {10 ** 200}]}}\n'
+            '{"id": "a", "citations": [3]}\n',
+            "line 2: researcher 'b': citation counts too large; the sum of their squares exceeds the largest float",
+        ),
+        # a bound over every row trips here, but no one row overflows, so the duplicate is the error
+        (
+            "near.csv",
+            f"a,{10 ** 154}\nb,1,1,1,1,1,1,1,1,1,1,1,1\na,1\n",
+            "duplicate researcher id 'a' on lines 1 and 3",
+        ),
+    ],
+)
+def test_the_first_bad_line_wins(tmp_path, name, body, message):
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(path)
+    assert str(info.value) == message
+
+
+def test_a_bound_over_the_file_that_no_row_passes_keeps_every_row(tmp_path):
+    # The longest row times the largest first count squared passes the largest float; no one row's sum does.
+    path = tmp_path / "near.csv"
+    path.write_text(f"a,{10 ** 154}\nb,{'1,' * 12}1\n", encoding="utf-8")
+    assert parse_dataset(path) == [("a", (10**154,)), ("b", (1,) * 13)]
+
+
+@pytest.mark.parametrize("mark", ["", "\ufeff"])
+@pytest.mark.parametrize("blank", [" \r\n", "\x85\n", " \r\n\x85\n\n"])
+def test_the_format_is_sniffed_past_leading_blank_lines(tmp_path, mark, blank):
+    path = tmp_path / "data.txt"
+    path.write_bytes(f'{mark}{blank}{{"id": "a", "citations": [2, 1]}}\n'.encode())
+    assert parse_dataset(path) == [("a", (2, 1))]
+    path.write_bytes(f"{mark}{blank}a,2,1\n".encode())
+    assert parse_dataset(path) == [("a", (2, 1))]
+    # a CSV row after the blank lines reads as CSV even when a later line holds an object
+    path.write_bytes(f'{mark}{blank}a,2,1\n{{"id": "b"}}\n'.encode())
+    assert [r.id for r in parse_dataset(path)] == ["a", '{"id": "b"}']
