@@ -51,10 +51,6 @@ from .enumeration import (
 SATISFIED = "satisfied-on-domain"
 VIOLATED = "violated"
 
-#: Search-effort cap used when the uniform-increment checker confirms an
-#: absence through the sequence search.
-UI_SEARCH_BUDGET = 1_000_000
-
 
 class AxiomId(str, Enum):
     """Closed set of checkable properties."""
@@ -426,9 +422,11 @@ def _violates_ue(f, x):
 
 
 def _violates_ui(f, target):
-    outcome = sequences.search_incremental(target, f, budget=UI_SEARCH_BUDGET)
-    if outcome.status == sequences.ABSENT:
-        return {"target": target, "note": "no f-incremental constructive sequence"}
+    # A constructive sequence stays under its target, so in the box it spans, which build_domain may refuse.
+    if target:
+        box = build_domain(DomainSpec(len(target), target[0]))
+        if not _reachable(box, list(map(f, box.vectors)))[box.ids[target]]:
+            return {"target": target, "note": "no f-incremental constructive sequence"}
     return None
 
 
@@ -685,6 +683,21 @@ def _walked(image: _Image, s: _Session) -> list[tuple]:
     return s.walked[image]
 
 
+def _reachable(domain: Domain, values: list) -> bytearray:
+    """One flag per id of a closed domain: whether an f-incremental constructive sequence reaches the vector.
+
+    Every prefix of a constructive sequence lies under its endpoint, so one bottom-up pass over the steps
+    decides every target.  A step into v starts at a smaller total, so a smaller id, and steps come by
+    ascending lower id: v's flag is final before any step out of v reads it.
+    """
+    vectors, reachable = domain.vectors, bytearray(len(domain.vectors))
+    reachable[0] = 1  # the empty vector
+    for i, j in zip(domain.step_lower, domain.step_upper):
+        if reachable[i] and not reachable[j] and sequences.is_incremental_step(values[i], values[j], vectors[j]):
+            reachable[j] = 1
+    return reachable
+
+
 def _unreachable_targets(s: _Session):
     domain = s.domain
     if not domain.exhaustive:
@@ -692,24 +705,11 @@ def _unreachable_targets(s: _Session):
             "the uniform-increment check needs an exhaustive domain; "
             "sampled vectors are not closed under removing citations"
         )
-    # Reachability under "strict increases must land uniform" does not
-    # depend on the eventual target (every prefix of a constructive
-    # sequence is dominated by its endpoint), so one bottom-up pass over
-    # the steps decides all targets at once.  Every step into v starts at
-    # a vector of smaller total, so of smaller id, and steps come by
-    # ascending lower id: all of them precede any step out of v, and v's
-    # flag is final before it is read.
-    vectors, values = domain.vectors, s.values
-    reachable = bytearray(len(vectors))
-    reachable[0] = 1  # the empty vector
-    for i, j in zip(domain.step_lower, domain.step_upper):
-        if reachable[i] and not reachable[j] and sequences.is_incremental_step(values[i], values[j], vectors[j]):
-            reachable[j] = 1
-    for v, ok in zip(vectors, reachable):
+    for v, ok in zip(domain.vectors, _reachable(domain, s.values)):
         if not ok:
             yield (v,)
-            # The scan only comes back here when the search found a sequence.
-            raise RuntimeError(f"reachability scan disagrees with search at {v}")
+            # The scan only comes back here when the pass over the target's own box reached it.
+            raise RuntimeError(f"reachability scan disagrees with the pass over the {len(v)}x{v[0]} box of {v}")
 
 
 AXIOMS: dict[AxiomId, Axiom] = {

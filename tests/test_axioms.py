@@ -1028,34 +1028,53 @@ def test_uniform_increment_dp_agrees_with_search_for_rec():
     assert check_axiom(REC, "UI", SMALL_BOXES[3, 3]).ok
 
 
-def _assert_ui_target_is_the_first_the_search_refutes(domain, indices):
-    # The scan confirms its own target through the search, but only the
-    # search over every earlier vector shows none was wrongly called reachable.
+def _ui_verdict(index: IndexUnderTest, target) -> AxiomVerdict:
+    counterexample = {"target": target, "note": "no f-incremental constructive sequence"}
+    return AxiomVerdict(index.name, "UI", max(len(target), 1), max(target, default=1), True, VIOLATED, counterexample)
+
+
+def _assert_ui_agrees_with_the_search(domain, indices):
+    # The scan confirms its own target over the box that target spans, but only the search over every
+    # earlier vector shows none was wrongly called reachable.  A replay decides any target over its own
+    # box, and the unbudgeted search is its oracle on every vector of the domain.
     for index in indices:
         f = functools.cache(index.evaluate)
-        first = next(
-            (v for v in domain.vectors if sequences.search_incremental(v, f).status == sequences.ABSENT),
-            None,
-        )
-        verdict = check_axiom(index, "UI", domain)
-        if first is None:
-            assert verdict.ok, index.name
-        else:
-            assert verdict.counterexample["target"] == first, index.name
+        absent = [v for v in domain.vectors if sequences.search_incremental(v, f).status == sequences.ABSENT]
+        first = _ui_verdict(index, absent[0]).counterexample if absent else None
+        assert check_axiom(index, "UI", domain).counterexample == first, index.name
+        assert [v for v in domain.vectors if replay_counterexample(_ui_verdict(index, v), index)] == absent, index.name
 
 
 @pytest.mark.parametrize("bounds", [(3, 3), (4, 4), (3, 5)])
 def test_uniform_increment_target_is_the_first_the_search_refutes(bounds):
-    _assert_ui_target_is_the_first_the_search_refutes(
-        build_domain(DomainSpec(*bounds)), counterexample_registry() + ADVERSARIAL
-    )
+    _assert_ui_agrees_with_the_search(build_domain(DomainSpec(*bounds)), counterexample_registry() + ADVERSARIAL)
+
+
+def test_uniform_increment_scan_and_replay_never_run_the_search(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the sequence search ran")
+
+    monkeypatch.setattr("recindex.sequences.search_incremental", search)
+    registry = _registry()
+    witnesses = [row["UI"] for row in check_registry(registry.values(), DOMAIN).values() if not row["UI"].ok]
+    assert [verdict.index for verdict in witnesses] == ["avg_rec_citation", "min_n_x1"]
+    assert all(replay_counterexample(verdict, registry[verdict.index]) for verdict in witnesses)
+
+
+def test_uniform_increment_replay_refuses_a_target_box_over_the_budget():
+    calls = []
+    counting = make_index("counting", lambda v: calls.append(v) or rec(v))
+    calls.clear()  # make_index checks f(()) once
+    with pytest.raises(DomainBudgetError, match="20x1000"):
+        replay_counterexample(_ui_verdict(counting, (1000,) * 20), counting)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bounds", sorted(SMALL_BOXES))
 def test_uniform_increment_reachability_agrees_with_search_on_non_finite_values(bounds):
     # The reachability pass and the search read one step rule, so a NaN or
     # infinite value cannot make them disagree.
-    _assert_ui_target_is_the_first_the_search_refutes(SMALL_BOXES[bounds], NON_FINITE)
+    _assert_ui_agrees_with_the_search(SMALL_BOXES[bounds], NON_FINITE)
 
 
 # ---------------------------------------------------------------------------
@@ -1431,12 +1450,12 @@ def test_a_box_over_the_image_budget_is_refused_before_it_is_enumerated(calls):
     assert calls == [("sample", DomainSpec(12, 12, seed=1), 30)]
 
 
-def test_uniform_increment_reachability_is_cross_checked_by_the_search(monkeypatch):
-    # The reachability pass hands its first unreachable target to the search; should the search find a
-    # sequence there, the scan stops rather than move on to a later target.
-    found = sequences.SearchOutcome(sequences.FOUND)
-    monkeypatch.setattr("recindex.sequences.search_incremental", lambda target, f, budget=None: found)
-    with pytest.raises(RuntimeError, match=r"reachability scan disagrees with search at \(2, 1\)"):
+def test_uniform_increment_reachability_is_cross_checked_by_the_target_box(monkeypatch):
+    # The reachability pass hands its first unreachable target to the UI predicate, which runs the pass again
+    # over the box that target spans; should that pass reach it, the scan stops rather than move on.
+    ui = AXIOMS[AxiomId.UNIFORM_INCREMENT]
+    monkeypatch.setitem(AXIOMS, AxiomId.UNIFORM_INCREMENT, ui._replace(violates=lambda f, target: None))
+    with pytest.raises(RuntimeError, match=r"reachability scan disagrees with the pass over the 2x2 box of \(2, 1\)"):
         check_axiom(_registry()["avg_rec_citation"], "UI", SMALL_BOXES[3, 3])
 
 

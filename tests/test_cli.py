@@ -686,6 +686,25 @@ def test_closed_stdout_ends_quietly_with_exit_1():
     assert err == b""
 
 
+def test_stdout_closed_after_the_first_table_line_ends_quietly_with_exit_1():
+    # sequence writes its table a line at a time; 3,001 steps to 40 entries of 60 take 320 kB, more than
+    # the pipe holds, so the writer meets the closed end whether or not stdout is buffered.
+    src = str(ROOT / "src")
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + pythonpath if pythonpath else "")}
+    with subprocess.Popen(
+        [sys.executable, "-m", "recindex", "sequence", ",".join(["60"] * 40)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline().split() == [b"step", b"vector", b"rec"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_rounded_floats_print_the_same_4_decimals(x):
     # JSONL rounds a float to 4 decimals, and tables and CSV format the
