@@ -18,7 +18,6 @@ from itertools import accumulate, chain, compress, count, product, repeat
 from operator import and_, getitem, not_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import sequences
 from .core import (
     Vector,
     add_citation_at,
@@ -30,6 +29,7 @@ from .core import (
     conjugate,
     dominates,
     h_index,
+    is_incremental_step,
     is_uniform,
     is_valid_vector,
     rec,
@@ -693,7 +693,7 @@ def _reachable(domain: Domain, values: list) -> bytearray:
     vectors, reachable = domain.vectors, bytearray(len(domain.vectors))
     reachable[0] = 1  # the empty vector
     for i, j in zip(domain.step_lower, domain.step_upper):
-        if reachable[i] and not reachable[j] and sequences.is_incremental_step(values[i], values[j], vectors[j]):
+        if reachable[i] and not reachable[j] and is_incremental_step(values[i], values[j], vectors[j]):
             reachable[j] = 1
     return reachable
 

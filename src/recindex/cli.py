@@ -22,7 +22,6 @@ from .enumeration import DEFAULT_SAMPLE_SIZE, DomainBudgetError, DomainSpec, cou
 from .ingest import (
     CLASSIFICATIONS,
     RANKABLE_COLUMNS,
-    DatasetError,
     build_report,
     ceil_chi,
     classify_row,
@@ -324,7 +323,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
-    except (DatasetError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DomainBudgetError as exc:

@@ -80,6 +80,11 @@ def is_uniform(x: Vector) -> bool:
     return len(x) == 0 or x[0] == x[-1]
 
 
+def is_incremental_step(fv: float, fw: float, w: Vector) -> bool:
+    """A step v -> w may be part of an f-incremental sequence: f rises only onto a uniform w."""
+    return at_most(fw, fv) or is_uniform(w)
+
+
 def citation_count(x: Vector) -> int:
     """Total number of citations (the L1 norm)."""
     return sum(x)

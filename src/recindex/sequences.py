@@ -15,10 +15,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .core import (
     Vector,
     add_citation_at,
-    at_most,
     citation_count,
     dominates,
-    is_uniform,
+    is_incremental_step,
     is_valid_vector,
     max_uniform_dominated,
     rec,
@@ -28,7 +27,6 @@ from .enumeration import canonical_key
 
 FOUND = "found"
 ABSENT = "absent"
-INDETERMINATE = "indeterminate"
 
 
 class ConstructiveSequence(NamedTuple):
@@ -47,11 +45,7 @@ class IncrementalCheck(NamedTuple):
 
 
 class SearchOutcome(NamedTuple):
-    """Result of a witness search.
-
-    ``absent`` is a definitive no (the whole space below the target was
-    exhausted); ``indeterminate`` only means the step budget ran out.
-    """
+    """Result of a witness search: ``absent`` means the whole space below the target was exhausted."""
 
     status: str
     sequence: ConstructiveSequence | None = None
@@ -71,11 +65,6 @@ def is_constructive(steps: Sequence[Iterable[int]], target: Iterable[int]) -> bo
         and len(seq) == citation_count(goal) + 1
         and all(a != b and dominates(a, b) for a, b in zip(seq, seq[1:]))
     )
-
-
-def is_incremental_step(fv: float, fw: float, w: Vector) -> bool:
-    """A step v -> w may be part of an f-incremental sequence: f rises only onto a uniform w."""
-    return at_most(fw, fv) or is_uniform(w)
 
 
 def is_f_incremental(seq: ConstructiveSequence, f: Callable[[Vector], float]) -> IncrementalCheck:
@@ -152,20 +141,14 @@ def build_rec_incremental(target: Vector) -> ConstructiveSequence:
 # ---------------------------------------------------------------------------
 
 
-def search_incremental(target: Vector, f: Callable[[Vector], float], budget: int | None = None) -> SearchOutcome:
+def search_incremental(target: Vector, f: Callable[[Vector], float]) -> SearchOutcome:
     """Search for an f-incremental constructive sequence to the target.
 
     Depth-first over single-citation extensions in canonical order, with
     memoised dead ends; every intermediate of any constructive sequence
     is dominated by the target, so the search space is exactly the
-    vectors below it.  ``budget`` caps node expansions: exceeding it
-    yields an indeterminate outcome, which is distinct from a proven
-    absence.
+    vectors below it, each expanded at most once.
     """
-    needed = citation_count(target) + 1
-    if budget is not None and budget < needed:
-        raise ValueError(f"budget {budget} cannot cover the {needed} steps to {target}")
-
     dead: set[Vector] = set()
     expansions = 0
 
@@ -181,8 +164,6 @@ def search_incremental(target: Vector, f: Callable[[Vector], float], budget: int
     while step is not None:
         v, fv = step
         expansions += 1
-        if budget is not None and expansions > budget:
-            return SearchOutcome(INDETERMINATE, None, expansions)
         if v == target:
             path = tuple(u for u, _, _ in frames) + (v,)
             return SearchOutcome(FOUND, ConstructiveSequence(path, target), expansions)

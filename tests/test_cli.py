@@ -667,6 +667,15 @@ print(json.dumps(runs))"""
     ]
 
 
+def test_importing_the_scanner_skips_the_sequence_search():
+    # The scan reads the step rule from core, so `recindex axioms` never compiles sequences.
+    loaded = "import sys, recindex.axioms; print('recindex.sequences' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", loaded], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_closed_stdout_ends_quietly_with_exit_1():
     src = str(ROOT / "src")
     pythonpath = os.environ.get("PYTHONPATH")

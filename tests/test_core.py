@@ -22,6 +22,7 @@ from recindex.core import (
     conjugate,
     dominates,
     h_index,
+    is_incremental_step,
     is_uniform,
     is_valid_vector,
     make_vector,
@@ -133,6 +134,24 @@ def test_is_uniform():
     assert is_uniform(())
     assert is_uniform((4, 4, 4))
     assert not is_uniform((4, 3))
+
+
+def test_incremental_step_lets_f_rise_only_onto_a_uniform_vector():
+    # Within TOLERANCE a rise is no rise; past it, only a uniform w (the empty one included) admits it.
+    assert is_incremental_step(1.0, 1.0 + TOLERANCE / 2, (2, 1))
+    assert not is_incremental_step(1.0, 1.0 + 2 * TOLERANCE, (2, 1))
+    assert all(is_incremental_step(1.0, 5.0, w) for w in [(), (3,), (2, 2, 2)])
+    assert is_incremental_step(5.0, 1.0, (2, 1))
+    # A NaN difference, from a NaN f(w) or from inf - inf, is no fall: refused unless w is uniform.
+    for fv, fw in [(1.0, math.nan), (math.inf, math.inf)]:
+        assert not is_incremental_step(fv, fw, (2, 1))
+        assert is_incremental_step(fv, fw, (2, 2))
+
+
+def test_sequences_reads_the_step_rule_of_core():
+    from recindex import core, sequences
+
+    assert sequences.is_incremental_step is core.is_incremental_step
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from recindex.enumeration import DomainSpec, canonical_key, enumerate_vectors
 from recindex.sequences import (
     ABSENT,
     FOUND,
-    INDETERMINATE,
     ConstructiveSequence,
     build_rec_incremental,
     is_constructive,
@@ -277,20 +276,6 @@ def test_search_definitive_absence_for_citation_count():
     assert outcome.sequence is None
 
 
-def test_search_budget_exhaustion_is_indeterminate_not_absent():
-    # the row-first branch (3,) -> (3,1) -> (3,1,1) dead-ends, so the
-    # minimal budget of citations+1 runs out before a witness is found
-    tight = search_incremental((3, 3, 1), rec, budget=8)
-    assert tight.status == INDETERMINATE
-    assert tight.sequence is None
-    assert search_incremental((3, 3, 1), rec).status == FOUND
-
-
-def test_search_rejects_hopeless_budget():
-    with pytest.raises(ValueError, match="budget"):
-        search_incremental((2, 1), rec, budget=2)
-
-
 def test_search_agrees_with_builder_on_a_domain():
     for target in enumerate_vectors(DomainSpec(3, 3)):
         assert search_incremental(target, rec).status == FOUND
@@ -306,15 +291,12 @@ def test_search_classifies_every_small_target_under_citation_count():
         assert outcome.status == (FOUND if reachable else ABSENT)
 
 
-def _recursive_search(target, f, budget=None):
+def _recursive_search(target, f):
     """The recursive depth-first search that ``search_incremental`` replaced,
     kept as its oracle: (status, expansions, steps or None)."""
     dead = set()
     path = [()]
     expansions = 0
-
-    class _Exhausted(Exception):
-        pass
 
     def extensions(v):
         out = [add_citation_at(v, k) for k in valid_positions(v)]
@@ -323,8 +305,6 @@ def _recursive_search(target, f, budget=None):
     def dfs(v, fv):
         nonlocal expansions
         expansions += 1
-        if budget is not None and expansions > budget:
-            raise _Exhausted
         if v == target:
             return True
         for w in extensions(v):
@@ -340,23 +320,18 @@ def _recursive_search(target, f, budget=None):
         dead.add(v)
         return False
 
-    try:
-        found = dfs((), f(()))
-    except _Exhausted:
-        return INDETERMINATE, expansions, None
+    found = dfs((), f(()))
     return (FOUND, expansions, tuple(path)) if found else (ABSENT, expansions, None)
 
 
 def test_search_matches_the_recursive_oracle_on_a_domain():
-    # Every 5x5 target under every registry index, chi and h, without a
-    # budget and with the tightest one allowed.
+    # Every 5x5 target under every registry index, chi and h.
     for index in [*counterexample_registry(), CHI, H]:
         for target in enumerate_vectors(DomainSpec(5, 5)):
-            for budget in (None, citation_count(target) + 1):
-                outcome = search_incremental(target, index.evaluate, budget)
-                steps = outcome.sequence.steps if outcome.sequence else None
-                want = _recursive_search(target, index.evaluate, budget)
-                assert (outcome.status, outcome.expansions, steps) == want, (index.name, target, budget)
+            outcome = search_incremental(target, index.evaluate)
+            steps = outcome.sequence.steps if outcome.sequence else None
+            want = _recursive_search(target, index.evaluate)
+            assert (outcome.status, outcome.expansions, steps) == want, (index.name, target)
 
 
 @pytest.mark.parametrize("target", [(1500,), (3000, 2)])
