@@ -165,7 +165,8 @@ class Domain(NamedTuple):
     else a seeded sample in draw order; a vector's id is its position
     there, and ``ids`` maps each vector to its id.  The empty vector has
     id 0.  ``grid[j - 1][c - 1]`` is the uniform vector ``(c,) * j`` of the
-    box, and ``uniforms`` holds the same vectors and () in canonical order.
+    box, ``grid_ids[j - 1][c - 1]`` its id, -1 outside the domain, and
+    ``uniforms`` holds the same vectors and () in canonical order.
     Every valid one-citation step (x, k) of every vector is listed once, by
     ascending id of x, then rank k.  A step whose grown vector the domain
     holds is the id pair ``(step_lower[s], step_upper[s])``, growing at rank
@@ -181,6 +182,7 @@ class Domain(NamedTuple):
     vectors: list[Vector]
     exhaustive: bool
     grid: list[list[Vector]]
+    grid_ids: list[array]
     uniforms: list[Vector]
     ids: dict[Vector, int]
     step_lower: array
@@ -227,6 +229,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     grid = [[(c,) * j for c in range(1, spec.c_max + 1)] for j in range(1, spec.n_max + 1)]
     uniforms = sorted([(), *(u for row in grid for u in row)], key=canonical_key)
     ids = {v: i for i, v in enumerate(vectors)}
+    grid_ids = [array("i", map(ids.get, row, repeat(-1))) for row in grid]
     # a step's rank reaches n_max + 1, past a signed byte from n_max = 127
     step_lower, step_upper, step_position = array("i"), array("i"), array("b" if spec.n_max < 127 else "i")
     exit_lower, exit_position = array("i"), array(step_position.typecode)
@@ -258,7 +261,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
             pair_upper.extend(compress(count(), map("1".__eq__, bin(above)[:1:-1])))
             pair_lower.extend(repeat(i, len(pair_upper) - len(pair_lower)))
     steps = step_lower, step_upper, step_position, exit_lower, exit_position
-    return Domain(spec, vectors, exhaustive, grid, uniforms, ids, *steps, pair_lower, pair_upper)
+    return Domain(spec, vectors, exhaustive, grid, grid_ids, uniforms, ids, *steps, pair_lower, pair_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +312,8 @@ class _Session:
 
     @cached_property
     def uniform_rows(self) -> list[list]:
-        values, get, evaluate = self.values, self._id, self._evaluate
-        return [[evaluate(u) if (i := get(u)) is None else values[i] for u in row] for row in self.domain.grid]
+        values, evaluate, d = self.values, self._evaluate, self.domain
+        return [[evaluate(u) if i < 0 else values[i] for u, i in zip(*row)] for row in zip(d.grid, d.grid_ids)]
 
     @cached_property
     def uniforms_cite_their_counts(self) -> bool:
@@ -359,9 +362,12 @@ class Axiom(NamedTuple):
 
     ``candidates(session)`` yields, in the domain's order, tuples of the
     witness values named by ``keys``; it may skip candidates that cannot
-    violate the property, which it decides from the session's tables by
-    the relation that the predicate reads.  An image axiom's ``image``
-    tells ``_walk`` how to find its candidates, which ``candidates`` reads.
+    violate the property, which it decides by the relation that the
+    predicate reads, from the session's tables or, for a step that leaves
+    the domain, from f of the grown vector.  So the predicate runs only on
+    the candidates that a table or the exit filter flags.  An image
+    axiom's ``image`` tells ``_walk`` how to find its candidates, which
+    ``candidates`` reads.
     ``violates(f, *candidate)`` returns the witness a violating candidate
     makes, else None.
     """
@@ -473,14 +479,22 @@ def _step_axiom(description: str, relation, bound, witness) -> Axiom:
         return None if relation(fg, expected) else witness(x, position, grown, fx, fg, expected)
 
     def candidates(s: _Session):
-        # A step inside the domain reads the predicate's two values from the table, so one that keeps the relation is
-        # no witness: only the steps that break it, merged by (id, rank) with every exit, reach the predicate.
-        domain, read, vector = s.domain, s.values.__getitem__, s.domain.vectors.__getitem__
+        # A step inside the domain reads the predicate's two values from the table, and an exit grows x by
+        # build_domain's rank rule (x_k is 0 at rank n + 1) and evaluates f once, so only the steps and exits that
+        # break the relation reach the predicate.  The merge by (id, rank) grows each exit only when it reaches it.
+        domain, values, vectors, f = s.domain, s.values, s.domain.vectors, s._evaluate
+        read, vector = values.__getitem__, vectors.__getitem__
         expected = map(bound, map(read, domain.step_lower), map(vector, domain.step_upper), domain.step_position)
         breaks = map(not_, map(relation, map(read, domain.step_upper), expected))
-        failing = compress(zip(domain.step_lower, domain.step_position), breaks)
-        steps = merge(failing, zip(domain.exit_lower, domain.exit_position))
-        return ((vector(i), k) for i, k in steps)
+        failing = zip(compress(zip(domain.step_lower, domain.step_position), breaks), repeat(True))
+        exits = zip(zip(domain.exit_lower, domain.exit_position), repeat(False))
+        for (i, k), inside in merge(failing, exits):
+            x = vectors[i]
+            if not inside:
+                grown = x[: k - 1] + ((x[k - 1] if k <= len(x) else 0) + 1,) + x[k:]
+                if relation(f(grown), bound(values[i], grown, k)):
+                    continue
+            yield x, k
 
     return Axiom(description, ("x", "position"), candidates, violates)
 

@@ -732,6 +732,67 @@ def test_a_step_inside_a_sample_gives_the_naive_first_witness(step, monkeypatch)
         assert (verdict.status, verdict.counterexample) == (VIOLATED, naive[0][1]), index.name
 
 
+#: The domains whose exits the step scans filter: boxes, one whose exits reach rank 128, and a sample.
+EXIT_DOMAINS = {
+    **{f"{n}x{c}": build_domain(DomainSpec(n, c)) for n, c in [(3, 3), (4, 4), (3, 5), (127, 1)]},
+    "12x12_seed1": SAMPLE_12,
+}
+
+
+@pytest.mark.parametrize("domain_name", list(EXIT_DOMAINS))
+def test_the_exit_filter_grows_each_exit_as_add_citation_at_does(domain_name, monkeypatch):
+    # rec keeps RC, so after the values table its scan evaluates f once per exit, on the grown vector, in exit
+    # order, and no step reaches the predicate, which would grow it again through add_citation_at.
+    domain = EXIT_DOMAINS[domain_name]
+    seen, predicate_steps = [], []
+    monkeypatch.setattr("recindex.axioms.add_citation_at", lambda x, k: predicate_steps.append((x, k)))
+    index = IndexUnderTest("rec", lambda v: seen.append(v) or rec(v))
+    assert check_axiom(index, "RC", domain).ok and not predicate_steps
+    exits = zip(domain.exit_lower, domain.exit_position)
+    assert seen[: len(domain.vectors)] == domain.vectors
+    assert seen[len(domain.vectors) :] == [add_citation_at(domain.vectors[i], k) for i, k in exits]
+
+
+def _past_the_box(base, domain, nan: bool) -> IndexUnderTest:
+    """``base``, but NaN on a vector longer than n_max, or plus 1 when x_1 exceeds c_max: only an exit breaks it."""
+    n_max, c_max = domain.spec.n_max, domain.spec.c_max
+    if nan:
+        return make_index(f"{base.name}_nan_past_n_max", lambda v: NAN if len(v) > n_max else base.evaluate(v))
+    return make_index(f"{base.name}_plus_past_c_max", lambda v: base.evaluate(v) + (bool(v) and v[0] > c_max))
+
+
+@pytest.mark.parametrize("domain_name", list(EXIT_DOMAINS))
+def test_the_step_scans_give_the_naive_first_witness_of_every_valid_step(domain_name, monkeypatch):
+    domain = EXIT_DOMAINS[domain_name]
+    steps = [(x, k) for x in domain.vectors for k in valid_positions(x)]
+    rc = AXIOMS[AxiomId.RECTANGLE_COMPLETION]
+    exit_only = [(rc, _past_the_box(REC, domain, nan)) for nan in (True, False)]
+    exit_only.append((_CHI_STEP, _past_the_box(CHI, domain, nan=True)))
+    for axiom, index in [(rc, index) for index in counterexample_registry()] + [(_CHI_STEP, CHI)] + exit_only:
+        f = functools.cache(index.evaluate)
+        broken = [(c, w) for c in steps if (w := axiom.violates(f, *c)) is not None]
+        if (axiom, index) in exit_only:
+            assert broken and all(add_citation_at(*c) not in domain.ids for c, _ in broken), index.name
+        if axiom is _CHI_STEP:
+            monkeypatch.setattr("recindex.axioms.CHI", index)
+            verdict = chi_increment_bound(domain)
+        else:
+            verdict = check_axiom(index, "RC", domain)
+        naive = broken[0][1] if broken else None
+        assert (verdict.status, verdict.counterexample) == (VIOLATED if broken else SATISFIED, naive), index.name
+
+
+@pytest.mark.parametrize("domain_name, held", [("3x3", {True}), ("14x14_seed1", {False}), ("3x3_seed1", {True, False})])
+def test_the_grid_ids_are_the_ids_of_the_uniform_vectors(domain_name, held, monkeypatch):
+    # Under a budget of 50 the 3x3 box is sampled, and 15 draws hold some of its uniform vectors and miss others.
+    monkeypatch.setattr("recindex.axioms.EXHAUSTIVE_BUDGET", 50)
+    domains = {"3x3": SMALL_BOXES[3, 3], "14x14_seed1": ORACLE_DOMAINS["14x14_seed1"]}
+    domain = domains.get(domain_name) or build_domain(DomainSpec(3, 3, seed=1), sample_size=15)
+    assert domain.exhaustive == (domain_name == "3x3")
+    assert [list(row) for row in domain.grid_ids] == [[domain.ids.get(u, -1) for u in row] for row in domain.grid]
+    assert {i >= 0 for row in domain.grid_ids for i in row} == held
+
+
 def test_a_nan_value_breaks_every_property_that_compares_it():
     # f((1,)) = NaN.  UI lets f rise onto any uniform vector, and every
     # step out of (1,) lands on one, so UI alone still holds.

@@ -311,7 +311,7 @@ def _recursive_search(target, f):
             if w in dead:
                 continue
             fw = f(w)
-            if fw > fv + TOLERANCE and not is_uniform(w):
+            if not fw - fv <= TOLERANCE and not is_uniform(w):
                 continue
             path.append(w)
             if dfs(w, fw):
@@ -332,6 +332,31 @@ def test_search_matches_the_recursive_oracle_on_a_domain():
             steps = outcome.sequence.steps if outcome.sequence else None
             want = _recursive_search(target, index.evaluate)
             assert (outcome.status, outcome.expansions, steps) == want, (index.name, target)
+
+
+def _len_except(at, value):
+    """``len`` everywhere but at one vector, which scores ``value``."""
+    return lambda v: value if v == at else len(v)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_len_except((2, 1), float("nan")), _len_except((2, 2), float("nan")), _len_except((2,), float("inf"))],
+    ids=["nan-at-2-1", "nan-at-uniform-2-2", "inf-at-2"],
+)
+@pytest.mark.parametrize("bounds", [(3, 3), (4, 4)], ids=["3x3", "4x4"])
+def test_search_matches_the_recursive_oracle_on_non_finite_indices(f, bounds):
+    # A NaN rise is refused onto a non-uniform vector and allowed onto a uniform one; a fall from inf is allowed.
+    for target in enumerate_vectors(DomainSpec(*bounds)):
+        outcome = search_incremental(target, f)
+        steps = outcome.sequence.steps if outcome.sequence else None
+        assert (outcome.status, outcome.expansions, steps) == _recursive_search(target, f), target
+
+
+def test_a_nan_onto_a_non_uniform_target_leaves_it_absent_for_the_search_and_its_oracle():
+    f = _len_except((2, 1), float("nan"))
+    assert search_incremental((2, 1), f).status == ABSENT
+    assert _recursive_search((2, 1), f)[0] == ABSENT
 
 
 @pytest.mark.parametrize("target", [(1500,), (3000, 2)])
