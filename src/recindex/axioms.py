@@ -13,9 +13,8 @@ from __future__ import annotations
 from array import array
 from enum import Enum
 from functools import cached_property, partial, reduce
-from heapq import merge
 from itertools import accumulate, chain, compress, count, product, repeat
-from operator import and_, getitem, not_, or_
+from operator import and_, getitem, or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -168,14 +167,13 @@ class Domain(NamedTuple):
     box, ``grid_ids[j - 1][c - 1]`` its id, -1 outside the domain, and
     ``uniforms`` holds the same vectors and () in canonical order.
     Every valid one-citation step (x, k) of every vector is listed once, by
-    ascending id of x, then rank k.  A step whose grown vector the domain
-    holds is the id pair ``(step_lower[s], step_upper[s])``, growing at rank
-    ``step_position[s]``; a step that leaves the domain is
-    ``(exit_lower[e], exit_position[e])``.  A sample also lists each pair of
-    distinct ids ``(pair_lower[p], pair_upper[p])`` whose upper vector
-    dominates the lower one, by lower id, then upper id; a box lists none.
-    A domain keeps no image of its vectors: each ``_walk`` builds the images
-    it reads.
+    ascending id of x, then rank k: x has id ``step_lower[s]`` and grows at
+    rank ``step_position[s]`` into the vector of id ``step_upper[s]``, or
+    leaves the domain when that id is 0, as no step grows into ().  A sample
+    also lists each pair of distinct ids ``(pair_lower[p], pair_upper[p])``
+    whose upper vector dominates the lower one, by lower id, then upper id; a
+    box lists none.  A domain keeps no image of its vectors: each ``_walk``
+    builds the images it reads.
     """
 
     spec: DomainSpec
@@ -188,8 +186,6 @@ class Domain(NamedTuple):
     step_lower: array
     step_upper: array
     step_position: array
-    exit_lower: array
-    exit_position: array
     pair_lower: array
     pair_upper: array
 
@@ -232,20 +228,14 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
     grid_ids = [array("i", map(ids.get, row, repeat(-1))) for row in grid]
     # a step's rank reaches n_max + 1, past a signed byte from n_max = 127
     step_lower, step_upper, step_position = array("i"), array("i"), array("b" if spec.n_max < 127 else "i")
-    exit_lower, exit_position = array("i"), array(step_position.typecode)
     for i, x in enumerate(vectors):
         # Rank k takes a citation when x_k differs from x_{k-1}; rank n + 1 reads a count of 0 and opens a publication.
         before = None
         for k, c in enumerate(x + (0,), 1):
             if c != before:
-                j = ids.get(x[: k - 1] + (c + 1,) + x[k:])
-                if j is None:
-                    exit_lower.append(i)
-                    exit_position.append(k)
-                else:
-                    step_lower.append(i)
-                    step_upper.append(j)
-                    step_position.append(k)
+                step_lower.append(i)
+                step_upper.append(ids.get(x[: k - 1] + (c + 1,) + x[k:], 0))
+                step_position.append(k)
             before = c
     pair_lower, pair_upper = array("i"), array("i")
     if not exhaustive:
@@ -260,7 +250,7 @@ def build_domain(spec: DomainSpec, sample_size: int = DEFAULT_SAMPLE_SIZE) -> Do
             above = reduce(and_, map(list.__getitem__, at_least, x), (1 << len(vectors)) - 1) & ~(1 << i)
             pair_upper.extend(compress(count(), map("1".__eq__, bin(above)[:1:-1])))
             pair_lower.extend(repeat(i, len(pair_upper) - len(pair_lower)))
-    steps = step_lower, step_upper, step_position, exit_lower, exit_position
+    steps = step_lower, step_upper, step_position
     return Domain(spec, vectors, exhaustive, grid, grid_ids, uniforms, ids, *steps, pair_lower, pair_upper)
 
 
@@ -307,7 +297,9 @@ class _Session:
         """Whether the domain is closed and every one-citation step v -> w inside it keeps ``relation(f(v), f(w))``."""
         if relation not in self._kept:
             d, read = self.domain, self.values.__getitem__
-            self._kept[relation] = d.exhaustive and all(map(relation, map(read, d.step_lower), map(read, d.step_upper)))
+            # the steps inside the domain are those of a nonzero upper id
+            lower, upper = compress(d.step_lower, d.step_upper), filter(None, d.step_upper)
+            self._kept[relation] = d.exhaustive and all(map(relation, map(read, lower), map(read, upper)))
         return self._kept[relation]
 
     @cached_property
@@ -363,11 +355,11 @@ class Axiom(NamedTuple):
     ``candidates(session)`` yields, in the domain's order, tuples of the
     witness values named by ``keys``; it may skip candidates that cannot
     violate the property, which it decides by the relation that the
-    predicate reads, from the session's tables or, for a step that leaves
-    the domain, from f of the grown vector.  So the predicate runs only on
-    the candidates that a table or the exit filter flags.  An image
-    axiom's ``image`` tells ``_walk`` how to find its candidates, which
-    ``candidates`` reads.
+    predicate reads, from the session's tables or, for a step of grown id 0,
+    one that leaves the domain, from f of the grown vector.  So the predicate
+    runs only on the candidates that a table or that one evaluation flags.
+    An image axiom's ``image`` tells ``_walk`` how to find its candidates,
+    which ``candidates`` reads.
     ``violates(f, *candidate)`` returns the witness a violating candidate
     makes, else None.
     """
@@ -470,7 +462,10 @@ def _domination_axiom(description: str, edge_holds, holds: Callable[[float, floa
 def _step_axiom(description: str, relation, bound, witness) -> Axiom:
     """An axiom broken by a one-citation step (x, k), x growing into
     ``grown``, when ``relation(f(grown), b)`` fails for ``b = bound(f(x),
-    grown, k)``; the witness is ``witness(x, k, grown, f(x), f(grown), b)``."""
+    grown, k)``; the witness is ``witness(x, k, grown, f(x), f(grown), b)``.
+    The scan reads the domain's one list of steps in (id, rank) order, where
+    grown id 0 marks a step that leaves the domain, so its first witness is
+    the first failing step, inside the domain or not."""
 
     def violates(f, x, position):
         grown = add_citation_at(x, position)
@@ -479,22 +474,19 @@ def _step_axiom(description: str, relation, bound, witness) -> Axiom:
         return None if relation(fg, expected) else witness(x, position, grown, fx, fg, expected)
 
     def candidates(s: _Session):
-        # A step inside the domain reads the predicate's two values from the table, and an exit grows x by
-        # build_domain's rank rule (x_k is 0 at rank n + 1) and evaluates f once, so only the steps and exits that
-        # break the relation reach the predicate.  The merge by (id, rank) grows each exit only when it reaches it.
+        # A step inside the domain reads the predicate's two values from the table, and a step that leaves it grows
+        # x by build_domain's rank rule (x_k is 0 at rank n + 1) and evaluates f once, when the scan reaches it, so
+        # only the steps that break the relation reach the predicate.
         domain, values, vectors, f = s.domain, s.values, s.domain.vectors, s._evaluate
-        read, vector = values.__getitem__, vectors.__getitem__
-        expected = map(bound, map(read, domain.step_lower), map(vector, domain.step_upper), domain.step_position)
-        breaks = map(not_, map(relation, map(read, domain.step_upper), expected))
-        failing = zip(compress(zip(domain.step_lower, domain.step_position), breaks), repeat(True))
-        exits = zip(zip(domain.exit_lower, domain.exit_position), repeat(False))
-        for (i, k), inside in merge(failing, exits):
-            x = vectors[i]
-            if not inside:
+        for i, j, k in zip(domain.step_lower, domain.step_upper, domain.step_position):
+            if j:
+                grown, fg = vectors[j], values[j]
+            else:
+                x = vectors[i]
                 grown = x[: k - 1] + ((x[k - 1] if k <= len(x) else 0) + 1,) + x[k:]
-                if relation(f(grown), bound(values[i], grown, k)):
-                    continue
-            yield x, k
+                fg = f(grown)
+            if not relation(fg, bound(values[i], grown, k)):
+                yield vectors[i], k
 
     return Axiom(description, ("x", "position"), candidates, violates)
 
@@ -702,7 +694,8 @@ def _reachable(domain: Domain, values: list) -> bytearray:
 
     Every prefix of a constructive sequence lies under its endpoint, so one bottom-up pass over the steps
     decides every target.  A step into v starts at a smaller total, so a smaller id, and steps come by
-    ascending lower id: v's flag is final before any step out of v reads it.
+    ascending lower id: v's flag is final before any step out of v reads it.  A step that leaves the domain
+    grows into id 0, the empty vector, whose flag is set from the start, so it sets no flag.
     """
     vectors, reachable = domain.vectors, bytearray(len(domain.vectors))
     reachable[0] = 1  # the empty vector

@@ -116,7 +116,7 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Vector]]:
     try:
         for row in reader:
             if reader.line_num != line_no + 1:
-                raise csv.Error("quote left open at the end of the line")
+                raise csv.Error
             line_no += 1
             if not row or len(row) == 1 and not row[0].strip():
                 continue
@@ -146,6 +146,9 @@ def _parse_csv_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Vector]]:
                 vector = _vector(line_no, name, counts)
             yield line_no, name, vector
     except csv.Error as exc:
+        # A row that ran past its own line or to the end of the file left a quote open there, whatever came after.
+        if reader.line_num != line_no + 1 or str(exc) == "unexpected end of data":
+            exc = "quote left open at the end of the line"
         raise DatasetError(f"line {line_no + 1}: malformed CSV row: {exc}") from None
 
 

@@ -649,7 +649,7 @@ def test_um_on_a_box_whose_steps_keep_m_reads_no_uniform_table():
     for index in counterexample_registry():
         f = functools.cache(index.evaluate)
         steps = zip(domain.step_lower, domain.step_upper)
-        if not all(f(domain.vectors[j]) - f(domain.vectors[i]) >= 0 for i, j in steps):
+        if not all(f(domain.vectors[j]) - f(domain.vectors[i]) >= 0 for i, j in steps if j):
             continue
         kept.append(index.name)
         session = _Session(index, domain)
@@ -711,9 +711,11 @@ def test_a_step_inside_a_sample_gives_the_naive_first_witness(step, monkeypatch)
     # Each index breaks RC or the chi bound at one in-sample step and at no exit, so a scan that read only the
     # exits once a step inside fails would report the sample as satisfied.
     domain = SAMPLE_12
-    assert len(domain.step_lower) == 2
-    inside = (domain.vectors[domain.step_lower[step]], domain.step_position[step])
-    y = domain.vectors[domain.step_upper[step]]
+    grown = [at for at, j in enumerate(domain.step_upper) if j]
+    assert len(grown) == 2
+    at = grown[step]
+    inside = (domain.vectors[domain.step_lower[at]], domain.step_position[at])
+    y = domain.vectors[domain.step_upper[at]]
     steps = [(x, k) for x in domain.vectors for k in valid_positions(x)]
     chi_off = [
         make_index(f"chi_{value}_at_{y}", lambda v, value=value: value if v == y else chi_index(v))
@@ -748,7 +750,7 @@ def test_the_exit_filter_grows_each_exit_as_add_citation_at_does(domain_name, mo
     monkeypatch.setattr("recindex.axioms.add_citation_at", lambda x, k: predicate_steps.append((x, k)))
     index = IndexUnderTest("rec", lambda v: seen.append(v) or rec(v))
     assert check_axiom(index, "RC", domain).ok and not predicate_steps
-    exits = zip(domain.exit_lower, domain.exit_position)
+    exits = [(i, k) for i, j, k in zip(domain.step_lower, domain.step_upper, domain.step_position) if not j]
     assert seen[: len(domain.vectors)] == domain.vectors
     assert seen[len(domain.vectors) :] == [add_citation_at(domain.vectors[i], k) for i, k in exits]
 
@@ -1192,7 +1194,8 @@ def _moved_rec(domain, moves, pin: bool, monotone: bool) -> list[float]:
         # Steps come by ascending lower id, so each value is final before
         # it is passed up; the table then never drops along a step.
         for i, j in zip(domain.step_lower, domain.step_upper):
-            table[j] = max(table[j], table[i])
+            if j:
+                table[j] = max(table[j], table[i])
     return table
 
 

@@ -632,16 +632,15 @@ def test_importing_the_cli_skips_dataclasses_and_inspect():
 
 def test_report_commands_start_without_the_scanner(tmp_path):
     # axioms and sequences load on first use, so the report commands and
-    # conjugate never compile them; -S keeps site's imports out, as above.
+    # conjugate never compile them, and axioms and sequence each load only
+    # their own.  Each command runs in a child of its own; -S keeps site's
+    # imports out, as above.
     path = tmp_path / "three.csv"
     path.write_text("ada,6,4,3,1\nbob,2\ncy,1,1,1\n", encoding="utf-8")
-    script = """import io, json, sys
+    script = """import io, sys
 from recindex.cli import main
-runs = []
-for argv in json.loads(sys.argv[1]):
-    code = main(argv, out=io.StringIO())
-    runs.append([argv[0], code, sorted({"recindex.axioms", "recindex.sequences"} & set(sys.modules))])
-print(json.dumps(runs))"""
+code = main(sys.argv[1:], out=io.StringIO())
+print(code, *sorted(name for name in sys.modules if name.startswith("recindex.")))"""
     commands = [
         ["compute", str(path)],
         ["rank", str(path), "--by", "rec"],
@@ -651,20 +650,21 @@ print(json.dumps(runs))"""
         ["axioms", "--n-max", "2", "--c-max", "2"],
     ]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script, json.dumps(commands)], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    both = ["recindex.axioms", "recindex.sequences"]
+    runs = {}
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs[argv[0]] = proc.stdout.split()
+    base = ["recindex.cli", "recindex.core", "recindex.enumeration", "recindex.ingest"]
     # 2x2 exits 2: it cannot expose n_times_min / M, and min_n_x1 fails UE there.
-    assert json.loads(proc.stdout) == [
-        ["compute", 0, []],
-        ["rank", 0, []],
-        ["classify", 0, []],
-        ["conjugate", 0, []],
-        ["sequence", 0, ["recindex.sequences"]],
-        ["axioms", 2, both],
-    ]
+    assert runs == {
+        "compute": ["0", *base],
+        "rank": ["0", *base],
+        "classify": ["0", *base],
+        "conjugate": ["0", *base],
+        "sequence": ["0", *base, "recindex.sequences"],
+        "axioms": ["2", "recindex.axioms", *base],
+    }
 
 
 def test_importing_the_scanner_skips_the_sequence_search():

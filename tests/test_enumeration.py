@@ -180,23 +180,22 @@ def test_domain_steps_are_the_domination_pairs_one_citation_apart(bounds):
         if citation_count(y) == citation_count(x) + 1
     }
     assert domain.uniforms == [v for v in domain.vectors if is_uniform(v)]
-    steps = list(zip(domain.step_lower, domain.step_upper))
-    assert len(steps) == len(oracle)
-    assert set(steps) == oracle
-    assert all(a <= b for a, b in zip(domain.step_lower, domain.step_lower[1:]))
-    # each step adds its citation at its recorded rank, and the exits are
-    # exactly the valid steps left out of the list, in (id, rank) order,
-    # each leaving the box
+    # the list holds every valid step once, in (id, rank) order
     vectors = domain.vectors
-    positions = list(zip(domain.step_lower, domain.step_position))
-    assert len(positions) == len(steps)
-    for (i, j), (_, k) in zip(steps, positions):
+    valid = [(i, k) for i, x in enumerate(vectors) for k in valid_positions(x)]
+    assert list(zip(domain.step_lower, domain.step_position)) == valid
+    # no step grows into (), so the steps of a nonzero upper id are exactly the
+    # domination pairs one citation apart, each adding its citation at its rank
+    inside = [(i, j, k) for i, j, k in zip(domain.step_lower, domain.step_upper, domain.step_position) if j]
+    assert len(inside) == len(oracle)
+    assert {(i, j) for i, j, _ in inside} == oracle
+    assert 0 not in {j for _, j in oracle}
+    for i, j, k in inside:
         assert vectors[j] == add_citation_at(vectors[i], k)
-    recorded = set(positions)
-    left_out = [(i, k) for i, x in enumerate(vectors) for k in valid_positions(x) if (i, k) not in recorded]
-    assert list(zip(domain.exit_lower, domain.exit_position)) == left_out
-    assert all(add_citation_at(vectors[i], k) not in ids for i, k in left_out)
-    assert sorted(positions) == positions
+    # and upper id 0 marks exactly the steps that leave the box
+    exits = [(i, k) for i, j, k in zip(domain.step_lower, domain.step_upper, domain.step_position) if not j]
+    assert len(exits) == len(valid) - len(oracle)
+    assert all(add_citation_at(vectors[i], k) not in ids for i, k in exits)
 
 
 # the first 14x14 oracle sample and the 12x12 sample that CI pins, with
@@ -212,15 +211,14 @@ def test_a_sample_lists_its_own_steps_and_the_rest_as_exits(bounds, size, inside
         for (i, x), (j, y) in product(enumerate(vectors), repeat=2)
         if citation_count(y) == citation_count(x) + 1 and dominates(x, y)
     }
-    steps = list(zip(domain.step_lower, domain.step_upper))
+    steps = [(i, j) for i, j in zip(domain.step_lower, domain.step_upper) if j]
     assert len(steps) == len(apart) == inside and set(steps) == apart
     valid = [(i, k) for i, x in enumerate(vectors) for k in valid_positions(x)]
-    grown = [ids.get(add_citation_at(vectors[i], k)) for i, k in valid]
+    grown = [ids.get(add_citation_at(vectors[i], k), 0) for i, k in valid]
     assert list(zip(domain.step_lower, domain.step_upper, domain.step_position)) == [
-        (i, j, k) for (i, k), j in zip(valid, grown) if j is not None
+        (i, j, k) for (i, k), j in zip(valid, grown)
     ]
-    assert list(zip(domain.exit_lower, domain.exit_position)) == [s for s, j in zip(valid, grown) if j is None]
-    assert len(domain.exit_lower) == exits
+    assert grown.count(0) == exits
 
 
 # the 14x14 oracle samples, the 30x30 registry sample and a denser 12x12 one

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
+import os
 import re
+import sys
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -580,3 +584,163 @@ def test_the_format_is_sniffed_past_leading_blank_lines(tmp_path, mark, blank):
     # a CSV row after the blank lines reads as CSV even when a later line holds an object
     path.write_bytes(f'{mark}{blank}a,2,1\n{{"id": "b"}}\n'.encode())
     assert [r.id for r in parse_dataset(path)] == ["a", '{"id": "b"}']
+
+
+def naive_parse(path, fmt="auto"):
+    """The records of the dataset at ``path``, read naively: decode the whole
+    file strictly, drop a leading byte-order mark, then check one line at a
+    time, each in the order that ``test_errors_within_one_line_keep_their_order``
+    pins, and stop at the first bad one.  No check runs over the whole file."""
+    with open(path, "rb") as file:
+        data = file.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"cannot read dataset {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line end, or is empty
+    if fmt == "auto":
+        suffix = os.path.splitext(path)[1].lower()
+        first = next((line for line in lines if line.strip()), "")
+        fmt = "csv" if suffix == ".csv" else "jsonl" if suffix in (".jsonl", ".ndjson", ".json") else (
+            "jsonl" if first.lstrip().startswith("{") else "csv"
+        )
+    records, seen = [], {}
+    for line_no, name, vector in (naive_csv_rows if fmt == "csv" else naive_jsonl_rows)(lines):
+        if name in seen:
+            raise DatasetError(f"duplicate researcher id {name!r} on lines {seen[name]} and {line_no}")
+        seen[name] = line_no
+        if sum(c * c for c in vector) > sys.float_info.max:
+            raise DatasetError(
+                f"line {line_no}: researcher {name!r}: citation counts too large; "
+                "the sum of their squares exceeds the largest float"
+            )
+        records.append((name, vector))
+    return records
+
+
+def naive_csv_rows(lines):
+    """(line number, id, vector) of each CSV line but blank ones and a header, which only the first row that is
+    not blank may be; each line is parsed alone."""
+    may_be_header = True
+    for line_no, line in enumerate(lines, 1):
+        try:
+            rows = list(csv.reader([line], strict=True))
+        except csv.Error as exc:
+            message = "quote left open at the end of the line" if str(exc) == "unexpected end of data" else exc
+            raise DatasetError(f"line {line_no}: malformed CSV row: {message}") from None
+        row = rows[0] if rows else []
+        if not row or len(row) == 1 and not row[0].strip():
+            continue
+        name = row[0].strip()
+        if may_be_header:
+            may_be_header = False
+            if name.lower() == "id" and len(row) > 1:
+                continue
+        if not name:
+            raise DatasetError(f"line {line_no}: empty researcher id")
+        yield line_no, name, loop_vector(row[1:], line_no, name)
+
+
+def naive_jsonl_rows(lines):
+    """(line number, id, vector) of each JSON line but blank ones."""
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise DatasetError(f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
+        except RecursionError:
+            raise DatasetError(f"line {line_no}: invalid JSON: nested too deeply") from None
+        if not isinstance(obj, dict) or "id" not in obj or "citations" not in obj:
+            raise DatasetError(f'line {line_no}: expected an object with "id" and "citations"')
+        if type(obj["id"]) not in (str, int):
+            raise DatasetError(f"line {line_no}: researcher id must be a string or an integer")
+        name = str(obj["id"]).strip()
+        if not name:
+            raise DatasetError(f"line {line_no}: empty researcher id")
+        if not isinstance(obj["citations"], list):
+            raise DatasetError(f"line {line_no}: citations of researcher {name!r} must be a list")
+        try:
+            vector = make_vector(obj["citations"])
+        except ValueError as exc:
+            raise DatasetError(f"line {line_no}: researcher {name!r}: {exc}") from None
+        yield line_no, name, vector
+
+
+#: Ids that repeat, and others that seldom do, so that a file holds a duplicate only now and then.
+_NAMES = st.sampled_from(["a", "b", " a ", "ID", "id", "7", ""]) | st.integers(0, 99).map("r{}".format)
+_GOOD_CELLS = ["0", "1", "3", " 2 ", "", " ", "\xa05", "+4", "1_0", '"3"']
+_BAD_CELLS = ["x", "-1", str(10**200), "9" * 5000, '"open', 'x"y', '"x"y', '"a,b"']
+_GOOD_COUNTS = ["[3, 1]", "[]", "[0, 2]", "[1, 1, 1]"]
+_BAD_COUNTS = ["[-1]", "[1.5]", "[true]", "3", f"[{10**200}, {10**200}]", f"[{10**154}]", '["1']
+_BLANKS = ["", " ", "\x85", "\x0c", "\u2028", "\ufeff"]
+_ODD_LINES = ["id,c1,c2", "ID", '{"id": "a"}', "[1, 2]", "{not json}", '{"id": "a', '"', '{"id": [' + "[" * 3000]
+
+
+def _csv_lines(cells):
+    return st.builds(lambda name, row: ",".join([name, *row]), _NAMES, st.lists(st.sampled_from(cells), max_size=4))
+
+
+def _jsonl_lines(ids, counts):
+    return st.builds('{{"id": {}, "citations": {}}}'.format, ids, st.sampled_from(counts))
+
+
+_JSON_IDS = _NAMES.map(json.dumps) | st.sampled_from(["7", '" "', "true", "null", "1.5"])
+#: Each format's rows: three parts good rows to one part rows that may hold bad cells, ids or counts.
+_LINES = {
+    "csv": st.one_of(*[_csv_lines(_GOOD_CELLS)] * 3, _csv_lines(_GOOD_CELLS + _BAD_CELLS)),
+    "jsonl": st.one_of(*[_jsonl_lines(_NAMES.map(json.dumps), _GOOD_COUNTS)] * 3, _jsonl_lines(_JSON_IDS, _BAD_COUNTS)),
+}
+#: Rows that carry a file past 64 KiB, the size of each read that drains the file after a bad row.
+_FILLER = {
+    "csv": "".join(f"f{k},{k % 7},1\n" for k in range(7000)),
+    "jsonl": "".join(f'{{"id": "f{k}", "citations": [{k % 7}, 1]}}\n' for k in range(2500)),
+}
+
+
+@st.composite
+def datasets(draw):
+    """(file name, format argument, bytes) of a dataset drawn from the cases that the parse must agree on."""
+    own, other = draw(st.permutations(["csv", "jsonl"]))
+    name = draw(st.sampled_from([f"data.{own}", "data.ndjson", "DATA.CSV", "data.json", "data.txt", "data"]))
+    row = st.one_of(*[_LINES[own]] * 4, _LINES[other], st.sampled_from(_BLANKS + _ODD_LINES))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = draw(st.lists(st.sampled_from(_BLANKS), max_size=2)) + draw(st.lists(row, max_size=8))
+    lines = [line + draw(ends) for line in lines]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # the last line without its line end
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), _FILLER[own])
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + "".join(lines).encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + data[at:]
+    return name, draw(st.sampled_from(["auto", "auto", "csv", "jsonl"])), data
+
+
+_PADDING = "".join(f"r{k},{k % 7},1\r\n" for k in range(3, 9000)).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets())
+@example(("late.csv", "auto", b"id,c1\nbob,3,x\n" + _PADDING + b"caf\xe9,1\n"))  # a bad byte past 64 KiB wins
+@example(("late.txt", "auto", b"\xef\xbb\xbf \r\n\r\n" + _PADDING + b"a,1\r\na,2\r"))  # sniffed past blanks
+@example(("data", "auto", ' \r\n\x85\n{"id": "a", "citations": [2, 1]}\n'.encode()))  # JSON lines past blanks
+@example(("cut.csv", "auto", _PADDING[: (1 << 16) - 1] + b"\r\nb,\"open\r\nc,1\n"))  # "\r\n" across 64 KiB
+@example(("dup.csv", "auto", b"a,1\na,2\nb,x\n"))  # a duplicate before a bad row
+@example(("big.csv", "auto", b"a,1\nb,%d\n" % 10**200))  # an overflow with no duplicate
+@example(("pad.csv", "auto", b"a, ,-1\n"))  # a blank cell before a negative count is not a position
+@example(("open.jsonl", "auto", b'{"id": "a\n'))  # a JSON string left open ends with its line
+@example(("q.csv", "auto", b'a,1\n"a\n"b\n'))  # a quote left open, whatever the next line holds
+@example(("q.csv", "auto", b'a,1\n"a'))  # or at the end of the file
+@example(("big.jsonl", "auto", b'{"id": "a", "citations": [1]}\n{"id": "a", "citations": [%d, 1]}\n' % 10**200))
+def test_the_parse_matches_a_naive_reader_of_the_whole_file(case):
+    name, fmt, data = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, name)
+        with open(path, "wb") as file:
+            file.write(data)
+        assert outcome(lambda: parse_dataset(path, fmt)) == outcome(lambda: naive_parse(path, fmt))

@@ -22,7 +22,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # sha is of stdout (None: not pinned), limit_mb of peak RSS (None: no limit),
-# timeout in seconds, argv follows ``python``.
+# timeout in seconds, argv follows ``python``.  A limit is the pin's largest
+# peak over three runs on each of Python 3.10 and 3.11, plus 6 MB, rounded up;
+# the 50k report pins sit at least 6 MB over theirs, and axioms-10x10,
+# compute-table and sequence-99x1000 keep looser limits for now.
 Pin = collections.namedtuple("Pin", "name argv code limit_mb timeout sha why")
 
 
@@ -70,30 +73,30 @@ CLEAN = "80bd0fc145b09ef58fd59c4e8d31c7e7838611030b7d19919a94c63fdb7e606f"
 # Exit 2 on a scan is the known min_n_x1/UE mismatch.  The report hashes were
 # the same on Python 3.10, 3.11 and 3.13.
 PINS = [
-    Pin("axioms-8x8", cli("axioms --n-max 8 --c-max 8 --format jsonl"), 2, 64, 600,
+    Pin("axioms-8x8", cli("axioms --n-max 8 --c-max 8 --format jsonl"), 2, 30, 600,
         "5f2b1a6ed9dd6db8293961e6d9e9bfb0b4c8c671b15844ab288af14986480adc", "the 8x8 box, every vector enumerated"),
     Pin("axioms-10x10", cli("axioms --n-max 10 --c-max 10 --format jsonl"), 2, 128, 600,
         "4ec7071a5773df26b49ca206c6c55cbb75926669971f8b2669b5357376502824",
         "184,756 vectors, 923,780 steps inside, 184,756 leaving; one column walk serves every index"),
-    Pin("axioms-127x1", cli("axioms --n-max 127 --c-max 1 --format jsonl"), 2, 64, 600,
+    Pin("axioms-127x1", cli("axioms --n-max 127 --c-max 1 --format jsonl"), 2, 23, 600,
         "97e686fd6144e5e40b8ad63f3316cd29c3f9186e0baf58a8216da75ba8d4a073", "exits reach rank 128, past a signed byte"),
-    Pin("axioms-12x12-seed1", cli("axioms --n-max 12 --c-max 12 --seed 1 --format jsonl"), 2, 64, 600,
+    Pin("axioms-12x12-seed1", cli("axioms --n-max 12 --c-max 12 --seed 1 --format jsonl"), 2, 23, 600,
         "423f48a8d279a64c52b45a26f66db299750919f8d210ce355bcad46e5e36fd18", "with a seed 12x12 is sampled, 500 draws"),
     Pin("axioms-40x40-seed7", cli("axioms --n-max 40 --c-max 40 --seed 7 --sample-size 500 --format jsonl"),
-        2, 64, 600, "811808ab4e4e7449b45bd7376472df7fcac41679344026230a8c45d26884cf44", "README's own example"),
+        2, 25, 600, "811808ab4e4e7449b45bd7376472df7fcac41679344026230a8c45d26884cf44", "README's own example"),
     Pin("axioms-40x40-seed1", cli("axioms --n-max 40 --c-max 40 --sample-size 20 --seed 1 --format jsonl"),
-        2, 64, 600, "f7d88fdcfce109570329dc3b59c665dc074273eea9e383106d85448d913d929d", "the axioms-sampled benchmark scan"),
-    Pin("replay", ("-c", REPLAY, *(f"axioms-{scan}.out" for scan in SCANS)), 0, None, 600, None,
+        2, 24, 600, "f7d88fdcfce109570329dc3b59c665dc074273eea9e383106d85448d913d929d", "the axioms-sampled benchmark scan"),
+    Pin("replay", ("-c", REPLAY, *(f"axioms-{scan}.out" for scan in SCANS)), 0, 23, 600, None,
         "every violated row of the six scans, the chi bound's too, replays for the index it names"),
-    Pin("refuse-1x100000", cli("axioms --n-max 1 --c-max 100000"), 3, None, 60, None, REFUSED),
-    Pin("refuse-2x1000000-seed1", cli("axioms --n-max 2 --c-max 1000000 --seed 1"), 3, None, 60, None, REFUSED),
-    Pin("refuse-1000000x1000000", cli("axioms --n-max 1000000 --c-max 1000000"), 3, None, 60, None,
+    Pin("refuse-1x100000", cli("axioms --n-max 1 --c-max 100000"), 3, 23, 60, None, REFUSED),
+    Pin("refuse-2x1000000-seed1", cli("axioms --n-max 2 --c-max 1000000 --seed 1"), 3, 23, 60, None, REFUSED),
+    Pin("refuse-1000000x1000000", cli("axioms --n-max 1000000 --c-max 1000000"), 3, 23, 60, None,
         "refused without its exact count, which alone takes tens of seconds"),
-    Pin("refuse-1000000x1000000-seed1", cli("axioms --n-max 1000000 --c-max 1000000 --seed 1"), 3, None, 60,
+    Pin("refuse-1000000x1000000-seed1", cli("axioms --n-max 1000000 --c-max 1000000 --seed 1"), 3, 23, 60,
         None, REFUSED),
-    Pin("refuse-2000x2", cli("axioms --n-max 2000 --c-max 2"), 3, None, 60, None,
+    Pin("refuse-2000x2", cli("axioms --n-max 2000 --c-max 2"), 3, 23, 60, None,
         "charged 2,000 entries for each of its 2,003,001 vectors"),
-    Pin("refuse-12x12", cli("axioms --n-max 12 --c-max 12"), 3, 64, 600, None,
+    Pin("refuse-12x12", cli("axioms --n-max 12 --c-max 12"), 3, 23, 600, None,
         "2,704,156 vectors, refused by their count before enumeration (which took about 0.6 GB)"),
     Pin("compute-csv", cli("compute pareto-50k.csv --format csv"), 0, 45, 600, CLEAN, STREAMED),
     Pin("rank-rec", cli("rank pareto-50k.csv --by rec"), 0, 45, 600,
@@ -114,18 +117,18 @@ PINS = [
         "two empty cells end each row and are dropped with the zero counts"),
     Pin("compute-csv-blank-cell", cli("compute pareto-50k-blank-cell.csv --format csv"), 0, 45, 600, CLEAN,
         "a blank cell ends each row and sends it through the per-cell loop"),
-    Pin("long-rank-w-csv", cli("rank long-5k.jsonl --by w --format csv"), 0, 39, 600,
+    Pin("long-rank-w-csv", cli("rank long-5k.jsonl --by w --format csv"), 0, 32, 600,
         "759e1a493743ed8ad88df2d637a7319d61b796ed34d978b0442fefdae58a724b", "w stops early in each long vector"),
-    Pin("long-compute-jsonl", cli("compute long-5k.jsonl --format jsonl"), 0, 39, 600,
+    Pin("long-compute-jsonl", cli("compute long-5k.jsonl --format jsonl"), 0, 32, 600,
         "d47fb9a22aa31f275f8ab9470189a09605d3d57ce238eebaaf1460c8bf0afb22", "report_indices leaves h, g, w behind"),
-    Pin("long-compute-table-maximizers", cli("compute long-5k.jsonl --format table --show-maximizers"), 0, 39, 600,
+    Pin("long-compute-table-maximizers", cli("compute long-5k.jsonl --format table --show-maximizers"), 0, 36, 600,
         "e39f4d82e49b10db05d274202818be952c8547c727e251a50d0ead89955372ee", "every record goes through make_vector"),
     Pin("sequence-99x1000", cli("sequence " + ",".join(["1000"] * 99) + " --format jsonl"), 0, 256, 600,
         "da0845ec40ae8eb4f19d54b0aef4c9fd944a03a393654559687c60469862525f",
         "99,001 steps charged 99,001 x (99 + 6) = 10,395,105 of the 10,500,000 entries"),
-    Pin("refuse-sequence-9999999", cli("sequence 9999999"), 1, None, 60, None,
+    Pin("refuse-sequence-9999999", cli("sequence 9999999"), 1, 21, 60, None,
         "10^7 one-entry steps (about 1.6 GB if built) are refused before anything is built"),
-    Pin("refuse-sequence-99999x10", cli("sequence " + ",".join(["99999"] * 10)), 1, None, 60, None,
+    Pin("refuse-sequence-99999x10", cli("sequence " + ",".join(["99999"] * 10)), 1, 21, 60, None,
         "steps charged len + 6 entries each (about 381 MB if built): refused before anything is built"),
 ]
 
